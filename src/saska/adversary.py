@@ -371,9 +371,10 @@ def _run_trial(
     keys_equal = key_a is not None and key_b is not None and key_a.octets == key_b.octets
     atk_a = atk_b = False
     if attacker is not None:
-        ek_a, ek_b = attacker.key_with_a(), attacker.key_with_b()
-        atk_a = key_a is not None and ek_a == key_a.value
-        atk_b = key_b is not None and ek_b == key_b.value
+        # the attacker's keys cost a full exponentiation each; skip them
+        # when there is no victim key to compare against
+        atk_a = key_a is not None and attacker.key_with_a() == key_a.value
+        atk_b = key_b is not None and attacker.key_with_b() == key_b.value
         success = sas_match and (atk_a or atk_b)
     else:
         success = sas_match and keys_equal

@@ -27,6 +27,7 @@ from .errors import (
     MalformedMessage,
     OpenFailed,
     PairingError,
+    ParameterError,
     SubgroupCheckFailed,
     Timeout,
     WrongPhase,
@@ -35,6 +36,8 @@ from .group import DEFAULT_PARAM_SET, PARAM_SETS, DhParams, load_params_file
 from .protocol import (
     DEFAULT_K,
     DEFAULT_TIMEOUT,
+    MAX_K,
+    Identity,
     confirm,
     decode_message,
     encode_message,
@@ -71,6 +74,26 @@ def _resolve_params(spec: str | None) -> DhParams:
     if os.path.exists(spec):
         return load_params_file(spec)
     raise ValueError(f"--params {spec!r} is neither a known set {sorted(PARAM_SETS)} nor a file")
+
+
+def _parse_address(text: str) -> tuple[str, int]:
+    """HOST:PORT, with an empty host meaning the loopback address."""
+    host, sep, port = text.rpartition(":")
+    if not (sep and port.isascii() and port.isdigit() and 0 < int(port) <= 65535):
+        raise ValueError(f"--connect {text!r} is not HOST:PORT with a port in 1..65535")
+    return host or "127.0.0.1", int(port)
+
+
+def _check_peer_args(args):
+    """Reject bad peer arguments before any socket is opened; --connect
+    becomes a (host, port) pair."""
+    if args.listen is not None and not 0 <= args.listen <= 65535:
+        raise ValueError(f"--listen {args.listen} is not a port in 0..65535")
+    if args.connect is not None:
+        args.connect = _parse_address(args.connect)
+    if not 1 <= args.k <= MAX_K:
+        raise ValueError(f"--k must be in [1, {MAX_K}], got {args.k}")
+    Identity(args.id)
 
 
 def _peer_parser() -> argparse.ArgumentParser:
@@ -121,13 +144,14 @@ def _ask_confirmation() -> bool:
 
 
 def run_peer(args) -> int:
-    params = _resolve_params(args.params)
+    """Pair over TCP.  Expects the arguments as checked by main()."""
+    params = args.params
     listener = None
     channel = None
     try:
         if args.connect is not None:
-            host, _, port = args.connect.rpartition(":")
-            channel = connect_stream(host or "127.0.0.1", int(port), timeout=args.timeout)
+            host, port = args.connect
+            channel = connect_stream(host, port, timeout=args.timeout)
             state, msg1 = init_initiator(params, args.id, args.k)
             channel.send_frame(encode_message(msg1))
             msg2 = decode_message(channel.recv_frame(args.timeout))
@@ -168,7 +192,7 @@ def run_peer(args) -> int:
 
 
 def run_sim(args) -> int:
-    params = _resolve_params(args.params)
+    params = args.params
     kind = STRATEGY_NAMES[args.strategy]
     seed = args.seed if args.seed is not None else secrets.randbits(64)
 
@@ -199,9 +223,17 @@ def run_sim(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "sim":
-        return run_sim(_sim_parser().parse_args(argv[1:]))
-    return run_peer(_peer_parser().parse_args(argv))
+    sim = bool(argv) and argv[0] == "sim"
+    parser = _sim_parser() if sim else _peer_parser()
+    args = parser.parse_args(argv[1:] if sim else argv)
+    # argument errors exit 2 through argparse, before any network I/O
+    try:
+        args.params = _resolve_params(args.params)
+        if not sim:
+            _check_peer_args(args)
+    except (ValueError, ParameterError, OSError) as exc:
+        parser.error(str(exc))
+    return run_sim(args) if sim else run_peer(args)
 
 
 if __name__ == "__main__":

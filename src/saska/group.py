@@ -4,6 +4,14 @@ All group elements live in the order-q subgroup of the multiplicative group
 mod p, where p and q are prime and q | p - 1.  Parameters are static,
 publicly known configuration: both peers load the same named set (or the
 same parameter file) out of band.
+
+Safe-prime groups (p = 2q + 1) take two shortcuts.  Once p exceeds 2^31,
+subgroup membership is a Jacobi-symbol test: by Euler's criterion,
+y^q = 1 mod p exactly when y is a quadratic residue mod p.  Private
+exponents are capped at N bits once q exceeds 2^N, with N = max(256, 2s)
+for the security strength s of the group size (NIST SP 800-56A Rev. 3,
+section 5.6.1.1.4 and Appendix D; RFC 3526, section 8).  Other groups
+keep the pow test and full-range exponents.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import functools
 import hashlib
 import random
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BadGenerator,
@@ -26,14 +34,45 @@ PRIMALITY_ROUNDS = 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# SP 800-56A Rev. 3 Appendix D: security strength s of the safe-prime groups
+# by bit length of p.  A p between two sizes takes the strength of the
+# larger one; beyond the table there is no rated strength and exponents
+# stay full range.
+_SAFE_PRIME_STRENGTH = ((2048, 112), (3072, 128), (4096, 152), (6144, 176), (8192, 200))
+_MIN_EXPONENT_BITS = 256
+# Below about 2^31 a single pow(y, q, p) is cheaper than the Jacobi loop
+# (measured with CPython 3.11: 0.2 us against 0.8 us at p = 23, and 9 us
+# against 4 us at 32 bits).
+_JACOBI_MIN_P = 1 << 31
+
+
+def _safe_prime_exponent_limit(p: int, q: int) -> int:
+    """Exclusive upper end of the private exponent range for p = 2q + 1."""
+    strength = next((s for bits, s in _SAFE_PRIME_STRENGTH if p.bit_length() <= bits), None)
+    if strength is None:
+        return q
+    return min(q, 1 << max(_MIN_EXPONENT_BITS, 2 * strength))
+
 
 @dataclass(frozen=True)
 class DhParams:
-    """Public group triple (p, q, g).  Construct via validate_params()."""
+    """Public group triple (p, q, g).  Construct via validate_params().
+
+    safe_prime (p == 2q + 1) and exponent_limit are derived from the
+    triple; they take no part in equality, hashing or set_id().
+    """
 
     p: int
     q: int
     g: int
+    safe_prime: bool = field(init=False, repr=False, compare=False)
+    exponent_limit: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        safe = self.p == 2 * self.q + 1
+        limit = _safe_prime_exponent_limit(self.p, self.q) if safe else self.q
+        object.__setattr__(self, "safe_prime", safe)
+        object.__setattr__(self, "exponent_limit", limit)
 
     def set_id(self) -> int:
         """32-bit identifier carried on the wire to detect mismatched sets."""
@@ -42,7 +81,7 @@ class DhParams:
 
 @dataclass(frozen=True)
 class PrivateShare:
-    """Secret exponent in [1, q-1]."""
+    """Secret exponent in [1, params.exponent_limit - 1]."""
 
     exponent: int
 
@@ -138,22 +177,46 @@ def validate_params(p: int, q: int, g: int) -> DhParams:
     return DhParams(p, q, g)
 
 
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm."""
+    if n <= 0 or not n & 1:
+        raise ValueError(f"n must be odd and positive, got {n}")
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        # (2/n) = -1 exactly when n = 3 or 5 mod 8
+        if zeros & 1 and n & 7 in (3, 5):
+            result = -result
+        # quadratic reciprocity for two odd numbers
+        if a & n & 3 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
 def in_subgroup(params: DhParams, value: int) -> bool:
     """Membership test for the order-q subgroup, excluding the identity."""
     if not 1 < value < params.p:
         return False
+    if params.safe_prime and params.p > _JACOBI_MIN_P:
+        return jacobi(value, params.p) == 1
     return pow(value, params.q, params.p) == 1
 
 
 def gen_private_share(params: DhParams, rng: random.Random | None = None) -> PrivateShare:
-    """Draw an exponent uniformly from [1, q-1].
+    """Draw an exponent uniformly from [1, params.exponent_limit - 1].
+
+    The limit is q, except on safe-prime groups larger than the short
+    exponent cap (see the module docstring).
 
     rng defaults to the OS entropy source; pass a seeded random.Random only
     for simulation or tests.
     """
     rng = rng or secrets.SystemRandom()
     try:
-        exponent = rng.randrange(1, params.q)
+        exponent = rng.randrange(1, params.exponent_limit)
     except Exception as exc:
         raise RngFailure(str(exc)) from exc
     return PrivateShare(exponent)

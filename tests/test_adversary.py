@@ -19,6 +19,7 @@ from saska.adversary import (
 )
 from saska.commitment import Decommitment
 from saska.errors import KTooLarge
+from saska.group import PARAM_SETS
 from saska.protocol import (
     AuthNonce,
     Msg1,
@@ -52,6 +53,11 @@ class TestHonestSession:
         b = run_honest_session(test_params, 20, seed=4)
         assert a.success and b.success
         assert a.sas_a != b.sas_a  # overwhelmingly likely at k=20; frozen by seeds
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_modp2048_group(self, seed):
+        out = run_honest_session(PARAM_SETS["modp2048"], 20, seed)
+        assert out.success and out.sas_match and out.keys_equal
 
     def test_transcript_has_three_frames(self, test_params):
         out = run_honest_session(test_params, 20, seed=5)
@@ -161,6 +167,13 @@ class TestExhaustive:
     def test_adaptive_rule_cannot_beat_bound(self, test_params, kind):
         strategy = AttackStrategy(kind, GuessRule.ADAPTIVE)
         assert exhaustive_attack_success(strategy, test_params, 4) <= Fraction(1, 16)
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_modp2048_exact_rate(self, kind):
+        # one of the four trials wins, so the lazily derived attacker keys
+        # are compared on the success branch as well
+        strategy = AttackStrategy(kind, GuessRule.FIXED, 1)
+        assert exhaustive_attack_success(strategy, PARAM_SETS["modp2048"], 2) == Fraction(1, 4)
 
     def test_k8_fixed_guess(self, test_params):
         strategy = AttackStrategy(StrategyKind.IMPERSONATE_RESPONDER, GuessRule.FIXED, 0)

@@ -1,12 +1,17 @@
 import io
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from saska import cli
 from saska.cli import EXIT_REJECTED, EXIT_TAMPER, EXIT_TIMEOUT, EXIT_TRANSPORT, main
+from saska.errors import Timeout
 from saska.group import DhParams, PARAM_SETS
 from saska.protocol import (
     decode_message,
@@ -58,6 +63,55 @@ class TestResolveParams:
     def test_garbage(self):
         with pytest.raises(ValueError):
             cli._resolve_params("no-such-set-or-file")
+
+
+def run_cli(args, **env_overrides):
+    env = dict(os.environ)
+    env.pop(cli.PARAMS_ENV_VAR, None)
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_overrides)
+    return subprocess.run([sys.executable, "-m", "saska.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=30, stdin=subprocess.DEVNULL)
+
+
+class TestArgumentErrors:
+    """A bad argument is a usage error: exit 2, one error line, no traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["--listen", "0", "--id", "a", "--params", "nosuch"],
+        ["--connect", "127.0.0.1:notaport", "--id", "b"],
+        ["--connect", "127.0.0.1", "--id", "b"],
+        ["--connect", "127.0.0.1:0", "--id", "b"],
+        ["--listen", "70000", "--id", "a"],
+        ["--listen", "0", "--id", "a", "--k", "0"],
+        ["--listen", "0", "--id", ""],
+        ["sim", "--strategy", "honest", "--params", "nosuch"],
+    ])
+    def test_usage_error(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: ")
+        assert proc.stdout == ""
+
+    def test_invalid_params_file_from_env(self, tmp_path):
+        path = tmp_path / "bad.params"
+        path.write_text("29\n7\n5\n")  # 5 is not in the order-7 subgroup
+        proc = run_cli(["--listen", "0", "--id", "a"], **{cli.PARAMS_ENV_VAR: str(path)})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "g = 5" in proc.stderr
+
+    def test_checked_before_connecting(self):
+        listener = StreamListener(0)
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob", "--k", "65"])
+            assert excinfo.value.code == 2
+            with pytest.raises(Timeout):
+                listener.accept(0.2)
+        finally:
+            listener.close()
 
 
 class TestSim:

@@ -12,8 +12,10 @@ from saska.group import (
     PublicShare,
     derive_key,
     gen_private_share,
+    in_subgroup,
     int_to_octets,
     is_probable_prime,
+    jacobi,
     load_params_file,
     mod_exp,
     parse_params_text,
@@ -122,8 +124,47 @@ class TestPrivateShare:
             def randrange(self, *a):
                 raise OSError("entropy pool exhausted")
 
-        with pytest.raises(RngFailure):
-            gen_private_share(test_params, Broken())
+        for params in (test_params, PARAM_SETS["modp2048"]):
+            with pytest.raises(RngFailure):
+                gen_private_share(params, Broken())
+
+    @pytest.mark.parametrize("name", ["test", "p40"])
+    def test_draws_below_cap_match_full_range(self, name):
+        # groups smaller than the exponent cap draw exactly as randrange(1, q),
+        # which keeps the golden frames and seeded transcripts
+        params = PARAM_SETS[name]
+        assert params.exponent_limit == params.q
+        for seed in range(300):
+            expected = random.Random(seed).randrange(1, params.q)
+            assert gen_private_share(params, random.Random(seed)).exponent == expected
+
+    def test_modp2048_short_exponents(self):
+        params = PARAM_SETS["modp2048"]
+        n_bits = params.exponent_limit.bit_length() - 1
+        assert params.exponent_limit == 1 << n_bits
+        assert n_bits == 256 >= 2 * 112  # SP 800-56A strength of a 2048-bit group
+        rng = random.Random(5)
+        draws = [gen_private_share(params, rng).exponent for _ in range(300)]
+        assert all(1 <= x < 2**256 for x in draws)
+        assert max(draws).bit_length() == 256
+
+    @pytest.mark.parametrize(
+        "p_bits,n_bits",
+        [(2048, 256), (2560, 256), (3072, 256), (4096, 304), (6144, 352), (8192, 400)],
+    )
+    def test_exponent_cap_follows_strength_table(self, p_bits, n_bits):
+        # only the shape p = 2q + 1 and the size of p matter to the cap
+        params = DhParams(p=2**p_bits - 1, q=2 ** (p_bits - 1) - 1, g=4)
+        assert params.safe_prime
+        assert params.exponent_limit == 2**n_bits
+
+    def test_no_cap_beyond_table_or_without_safe_prime(self):
+        huge = DhParams(p=2**8200 - 1, q=2**8199 - 1, g=4)
+        assert huge.exponent_limit == huge.q
+        q = PARAM_SETS["modp2048"].q
+        schnorr_shape = DhParams(p=4 * q + 1, q=q, g=4)
+        assert not schnorr_shape.safe_prime
+        assert schnorr_shape.exponent_limit == q
 
 
 class TestPubShare:
@@ -192,20 +233,108 @@ class TestBuiltinSets:
         p = PARAM_SETS["test"]
         validate_params(p.p, p.q, p.g)
 
-    def test_p40_set(self, p40_params):
-        assert len(str(p40_params.p)) == 40
-        assert (p40_params.p - 1) % p40_params.q == 0
+    # the Jacobi test and short exponents rely on the safe-prime shape
+    def test_p40_set(self):
+        p = PARAM_SETS["p40"]
+        assert validate_params(p.p, p.q, p.g) == p
+        assert len(str(p.p)) == 40
+        assert p.p == 2 * p.q + 1 and p.safe_prime
 
     def test_modp2048_set(self):
         p = PARAM_SETS["modp2048"]
         validate_params(p.p, p.q, p.g)
         assert p.p.bit_length() == 2048
+        assert p.p == 2 * p.q + 1 and p.safe_prime
+
+    def test_derived_fields_leave_identity_unchanged(self):
+        # safe_prime and exponent_limit stay out of equality, hashing and the wire id
+        ids = {name: params.set_id() for name, params in PARAM_SETS.items()}
+        assert ids == {"test": 3299674283, "p40": 3343870752, "modp2048": 1109075298}
+        assert hash(PARAM_SETS["test"]) == hash((23, 11, 2))
+        assert repr(PARAM_SETS["test"]) == "DhParams(p=23, q=11, g=2)"
 
     def test_set_ids_distinct_and_stable(self):
         ids = {name: params.set_id() for name, params in PARAM_SETS.items()}
         assert len(set(ids.values())) == len(ids)
         assert all(0 <= v < 2**32 for v in ids.values())
         assert PARAM_SETS["test"].set_id() == ids["test"]
+
+
+# 29 = 4 * 7 + 1: a Schnorr group, not a safe prime.  Its quadratic residues
+# form the order-14 subgroup, so a Jacobi test would wrongly accept half of them.
+SCHNORR = parse_params_text("29\n7\n16\n")
+# Groups just above 2^31, where the Jacobi test takes over from pow on safe
+# primes: the smallest safe prime there, and a Schnorr group p = 4q + 1.
+SAFE32 = parse_params_text("2147483783\n1073741891\n4\n")
+SCHNORR32 = parse_params_text("2147483693\n536870923\n16\n")
+GROUPS = {**PARAM_SETS, "schnorr29": SCHNORR, "safe32": SAFE32, "schnorr32": SCHNORR32}
+
+
+def reference_in_subgroup(params, value):
+    return 1 < value < params.p and pow(value, params.q, params.p) == 1
+
+
+def candidate_shares(params):
+    """Members g^x, their negations (non-members), and any integer near [0, p)."""
+    exponents = st.integers(min_value=1, max_value=params.q - 1)
+    return st.one_of(
+        exponents.map(lambda x: pow(params.g, x, params.p)),
+        exponents.map(lambda x: params.p - pow(params.g, x, params.p)),
+        st.integers(min_value=-params.p, max_value=2 * params.p),
+    )
+
+
+class TestInSubgroup:
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_edge_cases(self, name):
+        params = GROUPS[name]
+        p, g = params.p, params.g
+        for value in (0, 1, p - 1, p, p + 1, -1, -g, -p):
+            assert not in_subgroup(params, value)
+        assert in_subgroup(params, g)
+        for value in (2, g, p - 2, p - g, g * g % p):
+            assert in_subgroup(params, value) == reference_in_subgroup(params, value)
+
+    @pytest.mark.parametrize("name", ["test", "p40", "schnorr29", "safe32", "schnorr32"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pow_reference(self, name, data):
+        params = GROUPS[name]
+        value = data.draw(candidate_shares(params))
+        assert in_subgroup(params, value) == reference_in_subgroup(params, value)
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_pow_reference_modp2048(self, data):
+        params = PARAM_SETS["modp2048"]
+        value = data.draw(candidate_shares(params))
+        assert in_subgroup(params, value) == reference_in_subgroup(params, value)
+
+    def test_jacobi_matches_definition(self):
+        # (a/n) is the product of the Legendre symbols a^((r-1)/2) mod r
+        # over the prime factors r of n, and 0 when gcd(a, n) > 1
+        def legendre(a, r):
+            e = pow(a, (r - 1) // 2, r)
+            return -1 if e == r - 1 else e
+
+        primes = (3, 5, 7, 11, 13, 23)
+        for r1 in primes:
+            for r2 in primes:
+                for a in range(-30, 60):
+                    assert jacobi(a, r1 * r2) == legendre(a, r1) * legendre(a, r2)
+        with pytest.raises(ValueError):
+            jacobi(3, 10)
+
+    def test_schnorr_group_keeps_pow_test(self):
+        assert not SCHNORR.safe_prime
+        members = {pow(16, x, 29) for x in range(1, 7)}
+        assert {y for y in range(29) if in_subgroup(SCHNORR, y)} == members
+
+    def test_schnorr_group_draws_full_range(self):
+        assert SCHNORR.exponent_limit == SCHNORR.q
+        for seed in range(50):
+            expected = random.Random(seed).randrange(1, SCHNORR.q)
+            assert gen_private_share(SCHNORR, random.Random(seed)).exponent == expected
 
 
 class TestParamsFile:
