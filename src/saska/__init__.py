@@ -22,6 +22,7 @@ from .protocol import (
     Msg2,
     Msg3,
     PairingPayload,
+    Peer,
     Phase,
     ProtocolState,
     Role,
@@ -53,7 +54,6 @@ from .transport import (
     StreamChannel,
     StreamListener,
     connect_stream,
-    make_interposed_pair,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ exhaustive enumeration (small k) and Monte Carlo estimation.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,26 +32,23 @@ from .protocol import (
     Msg2,
     Msg3,
     PairingPayload,
+    Peer,
     Phase,
-    ProtocolState,
+    Role,
     Sas,
     confirm,
     decode_message,
     decode_payload,
     encode_message,
     encode_payload,
-    init_initiator,
-    initiator_on_payload,
-    responder_on_commit,
-    responder_on_decommit,
 )
 from .transport import (
+    Deliver,
     Direction,
     Drop,
     Inject,
     Replace,
-    Transcript,
-    make_interposed_pair,
+    TranscriptEvent,
 )
 
 EXHAUSTIVE_MAX_K = 16
@@ -106,7 +104,7 @@ class AttackOutcome:
     keys_equal: bool
     attacker_key_with_a: bool
     attacker_key_with_b: bool
-    transcript: Transcript
+    transcript: tuple  # of TranscriptEvent, in send order
     aborts: tuple = ()  # "<side>: <error>" for every rejected frame
 
 
@@ -284,9 +282,6 @@ _ATTACKERS = {
 
 # --- trial driver -----------------------------------------------------------
 
-_MAX_STEPS = 16
-
-
 def _child_rngs(seed) -> tuple[random.Random, random.Random, random.Random]:
     master = random.Random(seed)
     return tuple(random.Random(master.getrandbits(64)) for _ in range(3))
@@ -301,60 +296,55 @@ def _run_trial(
     nonce_a: AuthNonce | None = None,
     nonce_b: AuthNonce | None = None,
 ) -> AttackOutcome:
-    chan_a, chan_b, transcript = make_interposed_pair(
-        attacker, default_timeout=0.0
-    )
+    """Run two peers with every frame passing through `attacker` (None is
+    the identity adversary).
 
-    state_a, msg1 = init_initiator(params, INITIATOR_ID, k, rng_a, nonce=nonce_a)
-    chan_a.send_frame(encode_message(msg1))
-    state_b: ProtocolState | None = None
-    b_rejected = False
+    The attacker is called once per frame, at send time, with the events
+    recorded so far: it never sees a frame that has not been sent.  Each
+    peer sends at most two frames in its life, so the queue drains.
+    """
+    peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng_a, nonce=nonce_a)
+    peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng_b, nonce=nonce_b)
+    receiver = {Direction.A_TO_B: peer_b, Direction.B_TO_A: peer_a}
+    events: list[TranscriptEvent] = []
+    in_flight: deque[tuple[Direction, bytes]] = deque()
     aborts: list[str] = []
 
-    for _ in range(_MAX_STEPS):
-        progressed = False
+    def send(direction: Direction, frames: list[bytes]):
+        for frame in frames:
+            if attacker is None:
+                actions: tuple = (Deliver(),)
+            else:
+                result = attacker(frame, direction, tuple(events))
+                actions = tuple(result) if isinstance(result, (list, tuple)) else (result,)
+            delivered = []
+            for action in actions:
+                if isinstance(action, Deliver):
+                    delivered.append((direction, frame))
+                elif isinstance(action, Replace):
+                    delivered.append((direction, action.frame))
+                elif isinstance(action, Inject):
+                    delivered.append((action.direction, action.frame))
+                elif not isinstance(action, Drop):
+                    raise TypeError(f"not an adversary action: {action!r}")
+            events.append(
+                TranscriptEvent(len(events) + 1, direction, frame, actions, tuple(delivered))
+            )
+            in_flight.extend(delivered)
 
-        # responder side
+    send(Direction.A_TO_B, peer_a.start())
+    while in_flight:
+        direction, frame = in_flight.popleft()
+        peer = receiver[direction]
         try:
-            frame = chan_b.recv_frame(0)
-        except PairingError:
-            frame = None
-        if frame is not None:
-            progressed = True
-            try:
-                msg = decode_message(frame)
-                if state_b is None and not b_rejected:
-                    state_b, msg2 = responder_on_commit(
-                        params, RESPONDER_ID, k, rng_b, msg, nonce=nonce_b
-                    )
-                    chan_b.send_frame(encode_message(msg2))
-                elif state_b is not None and state_b.phase is Phase.PAYLOAD_EXCHANGED:
-                    responder_on_decommit(state_b, msg)
-                # frames arriving in any other phase are stray; ignore
-            except PairingError as exc:
-                b_rejected = True
-                aborts.append(f"responder: {type(exc).__name__}: {exc}")
+            replies = peer.receive(frame)
+        except PairingError as exc:
+            aborts.append(f"{peer.role.value}: {type(exc).__name__}: {exc}")
+            continue
+        send(direction.reverse, replies)
 
-        # initiator side
-        try:
-            frame = chan_a.recv_frame(0)
-        except PairingError:
-            frame = None
-        if frame is not None:
-            progressed = True
-            try:
-                msg = decode_message(frame)
-                if state_a.phase is Phase.COMMIT_EXCHANGED:
-                    msg3, _ = initiator_on_payload(state_a, msg)
-                    chan_a.send_frame(encode_message(msg3))
-            except PairingError as exc:
-                aborts.append(f"initiator: {type(exc).__name__}: {exc}")
-
-        if not progressed:
-            break
-
-    sas_a = state_a.sas
-    sas_b = state_b.sas if state_b is not None else None
+    state_a, state_b = peer_a.state, peer_b.state
+    sas_a, sas_b = peer_a.sas, peer_b.sas
     sas_match = sas_a is not None and sas_b is not None and sas_a == sas_b
 
     # careful-user oracle: each side accepts iff the two displayed strings match
@@ -387,7 +377,7 @@ def _run_trial(
         keys_equal=keys_equal,
         attacker_key_with_a=atk_a,
         attacker_key_with_b=atk_b,
-        transcript=transcript,
+        transcript=tuple(events),
         aborts=tuple(aborts),
     )
 

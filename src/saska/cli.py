@@ -38,15 +38,11 @@ from .protocol import (
     DEFAULT_TIMEOUT,
     MAX_K,
     Identity,
+    Peer,
+    Role,
     confirm,
-    decode_message,
-    encode_message,
     format_sas,
-    init_initiator,
-    initiator_on_payload,
     key_fingerprint,
-    responder_on_commit,
-    responder_on_decommit,
 )
 from .transport import StreamListener, connect_stream
 
@@ -152,22 +148,20 @@ def run_peer(args) -> int:
         if args.connect is not None:
             host, port = args.connect
             channel = connect_stream(host, port, timeout=args.timeout)
-            state, msg1 = init_initiator(params, args.id, args.k)
-            channel.send_frame(encode_message(msg1))
-            msg2 = decode_message(channel.recv_frame(args.timeout))
-            msg3, sas = initiator_on_payload(state, msg2)
-            channel.send_frame(encode_message(msg3))
+            peer = Peer(Role.INITIATOR, params, args.id, args.k)
         else:
             listener = StreamListener(args.listen)
             print(f"listening :{listener.port}", flush=True)
             channel = listener.accept(args.timeout)
-            msg1 = decode_message(channel.recv_frame(args.timeout))
-            state, msg2 = responder_on_commit(params, args.id, args.k, None, msg1)
-            channel.send_frame(encode_message(msg2))
-            msg3 = decode_message(channel.recv_frame(args.timeout))
-            sas = responder_on_decommit(state, msg3)
+            peer = Peer(Role.RESPONDER, params, args.id, args.k)
+        for frame in peer.start():
+            channel.send_frame(frame)
+        while peer.sas is None:
+            for frame in peer.receive(channel.recv_frame(args.timeout)):
+                channel.send_frame(frame)
+        state = peer.state
 
-        print(f"{state.remote_identity.label} : {format_sas(sas)}", flush=True)
+        print(f"{state.remote_identity.label} : {format_sas(peer.sas)}", flush=True)
         if not _ask_confirmation():
             confirm(state, False)
             print("rejected by operator; no key derived", file=sys.stderr)

@@ -32,6 +32,7 @@ from .commitment import (
 from .errors import (
     LengthMismatch,
     MalformedMessage,
+    PairingError,
     RngFailure,
     SubgroupCheckFailed,
     WrongPhase,
@@ -228,6 +229,25 @@ class Msg3:
 PairingMessage = Msg1 | Msg2 | Msg3
 
 
+def frame_body_length(frame: bytes, *, whole: bool = True) -> int:
+    """Check the outer framing and return the declared body length.
+
+    The frame must hold the 5-octet header and declare at most MAX_BODY
+    octets; when whole, it must also carry exactly the declared body.  A
+    stream reader checks the bare header (whole=False) before it reads on.
+    """
+    if len(frame) < HEADER_LEN:
+        raise MalformedMessage(f"frame of {len(frame)} octets is shorter than the header")
+    body_len = int.from_bytes(frame[1:HEADER_LEN], "big")
+    if body_len > MAX_BODY:
+        raise MalformedMessage(f"declared body length {body_len} exceeds {MAX_BODY}")
+    if whole and len(frame) - HEADER_LEN != body_len:
+        raise MalformedMessage(
+            f"body length {len(frame) - HEADER_LEN} does not match header {body_len}"
+        )
+    return body_len
+
+
 def encode_message(msg: PairingMessage) -> bytes:
     if isinstance(msg, Msg1):
         tag, body = TAG_COMMIT, msg.c.digest
@@ -254,15 +274,9 @@ def decode_message(frame: bytes) -> PairingMessage:
     must check them against the commitment first, so that any tampering
     surfaces as OpenFailed rather than a parse error.
     """
-    if len(frame) < HEADER_LEN:
-        raise MalformedMessage(f"frame of {len(frame)} octets is shorter than the header")
+    body_len = frame_body_length(frame)
     tag = frame[0]
-    body_len = int.from_bytes(frame[1:5], "big")
-    if body_len > MAX_BODY:
-        raise MalformedMessage(f"declared body length {body_len} exceeds {MAX_BODY}")
     body = frame[HEADER_LEN:]
-    if len(body) != body_len:
-        raise MalformedMessage(f"body length {len(body)} does not match header {body_len}")
     if tag == TAG_COMMIT:
         if body_len != DIGEST_LEN:
             raise MalformedMessage(f"commit body must be {DIGEST_LEN} octets, got {body_len}")
@@ -471,3 +485,74 @@ def confirm(state: ProtocolState, user_accepts: bool) -> SessionKey | None:
     state.session_key = key
     state._advance(Phase.CONFIRMED)
     return key
+
+
+# --- sans-I/O driver ------------------------------------------------------
+
+class Peer:
+    """One side of a pairing, with no I/O of its own.
+
+    start() and receive(frame) return the frames to send; the caller moves
+    them over whatever carries them (a TCP stream, or the simulator's
+    queue).  Each frame is handed to the state-machine function for the
+    current phase, so the message order lives here alone.  Construction
+    draws nothing: the initiator draws in start(), the responder when the
+    commitment arrives.
+    """
+
+    def __init__(
+        self,
+        role: Role,
+        params: DhParams,
+        identity: Identity | str,
+        k: int,
+        rng: random.Random | None = None,
+        *,
+        nonce: AuthNonce | None = None,
+    ):
+        self.role = role
+        self.params = params
+        self.identity = identity
+        self.k = k
+        self.rng = rng
+        self.nonce = nonce
+        self.state: ProtocolState | None = None
+        self.aborted = False
+
+    @property
+    def sas(self) -> Sas | None:
+        return self.state.sas if self.state is not None else None
+
+    def start(self) -> list[bytes]:
+        """Open the session: the initiator's commitment, nothing for the
+        responder."""
+        if self.role is Role.RESPONDER:
+            return []
+        self.state, msg1 = init_initiator(
+            self.params, self.identity, self.k, self.rng, nonce=self.nonce
+        )
+        return [encode_message(msg1)]
+
+    def receive(self, frame: bytes) -> list[bytes]:
+        """Take one frame; return the replies.  A frame that fails a check
+        aborts the peer and its error propagates; frames after an abort or
+        once the SAS is ready are ignored."""
+        if self.aborted or self.sas is not None:
+            return []
+        try:
+            msg = decode_message(frame)
+            if self.role is Role.INITIATOR:
+                msg3, _ = initiator_on_payload(self.state, msg)
+                return [encode_message(msg3)]
+            if self.state is None:
+                self.state, msg2 = responder_on_commit(
+                    self.params, self.identity, self.k, self.rng, msg, nonce=self.nonce
+                )
+                return [encode_message(msg2)]
+            responder_on_decommit(self.state, msg)
+            return []
+        except PairingError:
+            self.aborted = True
+            if self.state is not None:
+                self.state._abort()
+            raise

@@ -1,43 +1,22 @@
-"""Reliable ordered frame transports.
+"""Frame transport over TCP, and the adversary's action vocabulary.
 
-Two realizations of the same duck-typed channel interface (send_frame /
-recv_frame / close):
-
-* StreamChannel - a TCP stream carrying the protocol frames verbatim, used
-  by the CLI peers.
-* MemoryChannel - an in-process pair whose traffic runs through an optional
-  adversary callback.  The callback sees each in-flight frame in global
-  send order and decides what actually reaches the queues, which is exactly
-  the Dolev-Yao attacker: overhear, intercept, modify, drop, inject.
-
-The adversary callback is invoked under a lock, one frame at a time, and is
-handed only the events recorded so far - it cannot look ahead at frames not
-yet transmitted.
+StreamChannel carries the protocol frames verbatim over a connected stream
+socket; the CLI peers use it.  The simulator needs no channel object: it
+moves frames between two sans-I/O peers itself and asks an adversary
+callback, at send time, what becomes of each frame.  The Dolev-Yao
+attacker's choices - overhear, intercept, modify, drop, inject - are the
+action classes below.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
-import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
 
-from .errors import ChannelClosed, MalformedMessage, Timeout
-from .protocol import HEADER_LEN, MAX_BODY
-
-
-def check_frame(frame: bytes):
-    """Validate the outer framing: header present, length consistent, body
-    within the 65535-octet limit."""
-    if len(frame) < HEADER_LEN:
-        raise MalformedMessage(f"frame of {len(frame)} octets is shorter than the header")
-    body_len = int.from_bytes(frame[1:5], "big")
-    if body_len > MAX_BODY:
-        raise MalformedMessage(f"declared body length {body_len} exceeds {MAX_BODY}")
-    if len(frame) - HEADER_LEN != body_len:
-        raise MalformedMessage(f"frame length {len(frame)} does not match header")
+from .errors import ChannelClosed, Timeout
+from .protocol import HEADER_LEN, frame_body_length
 
 
 class Direction(Enum):
@@ -49,8 +28,8 @@ class Direction(Enum):
         return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
 
 
-# Adversary actions.  A callback returns one action or a list of them;
-# actions apply in order.
+# Adversary actions.  A callback (frame, direction, history) returns one
+# action or a list of them; actions apply in order.
 
 @dataclass(frozen=True)
 class Deliver:
@@ -77,10 +56,6 @@ class Inject:
     direction: Direction
 
 
-Action = Union[Deliver, Replace, Drop, Inject]
-AdversaryCallback = Callable[[bytes, Direction, tuple], Union[Action, Sequence[Action]]]
-
-
 @dataclass(frozen=True)
 class TranscriptEvent:
     """One observed frame plus everything the adversary did with it."""
@@ -89,118 +64,7 @@ class TranscriptEvent:
     direction: Direction
     frame: bytes
     actions: tuple
-    delivered: tuple  # of (Direction, bytes) actually enqueued
-
-
-class Transcript:
-    """Ordered log of every interposed frame; deterministic given seeds."""
-
-    def __init__(self):
-        self._events: list[TranscriptEvent] = []
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    def __getitem__(self, idx):
-        return self._events[idx]
-
-    @property
-    def events(self) -> tuple:
-        return tuple(self._events)
-
-
-class MemoryChannel:
-    """One endpoint of an in-process interposed pair."""
-
-    def __init__(self, router: "_Router", direction: Direction, default_timeout: float):
-        self._router = router
-        self._direction = direction  # direction of frames we send
-        self._rx: queue.Queue = queue.Queue()
-        self.default_timeout = default_timeout
-        self._closed = False
-
-    def send_frame(self, frame: bytes):
-        if self._closed:
-            raise ChannelClosed("send on closed channel")
-        check_frame(frame)
-        self._router.dispatch(self._direction, frame)
-
-    def recv_frame(self, timeout: float | None = None) -> bytes:
-        if self._closed:
-            raise ChannelClosed("recv on closed channel")
-        effective = self.default_timeout if timeout is None else timeout
-        try:
-            if effective <= 0:
-                return self._rx.get_nowait()
-            return self._rx.get(timeout=effective)
-        except queue.Empty:
-            raise Timeout(f"no frame within {effective} s") from None
-
-    def close(self):
-        self._closed = True
-
-
-class _Router:
-    def __init__(self, adversary: AdversaryCallback | None):
-        self.adversary = adversary
-        self.transcript = Transcript()
-        self._lock = threading.Lock()
-        self._seq = 0
-        self.endpoints: dict[Direction, MemoryChannel] = {}
-
-    def _enqueue(self, direction: Direction, frame: bytes):
-        check_frame(frame)
-        # frames travelling A->B land in B's receive queue
-        dest = Direction.B_TO_A if direction is Direction.A_TO_B else Direction.A_TO_B
-        self.endpoints[dest]._rx.put(frame)
-
-    def dispatch(self, direction: Direction, frame: bytes):
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-            if self.adversary is None:
-                actions: tuple = (Deliver(),)
-            else:
-                result = self.adversary(frame, direction, self.transcript.events)
-                actions = tuple(result) if isinstance(result, (list, tuple)) else (result,)
-            delivered = []
-            for action in actions:
-                if isinstance(action, Deliver):
-                    self._enqueue(direction, frame)
-                    delivered.append((direction, frame))
-                elif isinstance(action, Replace):
-                    self._enqueue(direction, action.frame)
-                    delivered.append((direction, action.frame))
-                elif isinstance(action, Drop):
-                    pass
-                elif isinstance(action, Inject):
-                    self._enqueue(action.direction, action.frame)
-                    delivered.append((action.direction, action.frame))
-                else:
-                    raise TypeError(f"not an adversary action: {action!r}")
-            self.transcript._events.append(
-                TranscriptEvent(seq, direction, frame, actions, tuple(delivered))
-            )
-
-
-def make_interposed_pair(
-    adversary: AdversaryCallback | None = None,
-    default_timeout: float = 1.0,
-) -> tuple[MemoryChannel, MemoryChannel, Transcript]:
-    """Build two channel endpoints whose traffic passes through `adversary`.
-
-    A None callback is the identity adversary: every frame is delivered
-    intact and in order.  Returns (endpoint A, endpoint B, transcript).
-    """
-    router = _Router(adversary)
-    chan_a = MemoryChannel(router, Direction.A_TO_B, default_timeout)
-    chan_b = MemoryChannel(router, Direction.B_TO_A, default_timeout)
-    router.endpoints[Direction.A_TO_B] = chan_a
-    router.endpoints[Direction.B_TO_A] = chan_b
-    return chan_a, chan_b, router.transcript
+    delivered: tuple  # of (Direction, bytes) actually passed on
 
 
 # --- stream sockets --------------------------------------------------------
@@ -213,19 +77,23 @@ class StreamChannel:
         self.read_timeout = read_timeout
 
     def send_frame(self, frame: bytes):
-        check_frame(frame)
+        frame_body_length(frame)
         try:
             self._sock.sendall(frame)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
             raise ChannelClosed(str(exc)) from exc
 
-    def _read_exact(self, n: int) -> bytes:
+    def _read_exact(self, n: int, deadline: float, timeout: float) -> bytes:
         buf = bytearray()
         while len(buf) < n:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise Timeout(f"no frame within {timeout} s")
+            self._sock.settimeout(remaining)
             try:
                 chunk = self._sock.recv(n - len(buf))
             except socket.timeout:
-                raise Timeout(f"no frame within {self._sock.gettimeout()} s") from None
+                raise Timeout(f"no frame within {timeout} s") from None
             except OSError as exc:
                 raise ChannelClosed(str(exc)) from exc
             if not chunk:
@@ -234,12 +102,13 @@ class StreamChannel:
         return bytes(buf)
 
     def recv_frame(self, timeout: float | None = None) -> bytes:
-        self._sock.settimeout(self.read_timeout if timeout is None else timeout)
-        header = self._read_exact(HEADER_LEN)
-        body_len = int.from_bytes(header[1:5], "big")
-        if body_len > MAX_BODY:
-            raise MalformedMessage(f"declared body length {body_len} exceeds {MAX_BODY}")
-        return header + self._read_exact(body_len)
+        """Read one whole frame; `timeout` bounds the whole frame, not each
+        recv()."""
+        timeout = self.read_timeout if timeout is None else timeout
+        deadline = time.monotonic() + timeout
+        header = self._read_exact(HEADER_LEN, deadline, timeout)
+        body_len = frame_body_length(header, whole=False)
+        return header + self._read_exact(body_len, deadline, timeout)
 
     def close(self):
         try:

@@ -5,6 +5,7 @@ import pytest
 
 from saska.adversary import (
     AttackStrategy,
+    _Attacker,
     FullMitmAttacker,
     GuessRule,
     StrategyKind,
@@ -29,7 +30,7 @@ from saska.protocol import (
     encode_message,
     encode_payload,
 )
-from saska.transport import Direction, Replace
+from saska.transport import Deliver, Direction, Inject, Replace
 
 ATTACK_KINDS = (
     StrategyKind.IMPERSONATE_INITIATOR,
@@ -124,6 +125,25 @@ class TestMitmTrials:
         out = _run_trial(test_params, 4, rng_a, rng_b, attacker)
         assert not out.success
         assert any("OpenFailed" in note for note in out.aborts)
+
+    def test_rejected_frame_aborts_initiator(self, test_params):
+        """A frame that fails decoding aborts A for good: the genuine Msg2
+        behind it is ignored and A never releases its decommitment."""
+
+        class GarbageToInitiator(_Attacker):
+            def __call__(self, frame, direction, history):
+                if isinstance(decode_message(frame), Msg1):
+                    return [Deliver(), Inject(bytes.fromhex("070000000100"), Direction.B_TO_A)]
+                return Deliver()
+
+        strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
+        rng_a, rng_b, rng_e = _child_rngs(3)
+        attacker = GarbageToInitiator(strategy, test_params, 8, rng_e)
+        out = _run_trial(test_params, 8, rng_a, rng_b, attacker)
+        assert len(out.aborts) == 1 and out.aborts[0].startswith("initiator: ")
+        assert out.sas_a is None
+        assert not any(isinstance(decode_message(e.frame), Msg3) for e in out.transcript)
+        assert not out.sas_match and not out.keys_equal and not out.success
 
     def test_honest_strategy_through_trial_api(self, test_params):
         strategy = AttackStrategy(StrategyKind.HONEST)

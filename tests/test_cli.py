@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -219,13 +220,16 @@ class TestPeerExitCodes:
         peer = CliThread(["--listen", str(port), "--id", "alice",
                           "--params", "test", "--timeout", "5"])
         peer.start()
+        # a refused connect returns at once, so pause between attempts
+        # until the CLI thread has bound its port
         chan = None
-        for _ in range(100):
+        deadline = time.monotonic() + 5.0
+        while chan is None and time.monotonic() < deadline:
             try:
                 chan = connect_stream("127.0.0.1", port, timeout=0.1)
-                break
             except OSError:
-                pass
+                time.sleep(0.02)
+        assert chan is not None, f"CLI peer never listened on port {port}"
         state, msg1 = init_initiator(test_params, "mallory", 20, random.Random(1))
         chan.send_frame(encode_message(msg1))
         msg2 = decode_message(chan.recv_frame(5.0))

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from saska.protocol import (
     Msg2,
     Msg3,
     PairingPayload,
+    Peer,
     Phase,
     Role,
     Sas,
@@ -420,3 +422,72 @@ class TestAttacksAtOpLevel:
         with pytest.raises(MalformedMessage):
             responder_on_decommit(state_b, Msg3(d))
         assert state_b.phase is Phase.ABORTED
+
+
+class TestPeer:
+    """The sans-I/O driver sequences the same state-machine calls."""
+
+    def test_reproduces_golden_frames(self, test_params):
+        golden = [
+            bytes.fromhex(line)
+            for line in (Path(__file__).parent / "data" / "golden_frames.txt").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1000))
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(1009))
+        assert b.start() == []
+        wire = [(b, frame) for frame in a.start()]
+        frames = []
+        while wire:
+            peer, frame = wire.pop(0)
+            frames.append(frame)
+            other = a if peer is b else b
+            wire += [(other, reply) for reply in peer.receive(frame)]
+        assert frames == golden
+        assert format_sas(a.sas) == format_sas(b.sas) == "A875B"
+        assert confirm(a.state, True).value == confirm(b.state, True).value
+        expected = [
+            Phase.CREATED,
+            Phase.COMMIT_EXCHANGED,
+            Phase.PAYLOAD_EXCHANGED,
+            Phase.DECOMMITTED,
+            Phase.SAS_READY,
+            Phase.CONFIRMED,
+        ]
+        assert a.state.phase_log == expected
+        assert b.state.phase_log == expected
+
+    def test_construction_draws_nothing(self, test_params):
+        rng = random.Random(5)
+        before = rng.getstate()
+        Peer(Role.INITIATOR, test_params, "alice", 20, rng)
+        assert rng.getstate() == before
+
+    def test_rejected_frame_aborts_and_later_frames_are_ignored(self, test_params):
+        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        (msg1,) = a.start()
+        (msg2,) = b.receive(msg1)
+        with pytest.raises(MalformedMessage):
+            a.receive(b"\x07\x00\x00\x00\x01\x00")
+        assert a.aborted and a.state.phase_log[-1] is Phase.ABORTED
+        assert a.receive(msg2) == []
+        assert a.sas is None
+
+    def test_responder_aborts_before_any_state(self, test_params):
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        with pytest.raises(MalformedMessage):
+            b.receive(b"\x01\x00\x00")
+        assert b.aborted and b.state is None
+        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
+        assert b.receive(a.start()[0]) == []
+
+    def test_frames_after_sas_ready_are_ignored(self, test_params):
+        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        (msg1,) = a.start()
+        (msg2,) = b.receive(msg1)
+        (msg3,) = a.receive(msg2)
+        assert b.receive(msg3) == []
+        assert b.receive(msg3) == [] and a.receive(msg2) == []
+        assert a.sas == b.sas and not a.aborted and not b.aborted
