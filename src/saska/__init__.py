@@ -43,7 +43,6 @@ from .adversary import (
     AttackOutcome,
     AttackStrategy,
     GuessRule,
-    RateEstimate,
     StrategyKind,
     estimate_attack_success,
     exhaustive_attack_success,

@@ -11,6 +11,11 @@ k-bit nonce is still hidden at the moment the attacker's own nonce becomes
 immutable.  Each strategy therefore reduces to guessing that nonce, and the
 success rate of the optimal guess is exactly 2^-k - measurable here by
 exhaustive enumeration (small k) and Monte Carlo estimation.
+
+The simulator needs no channel object: _run_trial moves frames between two
+sans-I/O peers itself and asks the attacker callback, at send time, what
+becomes of each frame.  The attacker's choices are the action classes
+Deliver, Replace, Drop and Inject.
 """
 
 from __future__ import annotations
@@ -42,19 +47,62 @@ from .protocol import (
     encode_message,
     encode_payload,
 )
-from .transport import (
-    Deliver,
-    Direction,
-    Drop,
-    Inject,
-    Replace,
-    TranscriptEvent,
-)
 
 EXHAUSTIVE_MAX_K = 16
+CONFIDENCE = 0.99  # of the Monte Carlo interval
 
 INITIATOR_ID = "alice"
 RESPONDER_ID = "bob"
+
+
+# --- the channel the attacker controls --------------------------------------
+
+class Direction(Enum):
+    A_TO_B = "a->b"
+    B_TO_A = "b->a"
+
+    @property
+    def reverse(self) -> "Direction":
+        return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
+
+
+# Adversary actions.  A callback (frame, direction, history) returns one
+# action or a list of them; actions apply in order.
+
+@dataclass(frozen=True)
+class Deliver:
+    """Pass the observed frame through unchanged."""
+
+
+@dataclass(frozen=True)
+class Replace:
+    """Deliver this frame instead of the observed one."""
+
+    frame: bytes
+
+
+@dataclass(frozen=True)
+class Drop:
+    """Deliver nothing."""
+
+
+@dataclass(frozen=True)
+class Inject:
+    """Additionally deliver a forged frame travelling in `direction`."""
+
+    frame: bytes
+    direction: Direction
+
+
+@dataclass(frozen=True)
+class TranscriptEvent:
+    """One observed frame plus everything the adversary did with it."""
+
+    seq: int
+    direction: Direction
+    frame: bytes
+    actions: tuple
+    delivered: tuple  # of (Direction, bytes) actually passed on
 
 
 class StrategyKind(Enum):
@@ -108,20 +156,12 @@ class AttackOutcome:
     aborts: tuple = ()  # "<side>: <error>" for every rejected frame
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    trials: int
-    successes: int
-    rate: float
-    ci_low: float
-    ci_high: float
-
-
-def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided Wilson score interval, at CONFIDENCE, for a binomial
+    proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = NormalDist().inv_cdf(1 - (1 - confidence) / 2)
+    z = NormalDist().inv_cdf(1 - (1 - CONFIDENCE) / 2)
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -391,15 +431,12 @@ def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: rando
 def run_honest_session(params: DhParams, k: int = 20, seed=None) -> AttackOutcome:
     """Identity adversary: the completeness check.  Succeeds iff the two
     SAS values agree and both sides derive the same key."""
-    rng_a, rng_b, _ = _child_rngs(seed)
-    return _run_trial(params, k, rng_a, rng_b, None)
+    return run_mitm_trial(AttackStrategy(StrategyKind.HONEST), params, k, seed)
 
 
 def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None) -> AttackOutcome:
     """One full protocol execution with the strategy's attacker interposed."""
     rng_a, rng_b, rng_e = _child_rngs(seed)
-    if strategy.kind is StrategyKind.HONEST:
-        return _run_trial(params, k, rng_a, rng_b, None)
     attacker = make_attacker(strategy, params, k, rng_e)
     return _run_trial(params, k, rng_a, rng_b, attacker)
 
@@ -416,13 +453,6 @@ def exhaustive_attack_success(
     if k > EXHAUSTIVE_MAX_K:
         raise KTooLarge(f"k = {k} exceeds the enumeration bound {EXHAUSTIVE_MAX_K}")
     seed = 0 if seed is None else seed
-    if strategy.kind is StrategyKind.HONEST:
-        ok = sum(
-            run_honest_session(params, k, (seed << EXHAUSTIVE_MAX_K) | v).success
-            for v in range(2 ** k)
-        )
-        return Fraction(ok, 2 ** k)
-
     frozen = strategy
     if strategy.guess_rule is GuessRule.UNIFORM:
         _, _, rng_e = _child_rngs(seed)
@@ -445,9 +475,10 @@ def exhaustive_attack_success(
 
 def estimate_attack_success(
     strategy: AttackStrategy, params: DhParams, k: int, trials: int, seed=None
-) -> RateEstimate:
+) -> SimReport:
     """Monte Carlo attack rate over independent honest randomness, with a
-    99% two-sided binomial (Wilson) confidence interval."""
+    99% two-sided binomial (Wilson) confidence interval, as the report
+    `saska sim` prints."""
     if strategy.kind is not StrategyKind.HONEST and trials < 1000:
         raise ValueError(f"need at least 1000 trials for a meaningful rate, got {trials}")
     if trials < 1:
@@ -458,7 +489,16 @@ def estimate_attack_success(
         successes += run_mitm_trial(strategy, params, k, master.getrandbits(64)).success
     rate = successes / trials
     ci_low, ci_high = wilson_interval(successes, trials)
-    return RateEstimate(trials, successes, rate, ci_low, ci_high)
+    bound = 2.0 ** -k
+    if strategy.kind is StrategyKind.HONEST:
+        mode, passed = "honest", rate == 1.0
+    else:
+        # the bound holds unless the whole 99% interval sits above it
+        mode, passed = "montecarlo", ci_low <= bound
+    return SimReport(
+        mode, strategy.kind.value, k, trials, successes,
+        rate, ci_low, ci_high, bound, passed,
+    )
 
 
 # --- reporting --------------------------------------------------------------
@@ -495,19 +535,6 @@ def report_from_exhaustive(strategy: AttackStrategy, k: int, fraction: Fraction)
     return SimReport(
         "exhaustive", strategy.kind.value, k, 2 ** k,
         int(fraction * 2 ** k), rate, rate, rate, bound, passed,
-    )
-
-
-def report_from_estimate(strategy: AttackStrategy, k: int, est: RateEstimate) -> SimReport:
-    bound = 2.0 ** -k
-    if strategy.kind is StrategyKind.HONEST:
-        mode, passed = "honest", est.rate == 1.0
-    else:
-        # the bound holds unless the whole 99% interval sits above it
-        mode, passed = "montecarlo", est.ci_low <= bound
-    return SimReport(
-        mode, strategy.kind.value, k, est.trials, est.successes,
-        est.rate, est.ci_low, est.ci_high, bound, passed,
     )
 
 

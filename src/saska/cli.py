@@ -35,7 +35,6 @@ from .errors import (
 from .group import DEFAULT_PARAM_SET, PARAM_SETS, DhParams, load_params_file
 from .protocol import (
     DEFAULT_K,
-    DEFAULT_TIMEOUT,
     MAX_K,
     Identity,
     Peer,
@@ -53,6 +52,7 @@ EXIT_REJECTED = 4
 EXIT_TIMEOUT = 5
 
 PARAMS_ENV_VAR = "SASKA_PARAMS"
+DEFAULT_TIMEOUT = 30.0  # seconds per awaited message (--timeout)
 
 STRATEGY_NAMES = {s.value: s for s in StrategyKind}
 
@@ -135,7 +135,10 @@ def _sim_parser() -> argparse.ArgumentParser:
 def _ask_confirmation() -> bool:
     sys.stdout.write("confirm match [y/n]: ")
     sys.stdout.flush()
-    line = sys.stdin.readline()
+    try:
+        line = sys.stdin.readline()
+    except KeyboardInterrupt:  # Ctrl-C at the prompt rejects the match
+        return False
     return line.strip().lower() in ("y", "yes")
 
 
@@ -175,7 +178,7 @@ def run_peer(args) -> int:
     except (OpenFailed, MalformedMessage, SubgroupCheckFailed, WrongPhase) as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)
         return EXIT_TAMPER
-    except (ChannelClosed, ConnectionRefusedError, OSError) as exc:
+    except (ChannelClosed, OSError) as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     finally:
@@ -201,8 +204,8 @@ def run_sim(args) -> int:
             trials = args.trials if args.trials is not None else 10000
             rule = GuessRule(args.guess) if args.guess else GuessRule.UNIFORM
             strategy = AttackStrategy(kind, rule, args.guess_value)
-            est = adversary.estimate_attack_success(strategy, params, args.k, trials, seed=seed)
-            reports.append(adversary.report_from_estimate(strategy, args.k, est))
+            reports.append(
+                adversary.estimate_attack_success(strategy, params, args.k, trials, seed=seed))
     except (PairingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
-"""Hash-based commitment scheme.
+"""Hash-based commitment scheme over SHA-256.
 
-commit() maps an octet string m to a (c, d) pair where c = H(TAG || nonce
-|| m) with a 256-bit random nonce.  Binding comes from collision resistance
-of H, hiding from the unpredictability of the nonce.  open_commitment()
-returns m only when the digest matches in full; truncated comparison is
-deliberately not offered.
+commit() maps an octet string m to a (c, d) pair where c = SHA-256(TAG ||
+nonce || m) with a 256-bit random nonce.  Binding comes from collision
+resistance of SHA-256, hiding from the unpredictability of the nonce.
+open_commitment() returns m only when the digest matches in full; truncated
+comparison is deliberately not offered.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ DOMAIN_TAG = b"SASKA-01"
 
 DIGEST_LEN = 32
 NONCE_LEN = 32
-DEFAULT_HASH = "sha256"
 
 
 @dataclass(frozen=True)
@@ -41,21 +40,11 @@ class Decommitment:
     message: bytes
 
 
-def _digest(nonce: bytes, message: bytes, hash_name: str) -> bytes:
-    h = hashlib.new(hash_name)
-    if h.digest_size != DIGEST_LEN:
-        raise ValueError(f"hash {hash_name!r} has a {h.digest_size}-octet digest; need {DIGEST_LEN}")
-    h.update(DOMAIN_TAG)
-    h.update(nonce)
-    h.update(message)
-    return h.digest()
+def _digest(nonce: bytes, message: bytes) -> bytes:
+    return hashlib.sha256(DOMAIN_TAG + nonce + message).digest()
 
 
-def commit(
-    message: bytes,
-    rng: random.Random | None = None,
-    hash_name: str = DEFAULT_HASH,
-) -> tuple[Commitment, Decommitment]:
+def commit(message: bytes, rng: random.Random | None = None) -> tuple[Commitment, Decommitment]:
     """Produce the commit/open pair for a non-empty octet string."""
     if not message:
         raise EmptyMessage("cannot commit to an empty message")
@@ -64,16 +53,12 @@ def commit(
         nonce = rng.getrandbits(NONCE_LEN * 8).to_bytes(NONCE_LEN, "big")
     except Exception as exc:
         raise RngFailure(str(exc)) from exc
-    return Commitment(_digest(nonce, message, hash_name)), Decommitment(nonce, message)
+    return Commitment(_digest(nonce, message)), Decommitment(nonce, message)
 
 
-def open_commitment(
-    commitment: Commitment,
-    decommitment: Decommitment,
-    hash_name: str = DEFAULT_HASH,
-) -> bytes:
+def open_commitment(commitment: Commitment, decommitment: Decommitment) -> bytes:
     """Return the committed message, or raise OpenFailed on any mismatch."""
-    expected = _digest(decommitment.nonce, decommitment.message, hash_name)
+    expected = _digest(decommitment.nonce, decommitment.message)
     if not hmac.compare_digest(expected, commitment.digest):
         raise OpenFailed("commitment digest mismatch")
     return decommitment.message

@@ -127,8 +127,9 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     return pow(base, exponent, modulus)
 
 
-def is_probable_prime(n: int, rounds: int = PRIMALITY_ROUNDS) -> bool:
-    """Miller-Rabin with random bases; error probability <= 4**-rounds."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with PRIMALITY_ROUNDS random bases; error probability
+    <= 4**-PRIMALITY_ROUNDS."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -142,7 +143,7 @@ def is_probable_prime(n: int, rounds: int = PRIMALITY_ROUNDS) -> bool:
         d //= 2
         r += 1
     rng = secrets.SystemRandom()
-    for _ in range(rounds):
+    for _ in range(PRIMALITY_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -266,13 +267,6 @@ PARAM_SETS: dict[str, DhParams] = {
 }
 
 DEFAULT_PARAM_SET = "p40"
-
-
-def named_params(name: str) -> DhParams:
-    try:
-        return PARAM_SETS[name]
-    except KeyError:
-        raise KeyError(f"unknown parameter set {name!r}; known: {sorted(PARAM_SETS)}") from None
 
 
 def parse_params_text(text: str) -> DhParams:

@@ -60,8 +60,6 @@ TAG_DECOMMIT = 0x03
 HEADER_LEN = 5
 MAX_BODY = 65535
 
-DEFAULT_TIMEOUT = 30.0  # seconds per awaited message
-
 
 @dataclass(frozen=True)
 class Identity:

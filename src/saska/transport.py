@@ -1,80 +1,24 @@
-"""Frame transport over TCP, and the adversary's action vocabulary.
+"""Frame transport over TCP.
 
 StreamChannel carries the protocol frames verbatim over a connected stream
 socket; the CLI peers use it.  The simulator needs no channel object: it
-moves frames between two sans-I/O peers itself and asks an adversary
-callback, at send time, what becomes of each frame.  The Dolev-Yao
-attacker's choices - overhear, intercept, modify, drop, inject - are the
-action classes below.
+moves frames between two sans-I/O peers itself (see adversary).
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ChannelClosed, Timeout
 from .protocol import HEADER_LEN, frame_body_length
 
 
-class Direction(Enum):
-    A_TO_B = "a->b"
-    B_TO_A = "b->a"
-
-    @property
-    def reverse(self) -> "Direction":
-        return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
-
-
-# Adversary actions.  A callback (frame, direction, history) returns one
-# action or a list of them; actions apply in order.
-
-@dataclass(frozen=True)
-class Deliver:
-    """Pass the observed frame through unchanged."""
-
-
-@dataclass(frozen=True)
-class Replace:
-    """Deliver this frame instead of the observed one."""
-
-    frame: bytes
-
-
-@dataclass(frozen=True)
-class Drop:
-    """Deliver nothing."""
-
-
-@dataclass(frozen=True)
-class Inject:
-    """Additionally deliver a forged frame travelling in `direction`."""
-
-    frame: bytes
-    direction: Direction
-
-
-@dataclass(frozen=True)
-class TranscriptEvent:
-    """One observed frame plus everything the adversary did with it."""
-
-    seq: int
-    direction: Direction
-    frame: bytes
-    actions: tuple
-    delivered: tuple  # of (Direction, bytes) actually passed on
-
-
-# --- stream sockets --------------------------------------------------------
-
 class StreamChannel:
     """Duplex frame channel over a connected stream socket."""
 
-    def __init__(self, sock: socket.socket, read_timeout: float = 30.0):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.read_timeout = read_timeout
 
     def send_frame(self, frame: bytes):
         frame_body_length(frame)
@@ -101,10 +45,9 @@ class StreamChannel:
             buf.extend(chunk)
         return bytes(buf)
 
-    def recv_frame(self, timeout: float | None = None) -> bytes:
+    def recv_frame(self, timeout: float) -> bytes:
         """Read one whole frame; `timeout` bounds the whole frame, not each
         recv()."""
-        timeout = self.read_timeout if timeout is None else timeout
         deadline = time.monotonic() + timeout
         header = self._read_exact(HEADER_LEN, deadline, timeout)
         body_len = frame_body_length(header, whole=False)
@@ -117,7 +60,7 @@ class StreamChannel:
             pass
 
 
-def connect_stream(address: str, port: int, timeout: float = 10.0) -> StreamChannel:
+def connect_stream(address: str, port: int, timeout: float) -> StreamChannel:
     """Connect to a listening peer.  Raises Timeout on connect expiry;
     ConnectionRefusedError propagates when nothing is listening."""
     try:
@@ -131,17 +74,17 @@ def connect_stream(address: str, port: int, timeout: float = 10.0) -> StreamChan
 class StreamListener:
     """Listening socket that accepts one pairing peer at a time."""
 
-    def __init__(self, port: int, host: str = "", backlog: int = 1):
+    def __init__(self, port: int):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(backlog)
+        self._sock.bind(("", port))
+        self._sock.listen(1)
 
     @property
     def port(self) -> int:
         return self._sock.getsockname()[1]
 
-    def accept(self, timeout: float | None = None) -> StreamChannel:
+    def accept(self, timeout: float) -> StreamChannel:
         self._sock.settimeout(timeout)
         try:
             conn, _addr = self._sock.accept()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from saska import cli
+from saska import cli, protocol
 from saska.cli import EXIT_REJECTED, EXIT_TAMPER, EXIT_TIMEOUT, EXIT_TRANSPORT, main
 from saska.errors import Timeout
 from saska.group import DhParams, PARAM_SETS
@@ -264,6 +264,44 @@ class TestPeerExitCodes:
         assert code == EXIT_REJECTED
         assert "fingerprint" not in out
         assert f"alice : {format_sas(box['sas'])}" in out
+
+    def test_ctrl_c_at_prompt_rejects(self, monkeypatch, capsys, test_params):
+        class Interrupted:
+            def readline(self):
+                raise KeyboardInterrupt
+
+        calls = []
+        real = protocol.derive_key
+
+        def spy(params, peer_pub, priv):
+            calls.append(peer_pub.value)
+            return real(params, peer_pub, priv)
+
+        monkeypatch.setattr(protocol, "derive_key", spy)
+        monkeypatch.setattr("sys.stdin", Interrupted())
+        listener = StreamListener(0)
+        box = {}
+
+        def responder():
+            chan = listener.accept(5.0)
+            state_b, msg2 = responder_on_commit(
+                test_params, "alice", 20, random.Random(2),
+                decode_message(chan.recv_frame(5.0)))
+            chan.send_frame(encode_message(msg2))
+            box["sas"] = responder_on_decommit(state_b, decode_message(chan.recv_frame(5.0)))
+
+        t = threading.Thread(target=responder)
+        t.start()
+        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                     "--params", "test", "--timeout", "5"])
+        t.join()
+        listener.close()
+        captured = capsys.readouterr()
+        assert code == EXIT_REJECTED
+        assert "fingerprint" not in captured.out
+        assert f"alice : {format_sas(box['sas'])}" in captured.out
+        assert "rejected by operator; no key derived" in captured.err
+        assert calls == []
 
     def test_full_pairing_connect_side(self, monkeypatch, capsys, test_params):
         monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))

@@ -97,18 +97,3 @@ def test_nonce_freshness_over_many_commits():
     rng = random.Random(7)
     digests = {commit(b"repeated", rng)[0].digest for _ in range(10_000)}
     assert len(digests) == 10_000
-
-
-class TestPluggableHash:
-    def test_sha3_round_trip(self):
-        c, d = commit(b"m", random.Random(8), hash_name="sha3_256")
-        assert open_commitment(c, d, hash_name="sha3_256") == b"m"
-
-    def test_wrong_digest_size_rejected(self):
-        with pytest.raises(ValueError):
-            commit(b"m", random.Random(9), hash_name="sha1")
-
-    def test_cross_hash_open_fails(self):
-        c, d = commit(b"m", random.Random(10))
-        with pytest.raises(OpenFailed):
-            open_commitment(c, d, hash_name="sha3_256")
