@@ -24,20 +24,14 @@ from .protocol import (
     PairingPayload,
     Peer,
     Phase,
-    ProtocolState,
     Role,
     Sas,
     compute_sas,
-    confirm,
     decode_message,
     encode_message,
     format_sas,
     gen_auth_nonce,
-    init_initiator,
-    initiator_on_payload,
     key_fingerprint,
-    responder_on_commit,
-    responder_on_decommit,
 )
 from .adversary import (
     AttackOutcome,

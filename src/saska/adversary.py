@@ -41,7 +41,6 @@ from .protocol import (
     Phase,
     Role,
     Sas,
-    confirm,
     decode_message,
     decode_payload,
     encode_message,
@@ -383,20 +382,18 @@ def _run_trial(
             continue
         send(direction.reverse, replies)
 
-    state_a, state_b = peer_a.state, peer_b.state
     sas_a, sas_b = peer_a.sas, peer_b.sas
     sas_match = sas_a is not None and sas_b is not None and sas_a == sas_b
 
     # careful-user oracle: each side accepts iff the two displayed strings match
     key_a = key_b = None
     if sas_match:
-        key_a = confirm(state_a, True)
-        key_b = confirm(state_b, True)
+        key_a = peer_a.confirm(True)
+        key_b = peer_b.confirm(True)
     else:
-        if state_a.phase is Phase.SAS_READY:
-            confirm(state_a, False)
-        if state_b is not None and state_b.phase is Phase.SAS_READY:
-            confirm(state_b, False)
+        for peer in (peer_a, peer_b):
+            if peer.phase is Phase.SAS_READY:
+                peer.confirm(False)
 
     keys_equal = key_a is not None and key_b is not None and key_a.octets == key_b.octets
     atk_a = atk_b = False

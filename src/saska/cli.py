@@ -39,7 +39,6 @@ from .protocol import (
     Identity,
     Peer,
     Role,
-    confirm,
     format_sas,
     key_fingerprint,
 )
@@ -135,11 +134,7 @@ def _sim_parser() -> argparse.ArgumentParser:
 def _ask_confirmation() -> bool:
     sys.stdout.write("confirm match [y/n]: ")
     sys.stdout.flush()
-    try:
-        line = sys.stdin.readline()
-    except KeyboardInterrupt:  # Ctrl-C at the prompt rejects the match
-        return False
-    return line.strip().lower() in ("y", "yes")
+    return sys.stdin.readline().strip().lower() in ("y", "yes")
 
 
 def run_peer(args) -> int:
@@ -162,16 +157,14 @@ def run_peer(args) -> int:
         while peer.sas is None:
             for frame in peer.receive(channel.recv_frame(args.timeout)):
                 channel.send_frame(frame)
-        state = peer.state
-
-        print(f"{state.remote_identity.label} : {format_sas(peer.sas)}", flush=True)
-        if not _ask_confirmation():
-            confirm(state, False)
-            print("rejected by operator; no key derived", file=sys.stderr)
-            return EXIT_REJECTED
-        key = confirm(state, True)
-        print(f"fingerprint: {key_fingerprint(key)}", flush=True)
-        return EXIT_OK
+        print(f"{peer.remote_identity.label} : {format_sas(peer.sas)}", flush=True)
+        if _ask_confirmation():
+            key = peer.confirm(True)
+            print(f"fingerprint: {key_fingerprint(key)}", flush=True)
+            return EXIT_OK
+        peer.confirm(False)
+    except KeyboardInterrupt:
+        pass  # Ctrl-C at any point rejects the pairing, like an answer of "n"
     except Timeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
@@ -186,6 +179,8 @@ def run_peer(args) -> int:
             channel.close()
         if listener is not None:
             listener.close()
+    print("rejected by operator; no key derived", file=sys.stderr)
+    return EXIT_REJECTED
 
 
 def run_sim(args) -> int:

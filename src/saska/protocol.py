@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .commitment import (
@@ -311,25 +311,53 @@ class Phase(IntEnum):
     ABORTED = 6
 
 
-@dataclass
-class ProtocolState:
-    """One pairing session.  Mutated by the operations below; phases move
-    strictly forward and every transition is appended to phase_log."""
+class Peer:
+    """One side of a pairing session, with no I/O of its own.
 
-    role: Role
-    params: DhParams
-    identity: Identity
-    k: int
-    private: PrivateShare
-    own_nonce: AuthNonce
-    own_payload: PairingPayload
-    phase: Phase = Phase.CREATED
-    commitment: Commitment | None = None      # own (initiator) or received (responder)
-    decommitment: Decommitment | None = None  # initiator only
-    remote_payload: PairingPayload | None = None
-    sas: Sas | None = None
-    session_key: SessionKey | None = None
-    phase_log: list[Phase] = field(default_factory=lambda: [Phase.CREATED])
+    start() and receive(frame) return the frames to send; the caller moves
+    them over whatever carries them (a TCP stream, or the simulator's
+    queue).  receive() picks the step for the current phase, so the message
+    order lives here alone.  Phases move strictly forward and every
+    transition is appended to phase_log.  Construction draws nothing: the
+    initiator draws in start(), the responder when the commitment arrives.
+
+    nonce overrides the random draw; it exists for the attack simulator's
+    exhaustive enumeration and for tests.
+    """
+
+    def __init__(
+        self,
+        role: Role,
+        params: DhParams,
+        identity: Identity | str,
+        k: int = DEFAULT_K,
+        rng: random.Random | None = None,
+        *,
+        nonce: AuthNonce | None = None,
+    ):
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+        if nonce is not None and nonce.k != k:
+            raise ValueError(f"forced nonce has k={nonce.k}, session k={k}")
+        self.role = role
+        self.params = params
+        self.identity = identity if isinstance(identity, Identity) else Identity(identity)
+        self.k = k
+        self.rng = rng or secrets.SystemRandom()
+        self.phase = Phase.CREATED
+        self.phase_log = [Phase.CREATED]
+        self.private: PrivateShare | None = None
+        self.own_nonce = nonce
+        self.own_payload: PairingPayload | None = None
+        self.commitment: Commitment | None = None      # own (initiator) or received (responder)
+        self.decommitment: Decommitment | None = None  # initiator only
+        self.remote_payload: PairingPayload | None = None
+        self.sas: Sas | None = None
+        self.session_key: SessionKey | None = None
+
+    @property
+    def remote_identity(self) -> Identity | None:
+        return self.remote_payload.identity if self.remote_payload else None
 
     def _advance(self, phase: Phase):
         if self.phase in (Phase.CONFIRMED, Phase.ABORTED) or phase <= self.phase:
@@ -342,215 +370,109 @@ class ProtocolState:
             self.phase = Phase.ABORTED
             self.phase_log.append(Phase.ABORTED)
 
-    @property
-    def remote_identity(self) -> Identity | None:
-        return self.remote_payload.identity if self.remote_payload else None
-
-
-def _identity(value: Identity | str) -> Identity:
-    return value if isinstance(value, Identity) else Identity(value)
-
-
-def _new_state(
-    role: Role,
-    params: DhParams,
-    identity: Identity | str,
-    k: int,
-    rng: random.Random | None,
-    nonce: AuthNonce | None,
-) -> ProtocolState:
-    identity = _identity(identity)
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-    rng = rng or secrets.SystemRandom()
-    private = gen_private_share(params, rng)
-    own_nonce = nonce if nonce is not None else gen_auth_nonce(k, rng)
-    if own_nonce.k != k:
-        raise ValueError(f"forced nonce has k={own_nonce.k}, session k={k}")
-    payload = PairingPayload(identity, pub_share(params, private), own_nonce)
-    return ProtocolState(role, params, identity, k, private, own_nonce, payload)
-
-
-def init_initiator(
-    params: DhParams,
-    identity: Identity | str,
-    k: int = DEFAULT_K,
-    rng: random.Random | None = None,
-    *,
-    nonce: AuthNonce | None = None,
-) -> tuple[ProtocolState, Msg1]:
-    """Start a session as initiator.  Returns the state and the commit
-    message; the payload itself stays hidden until Msg3.
-
-    nonce overrides the random draw; it exists for the attack simulator's
-    exhaustive enumeration and for tests.
-    """
-    rng = rng or secrets.SystemRandom()
-    state = _new_state(Role.INITIATOR, params, identity, k, rng, nonce)
-    c, d = commit(encode_payload(state.own_payload), rng)
-    state.commitment, state.decommitment = c, d
-    state._advance(Phase.COMMIT_EXCHANGED)
-    return state, Msg1(c)
-
-
-def responder_on_commit(
-    params: DhParams,
-    identity: Identity | str,
-    k: int,
-    rng: random.Random | None,
-    msg1: PairingMessage,
-    *,
-    nonce: AuthNonce | None = None,
-) -> tuple[ProtocolState, Msg2]:
-    """Accept the initiator's commitment and reply with our payload."""
-    if not isinstance(msg1, Msg1):
-        raise MalformedMessage(f"expected a commit message, got {type(msg1).__name__}")
-    state = _new_state(Role.RESPONDER, params, identity, k, rng, nonce)
-    state.commitment = msg1.c
-    state._advance(Phase.COMMIT_EXCHANGED)
-    state._advance(Phase.PAYLOAD_EXCHANGED)
-    return state, Msg2(params.set_id(), k, state.own_payload)
-
-
-def initiator_on_payload(state: ProtocolState, msg2: PairingMessage) -> tuple[Msg3, Sas]:
-    """Take the responder's payload, check it, and release the decommitment.
-
-    The subgroup check runs before Msg3 is produced: a bad share aborts the
-    session with the initiator's payload still hidden.
-    """
-    if state.role is not Role.INITIATOR or state.phase is not Phase.COMMIT_EXCHANGED:
-        raise WrongPhase(f"initiator_on_payload in phase {state.phase.name}")
-    try:
-        if not isinstance(msg2, Msg2):
-            raise MalformedMessage(f"expected a payload message, got {type(msg2).__name__}")
-        if msg2.param_set_id != state.params.set_id():
-            raise MalformedMessage(
-                f"parameter set mismatch: peer 0x{msg2.param_set_id:08x}, ours 0x{state.params.set_id():08x}"
-            )
-        if msg2.k != state.k:
-            raise MalformedMessage(f"k mismatch: peer {msg2.k}, ours {state.k}")
-        if not in_subgroup(state.params, msg2.payload.public_share.value):
-            raise SubgroupCheckFailed(
-                f"responder share {msg2.payload.public_share.value} rejected"
-            )
-    except Exception:
-        state._abort()
-        raise
-    state.remote_payload = msg2.payload
-    state.sas = compute_sas(state.own_nonce, msg2.payload.auth_nonce)
-    state._advance(Phase.PAYLOAD_EXCHANGED)
-    state._advance(Phase.DECOMMITTED)
-    state._advance(Phase.SAS_READY)
-    return Msg3(state.decommitment), state.sas
-
-
-def responder_on_decommit(state: ProtocolState, msg3: PairingMessage) -> Sas:
-    """Open the stored commitment and recover the initiator's payload.
-
-    Opening happens before the payload octets are parsed, so any tampering
-    with commit material surfaces as OpenFailed.
-    """
-    if state.role is not Role.RESPONDER or state.phase is not Phase.PAYLOAD_EXCHANGED:
-        raise WrongPhase(f"responder_on_decommit in phase {state.phase.name}")
-    try:
-        if not isinstance(msg3, Msg3):
-            raise MalformedMessage(f"expected a decommit message, got {type(msg3).__name__}")
-        message = open_commitment(state.commitment, msg3.d)
-        payload = decode_payload(message, state.k)
-        if not in_subgroup(state.params, payload.public_share.value):
-            raise SubgroupCheckFailed(f"initiator share {payload.public_share.value} rejected")
-    except Exception:
-        state._abort()
-        raise
-    state.remote_payload = payload
-    state.sas = compute_sas(payload.auth_nonce, state.own_nonce)
-    state._advance(Phase.DECOMMITTED)
-    state._advance(Phase.SAS_READY)
-    return state.sas
-
-
-def confirm(state: ProtocolState, user_accepts: bool) -> SessionKey | None:
-    """Derive the session key iff the operator accepted the SAS comparison.
-
-    On rejection the session aborts and no key material is ever computed.
-    """
-    if state.phase is not Phase.SAS_READY:
-        raise WrongPhase(f"confirm in phase {state.phase.name}")
-    if not user_accepts:
-        state._abort()
-        return None
-    key = derive_key(state.params, state.remote_payload.public_share, state.private)
-    state.session_key = key
-    state._advance(Phase.CONFIRMED)
-    return key
-
-
-# --- sans-I/O driver ------------------------------------------------------
-
-class Peer:
-    """One side of a pairing, with no I/O of its own.
-
-    start() and receive(frame) return the frames to send; the caller moves
-    them over whatever carries them (a TCP stream, or the simulator's
-    queue).  Each frame is handed to the state-machine function for the
-    current phase, so the message order lives here alone.  Construction
-    draws nothing: the initiator draws in start(), the responder when the
-    commitment arrives.
-    """
-
-    def __init__(
-        self,
-        role: Role,
-        params: DhParams,
-        identity: Identity | str,
-        k: int,
-        rng: random.Random | None = None,
-        *,
-        nonce: AuthNonce | None = None,
-    ):
-        self.role = role
-        self.params = params
-        self.identity = identity
-        self.k = k
-        self.rng = rng
-        self.nonce = nonce
-        self.state: ProtocolState | None = None
-        self.aborted = False
-
-    @property
-    def sas(self) -> Sas | None:
-        return self.state.sas if self.state is not None else None
+    def _draw(self):
+        """Private share, then the auth nonce unless one was forced."""
+        self.private = gen_private_share(self.params, self.rng)
+        if self.own_nonce is None:
+            self.own_nonce = gen_auth_nonce(self.k, self.rng)
+        self.own_payload = PairingPayload(
+            self.identity, pub_share(self.params, self.private), self.own_nonce
+        )
 
     def start(self) -> list[bytes]:
         """Open the session: the initiator's commitment, nothing for the
-        responder."""
+        responder.  The payload itself stays hidden until Msg3."""
         if self.role is Role.RESPONDER:
             return []
-        self.state, msg1 = init_initiator(
-            self.params, self.identity, self.k, self.rng, nonce=self.nonce
-        )
-        return [encode_message(msg1)]
+        if self.phase is not Phase.CREATED:
+            raise WrongPhase(f"start in phase {self.phase.name}")
+        self._draw()
+        self.commitment, self.decommitment = commit(encode_payload(self.own_payload), self.rng)
+        self._advance(Phase.COMMIT_EXCHANGED)
+        return [encode_message(Msg1(self.commitment))]
 
     def receive(self, frame: bytes) -> list[bytes]:
         """Take one frame; return the replies.  A frame that fails a check
         aborts the peer and its error propagates; frames after an abort or
         once the SAS is ready are ignored."""
-        if self.aborted or self.sas is not None:
+        if self.phase >= Phase.SAS_READY:
             return []
         try:
             msg = decode_message(frame)
-            if self.role is Role.INITIATOR:
-                msg3, _ = initiator_on_payload(self.state, msg)
-                return [encode_message(msg3)]
-            if self.state is None:
-                self.state, msg2 = responder_on_commit(
-                    self.params, self.identity, self.k, self.rng, msg, nonce=self.nonce
-                )
-                return [encode_message(msg2)]
-            responder_on_decommit(self.state, msg)
-            return []
+            if self.role is Role.RESPONDER:
+                if self.phase is Phase.CREATED:
+                    return self._on_commit(msg)
+                return self._on_decommit(msg)
+            if self.phase is not Phase.COMMIT_EXCHANGED:
+                raise WrongPhase(f"initiator received a frame in phase {self.phase.name}")
+            return self._on_payload(msg)
         except PairingError:
-            self.aborted = True
-            if self.state is not None:
-                self.state._abort()
+            self._abort()
             raise
+
+    def _on_commit(self, msg1: PairingMessage) -> list[bytes]:
+        """Accept the initiator's commitment and reply with our payload."""
+        if not isinstance(msg1, Msg1):
+            raise MalformedMessage(f"expected a commit message, got {type(msg1).__name__}")
+        self._draw()
+        self.commitment = msg1.c
+        self._advance(Phase.COMMIT_EXCHANGED)
+        self._advance(Phase.PAYLOAD_EXCHANGED)
+        return [encode_message(Msg2(self.params.set_id(), self.k, self.own_payload))]
+
+    def _on_payload(self, msg2: PairingMessage) -> list[bytes]:
+        """Take the responder's payload, check it, and release the decommitment.
+
+        The subgroup check runs before Msg3 is produced: a bad share aborts the
+        session with the initiator's payload still hidden.
+        """
+        if not isinstance(msg2, Msg2):
+            raise MalformedMessage(f"expected a payload message, got {type(msg2).__name__}")
+        if msg2.param_set_id != self.params.set_id():
+            raise MalformedMessage(
+                f"parameter set mismatch: peer 0x{msg2.param_set_id:08x}, ours 0x{self.params.set_id():08x}"
+            )
+        if msg2.k != self.k:
+            raise MalformedMessage(f"k mismatch: peer {msg2.k}, ours {self.k}")
+        if not in_subgroup(self.params, msg2.payload.public_share.value):
+            raise SubgroupCheckFailed(
+                f"responder share {msg2.payload.public_share.value} rejected"
+            )
+        self.remote_payload = msg2.payload
+        self.sas = compute_sas(self.own_nonce, msg2.payload.auth_nonce)
+        self._advance(Phase.PAYLOAD_EXCHANGED)
+        self._advance(Phase.DECOMMITTED)
+        self._advance(Phase.SAS_READY)
+        return [encode_message(Msg3(self.decommitment))]
+
+    def _on_decommit(self, msg3: PairingMessage) -> list[bytes]:
+        """Open the stored commitment and recover the initiator's payload.
+
+        Opening happens before the payload octets are parsed, so any tampering
+        with commit material surfaces as OpenFailed.
+        """
+        if not isinstance(msg3, Msg3):
+            raise MalformedMessage(f"expected a decommit message, got {type(msg3).__name__}")
+        message = open_commitment(self.commitment, msg3.d)
+        payload = decode_payload(message, self.k)
+        if not in_subgroup(self.params, payload.public_share.value):
+            raise SubgroupCheckFailed(f"initiator share {payload.public_share.value} rejected")
+        self.remote_payload = payload
+        self.sas = compute_sas(payload.auth_nonce, self.own_nonce)
+        self._advance(Phase.DECOMMITTED)
+        self._advance(Phase.SAS_READY)
+        return []
+
+    def confirm(self, user_accepts: bool) -> SessionKey | None:
+        """Derive the session key iff the operator accepted the SAS comparison.
+
+        On rejection the session aborts and no key material is ever computed.
+        """
+        if self.phase is not Phase.SAS_READY:
+            raise WrongPhase(f"confirm in phase {self.phase.name}")
+        if not user_accepts:
+            self._abort()
+            return None
+        self.session_key = derive_key(self.params, self.remote_payload.public_share, self.private)
+        self._advance(Phase.CONFIRMED)
+        return self.session_key

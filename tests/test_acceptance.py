@@ -12,8 +12,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from saska.adversary import (
     AttackStrategy,
     GuessRule,
@@ -23,19 +21,16 @@ from saska.adversary import (
     run_honest_session,
 )
 from saska.errors import OpenFailed
-from saska.group import PARAM_SETS, PrivateShare, pub_share, derive_key, mod_exp
+from saska.group import PrivateShare, pub_share, derive_key, mod_exp
 from saska.protocol import (
     AuthNonce,
     Msg2,
     PairingPayload,
-    confirm,
+    Peer,
+    Role,
     decode_message,
     encode_message,
     format_sas,
-    init_initiator,
-    initiator_on_payload,
-    responder_on_commit,
-    responder_on_decommit,
 )
 
 from conftest import naive_mod_exp
@@ -110,44 +105,46 @@ def test_criterion_4_tamper_suite(test_params):
     expected_sas_mismatches = 0
 
     for s in range(sessions):
-        rng_a, rng_b = random.Random(s), random.Random(10_000 + s)
-        state_a, msg1 = init_initiator(test_params, "alice", 20, rng_a)
-        state_b, msg2 = responder_on_commit(test_params, "bob", 20, rng_b, msg1)
-        msg3, sas_a = initiator_on_payload(state_a, msg2)
-        frame1, frame3 = encode_message(msg1), encode_message(msg3)
+        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(s))
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(10_000 + s))
+        (frame1,) = a.start()
+        (frame2,) = b.receive(frame1)
+        (frame3,) = a.receive(frame2)
 
         # every bit of the commitment c in Msg1
         for bit in range((len(frame1) - 5) * 8):
-            mutated = decode_message(flip_frame_bit(frame1, bit))
-            victim, _ = responder_on_commit(test_params, "bob", 20, random.Random(1), mutated)
+            victim = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(1))
+            victim.receive(flip_frame_bit(frame1, bit))
             expected_open_failures += 1
             try:
-                responder_on_decommit(victim, msg3)
+                victim.receive(frame3)
             except OpenFailed:
                 open_failures += 1
 
         # every bit of the decommit nonce and committed message in Msg3
         for bit in range((len(frame3) - 5) * 8):
-            mutated = decode_message(flip_frame_bit(frame3, bit))
-            victim, _ = responder_on_commit(test_params, "bob", 20, random.Random(2), msg1)
+            victim = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+            victim.receive(frame1)
             expected_open_failures += 1
             try:
-                responder_on_decommit(victim, mutated)
+                victim.receive(flip_frame_bit(frame3, bit))
             except OpenFailed:
                 open_failures += 1
 
         # every single-bit substitution of the cleartext nonce in Msg2
         for bit in range(20):
-            fresh_a, msg1_f = init_initiator(test_params, "alice", 20, random.Random(20_000 + s))
-            fresh_b, msg2_f = responder_on_commit(
-                test_params, "bob", 20, random.Random(30_000 + s), msg1_f)
+            fresh_a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(20_000 + s))
+            fresh_b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(30_000 + s))
+            (frame1_f,) = fresh_a.start()
+            (frame2_f,) = fresh_b.receive(frame1_f)
+            msg2_f = decode_message(frame2_f)
             forged_nonce = AuthNonce.from_int(msg2_f.payload.auth_nonce.to_int() ^ (1 << bit), 20)
             forged = Msg2(msg2_f.param_set_id, msg2_f.k, PairingPayload(
                 msg2_f.payload.identity, msg2_f.payload.public_share, forged_nonce))
-            msg3_f, sas_af = initiator_on_payload(fresh_a, forged)
-            sas_bf = responder_on_decommit(fresh_b, msg3_f)
+            (frame3_f,) = fresh_a.receive(encode_message(forged))
+            fresh_b.receive(frame3_f)
             expected_sas_mismatches += 1
-            sas_mismatches += sas_af != sas_bf
+            sas_mismatches += fresh_a.sas != fresh_b.sas
 
     report(
         4,
@@ -236,16 +233,19 @@ def test_criterion_7_wire_stability(test_params):
         for line in (DATA_DIR / "golden_frames.txt").read_text().splitlines()
         if line and not line.startswith("#")
     ]
-    state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1000))
-    state_b, msg2 = responder_on_commit(test_params, "bob", 20, random.Random(1009), msg1)
-    msg3, sas_a = initiator_on_payload(state_a, msg2)
-    sas_b = responder_on_decommit(state_b, msg3)
-    frames = [encode_message(m) for m in (msg1, msg2, msg3)]
+    a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1000))
+    b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(1009))
+    (frame1,) = a.start()
+    (frame2,) = b.receive(frame1)
+    (frame3,) = a.receive(frame2)
+    b.receive(frame3)
+    frames = [frame1, frame2, frame3]
 
     ok = (
         frames == golden
-        and sas_a == sas_b
-        and format_sas(sas_a) == "A875B"
-        and confirm(state_a, True).value == 12
+        and a.sas == b.sas
+        and format_sas(a.sas) == "A875B"
+        and a.confirm(True).value == 12
+        and b.confirm(True).value == 12
     )
     report(7, ok, "three fixed-seed frames byte-identical to the golden file")

@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import signal
 import socket
 import subprocess
 import sys
@@ -14,15 +15,7 @@ from saska import cli, protocol
 from saska.cli import EXIT_REJECTED, EXIT_TAMPER, EXIT_TIMEOUT, EXIT_TRANSPORT, main
 from saska.errors import Timeout
 from saska.group import DhParams, PARAM_SETS
-from saska.protocol import (
-    decode_message,
-    encode_message,
-    format_sas,
-    init_initiator,
-    initiator_on_payload,
-    responder_on_commit,
-    responder_on_decommit,
-)
+from saska.protocol import Peer, Role, format_sas
 from saska.transport import StreamListener, connect_stream
 
 
@@ -30,6 +23,13 @@ def find_free_port() -> int:
     with socket.socket() as s:
         s.bind(("", 0))
         return s.getsockname()[1]
+
+
+def respond(chan, peer: Peer):
+    """Answer the frames on chan with peer until its SAS is ready."""
+    while peer.sas is None:
+        for frame in peer.receive(chan.recv_frame(5.0)):
+            chan.send_frame(frame)
 
 
 class CliThread(threading.Thread):
@@ -66,12 +66,16 @@ class TestResolveParams:
             cli._resolve_params("no-such-set-or-file")
 
 
-def run_cli(args, **env_overrides):
+def cli_env(**overrides) -> dict:
     env = dict(os.environ)
     env.pop(cli.PARAMS_ENV_VAR, None)
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_overrides)
-    return subprocess.run([sys.executable, "-m", "saska.cli", *args], env=env,
+    env.update(overrides)
+    return env
+
+
+def run_cli(args, **env_overrides):
+    return subprocess.run([sys.executable, "-m", "saska.cli", *args], env=cli_env(**env_overrides),
                           capture_output=True, text=True, timeout=30, stdin=subprocess.DEVNULL)
 
 
@@ -230,11 +234,11 @@ class TestPeerExitCodes:
             except OSError:
                 time.sleep(0.02)
         assert chan is not None, f"CLI peer never listened on port {port}"
-        state, msg1 = init_initiator(test_params, "mallory", 20, random.Random(1))
-        chan.send_frame(encode_message(msg1))
-        msg2 = decode_message(chan.recv_frame(5.0))
-        msg3, _ = initiator_on_payload(state, msg2)
-        frame = bytearray(encode_message(msg3))
+        mallory = Peer(Role.INITIATOR, test_params, "mallory", 20, random.Random(1))
+        for frame in mallory.start():
+            chan.send_frame(frame)
+        (msg3,) = mallory.receive(chan.recv_frame(5.0))
+        frame = bytearray(msg3)
         frame[10] ^= 0x01  # flip one bit of the decommit nonce
         chan.send_frame(bytes(frame))
         peer.join()
@@ -248,11 +252,9 @@ class TestPeerExitCodes:
 
         def responder():
             chan = listener.accept(5.0)
-            state_b, msg2 = responder_on_commit(
-                test_params, "alice", 20, random.Random(2),
-                decode_message(chan.recv_frame(5.0)))
-            chan.send_frame(encode_message(msg2))
-            box["sas"] = responder_on_decommit(state_b, decode_message(chan.recv_frame(5.0)))
+            peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
+            respond(chan, peer)
+            box["sas"] = peer.sas
 
         t = threading.Thread(target=responder)
         t.start()
@@ -284,11 +286,9 @@ class TestPeerExitCodes:
 
         def responder():
             chan = listener.accept(5.0)
-            state_b, msg2 = responder_on_commit(
-                test_params, "alice", 20, random.Random(2),
-                decode_message(chan.recv_frame(5.0)))
-            chan.send_frame(encode_message(msg2))
-            box["sas"] = responder_on_decommit(state_b, decode_message(chan.recv_frame(5.0)))
+            peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
+            respond(chan, peer)
+            box["sas"] = peer.sas
 
         t = threading.Thread(target=responder)
         t.start()
@@ -303,6 +303,27 @@ class TestPeerExitCodes:
         assert "rejected by operator; no key derived" in captured.err
         assert calls == []
 
+    def test_ctrl_c_while_listening_rejects(self):
+        # a shell that starts the suite in the background leaves SIGINT
+        # ignored; restore the default so the CLI turns it into Ctrl-C
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "saska.cli", "--listen", "0", "--id", "alice", "--timeout", "5"],
+            env=cli_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            assert proc.stdout.readline().startswith("listening :")
+            time.sleep(0.3)  # let it block in accept
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == EXIT_REJECTED
+        assert "Traceback" not in err
+        assert "rejected by operator; no key derived" in err
+
     def test_full_pairing_connect_side(self, monkeypatch, capsys, test_params):
         monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
         listener = StreamListener(0)
@@ -310,11 +331,9 @@ class TestPeerExitCodes:
 
         def responder():
             chan = listener.accept(5.0)
-            state_b, msg2 = responder_on_commit(
-                test_params, "alice", 20, random.Random(2),
-                decode_message(chan.recv_frame(5.0)))
-            chan.send_frame(encode_message(msg2))
-            box["sas"] = responder_on_decommit(state_b, decode_message(chan.recv_frame(5.0)))
+            peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
+            respond(chan, peer)
+            box["sas"] = peer.sas
 
         t = threading.Thread(target=responder)
         t.start()

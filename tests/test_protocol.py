@@ -1,11 +1,10 @@
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saska.commitment import Decommitment, commit
+from saska.commitment import commit
 from saska.errors import (
     LengthMismatch,
     MalformedMessage,
@@ -13,7 +12,7 @@ from saska.errors import (
     SubgroupCheckFailed,
     WrongPhase,
 )
-from saska.group import PARAM_SETS, PublicShare, validate_params
+from saska.group import PARAM_SETS, PublicShare
 from saska import protocol
 from saska.protocol import (
     AuthNonce,
@@ -27,18 +26,13 @@ from saska.protocol import (
     Role,
     Sas,
     compute_sas,
-    confirm,
     decode_message,
     decode_payload,
     encode_message,
     encode_payload,
     format_sas,
     gen_auth_nonce,
-    init_initiator,
-    initiator_on_payload,
     key_fingerprint,
-    responder_on_commit,
-    responder_on_decommit,
 )
 
 
@@ -60,13 +54,19 @@ class ScriptedExponents:
 
 
 def honest_exchange(params, k=20, rng_a=None, rng_b=None, id_a="alice", id_b="bob"):
-    rng_a = rng_a or random.Random(11)
-    rng_b = rng_b or random.Random(22)
-    state_a, msg1 = init_initiator(params, id_a, k, rng_a)
-    state_b, msg2 = responder_on_commit(params, id_b, k, rng_b, msg1)
-    msg3, sas_a = initiator_on_payload(state_a, msg2)
-    sas_b = responder_on_decommit(state_b, msg3)
-    return state_a, state_b, msg1, msg2, msg3, sas_a, sas_b
+    a = Peer(Role.INITIATOR, params, id_a, k, rng_a or random.Random(11))
+    b = Peer(Role.RESPONDER, params, id_b, k, rng_b or random.Random(22))
+    (frame1,) = a.start()
+    (frame2,) = b.receive(frame1)
+    (frame3,) = a.receive(frame2)
+    assert b.receive(frame3) == []
+    return a, b, frame1, frame2, frame3
+
+
+def started_initiator(params, k=20, seed=1):
+    a = Peer(Role.INITIATOR, params, "alice", k, random.Random(seed))
+    (frame1,) = a.start()
+    return a, frame1
 
 
 class TestIdentity:
@@ -159,15 +159,13 @@ class TestWireFormat:
         )
 
     def test_msg1_frame_layout(self, test_params):
-        _, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        frame = encode_message(msg1)
+        _, frame = started_initiator(test_params)
         assert frame[0] == 0x01
         assert int.from_bytes(frame[1:5], "big") == 32
         assert len(frame) == 37  # nothing but the commitment crosses the wire
 
     def test_truncated_msg1_rejected(self, test_params):
-        _, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        frame = encode_message(msg1)
+        _, frame = started_initiator(test_params)
         with pytest.raises(MalformedMessage):
             decode_message(frame[:20])
 
@@ -237,12 +235,12 @@ class TestWireFormat:
 
 class TestHonestRun:
     def test_sas_agree_and_keys_match(self, test_params):
-        state_a, state_b, _, _, _, sas_a, sas_b = honest_exchange(test_params)
-        assert sas_a == sas_b
-        key_a = confirm(state_a, True)
-        key_b = confirm(state_b, True)
+        a, b, *_ = honest_exchange(test_params)
+        assert a.sas == b.sas
+        key_a = a.confirm(True)
+        key_b = b.confirm(True)
         assert key_a.octets == key_b.octets
-        assert state_a.phase is Phase.CONFIRMED
+        assert a.phase is Phase.CONFIRMED
         assert key_fingerprint(key_a) == key_fingerprint(key_b)
         assert len(key_fingerprint(key_a)) == 8
 
@@ -250,16 +248,16 @@ class TestHonestRun:
         # a=3, b=4: shared secret 2^12 mod 23 = 2
         rng_a = ScriptedExponents([3], seed=1)
         rng_b = ScriptedExponents([4], seed=2)
-        state_a, state_b, *_ = honest_exchange(test_params, rng_a=rng_a, rng_b=rng_b)
-        assert state_a.own_payload.public_share.value == 8
-        assert state_b.own_payload.public_share.value == 16
-        assert confirm(state_a, True).value == 2
-        assert confirm(state_b, True).value == 2
+        a, b, *_ = honest_exchange(test_params, rng_a=rng_a, rng_b=rng_b)
+        assert a.own_payload.public_share.value == 8
+        assert b.own_payload.public_share.value == 16
+        assert a.confirm(True).value == 2
+        assert b.confirm(True).value == 2
 
     def test_phase_logs(self, test_params):
-        state_a, state_b, *_ = honest_exchange(test_params)
-        confirm(state_a, True)
-        confirm(state_b, True)
+        a, b, *_ = honest_exchange(test_params)
+        a.confirm(True)
+        b.confirm(True)
         expected = [
             Phase.CREATED,
             Phase.COMMIT_EXCHANGED,
@@ -268,64 +266,71 @@ class TestHonestRun:
             Phase.SAS_READY,
             Phase.CONFIRMED,
         ]
-        assert state_a.phase_log == expected
-        assert state_b.phase_log == expected
+        assert a.phase_log == expected
+        assert b.phase_log == expected
 
     def test_remote_identities_exchanged(self, test_params):
-        state_a, state_b, *_ = honest_exchange(test_params)
-        assert state_a.remote_identity.label == "bob"
-        assert state_b.remote_identity.label == "alice"
+        a, b, *_ = honest_exchange(test_params)
+        assert a.remote_identity.label == "bob"
+        assert b.remote_identity.label == "alice"
 
     def test_completeness_many_seeds(self, test_params, p40_params):
         for seed in range(30):
-            state_a, state_b, _, _, _, sas_a, sas_b = honest_exchange(
+            a, b, *_ = honest_exchange(
                 test_params, rng_a=random.Random(seed), rng_b=random.Random(seed + 1000)
             )
-            assert sas_a == sas_b
-            assert confirm(state_a, True).octets == confirm(state_b, True).octets
-        state_a, state_b, _, _, _, sas_a, sas_b = honest_exchange(p40_params, k=20)
-        assert sas_a == sas_b
-        assert confirm(state_a, True).octets == confirm(state_b, True).octets
+            assert a.sas == b.sas
+            assert a.confirm(True).octets == b.confirm(True).octets
+        a, b, *_ = honest_exchange(p40_params, k=20)
+        assert a.sas == b.sas
+        assert a.confirm(True).octets == b.confirm(True).octets
 
     def test_k_defaults_to_20(self, test_params):
-        state, _ = init_initiator(test_params, "alice", rng=random.Random(1))
-        assert state.k == 20
-        assert len(state.own_nonce.data) == 3
-        assert state.own_nonce.data[0] >> 4 == 0
+        a = Peer(Role.INITIATOR, test_params, "alice", rng=random.Random(1))
+        a.start()
+        assert a.k == 20
+        assert len(a.own_nonce.data) == 3
+        assert a.own_nonce.data[0] >> 4 == 0
 
 
 class TestPhaseGuards:
     def test_second_payload_is_wrong_phase(self, test_params):
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        _, msg2 = responder_on_commit(test_params, "bob", 20, random.Random(2), msg1)
-        initiator_on_payload(state_a, msg2)
-        with pytest.raises(WrongPhase):
-            initiator_on_payload(state_a, msg2)
-        assert state_a.phase is Phase.SAS_READY  # guard must not clobber the session
+        """Once the SAS is ready a second Msg2 is ignored."""
+        a, b, _, frame2, _ = honest_exchange(test_params)
+        assert a.receive(frame2) == []
+        assert a.phase is Phase.SAS_READY  # guard must not clobber the session
 
     def test_confirm_before_sas_ready(self, test_params):
-        state_a, _ = init_initiator(test_params, "alice", 20, random.Random(1))
+        a, _ = started_initiator(test_params)
         with pytest.raises(WrongPhase):
-            confirm(state_a, True)
+            a.confirm(True)
 
     def test_confirm_false_aborts_without_key(self, test_params):
-        state_a, state_b, *_ = honest_exchange(test_params)
-        assert confirm(state_a, False) is None
-        assert state_a.phase is Phase.ABORTED
-        assert state_a.session_key is None
+        a, b, *_ = honest_exchange(test_params)
+        assert a.confirm(False) is None
+        assert a.phase is Phase.ABORTED
+        assert a.session_key is None
         with pytest.raises(WrongPhase):
-            confirm(state_a, True)
+            a.confirm(True)
 
     def test_decommit_before_commit_phase(self, test_params):
-        state_a, state_b, _, _, msg3, _, _ = honest_exchange(test_params)
-        with pytest.raises(WrongPhase):
-            responder_on_decommit(state_b, msg3)
+        """A second Msg3 is ignored too: the responder's SAS is ready."""
+        a, b, _, _, frame3 = honest_exchange(test_params)
+        assert b.receive(frame3) == []
+        assert b.phase is Phase.SAS_READY
 
     def test_responder_rejects_non_commit(self, test_params):
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        _, msg2 = responder_on_commit(test_params, "bob", 20, random.Random(2), msg1)
+        _, _, _, frame2, _ = honest_exchange(test_params)
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(3))
         with pytest.raises(MalformedMessage):
-            responder_on_commit(test_params, "bob", 20, random.Random(3), msg2)
+            b.receive(frame2)
+        assert b.phase is Phase.ABORTED
+
+
+def bad_share_frame(params, nonce: int) -> bytes:
+    """A Msg2 whose public share, 1, lies outside the subgroup."""
+    return encode_message(Msg2(params.set_id(), 20, PairingPayload(
+        Identity("bob"), PublicShare(1), AuthNonce.from_int(nonce, 20))))
 
 
 class TestKeyGating:
@@ -338,130 +343,128 @@ class TestKeyGating:
             return real(params, peer_pub, priv)
 
         monkeypatch.setattr(protocol, "derive_key", spy)
-        state_a, state_b, *_ = honest_exchange(test_params)
+        a, b, *_ = honest_exchange(test_params)
         assert calls == []  # full exchange, sas ready, still no key derivation
-        confirm(state_a, False)
+        a.confirm(False)
         assert calls == []
-        confirm(state_b, True)
+        b.confirm(True)
         assert len(calls) == 1
 
     def test_no_key_on_any_abort_path(self, test_params):
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        bad = Msg2(test_params.set_id(), 20, PairingPayload(
-            Identity("bob"), PublicShare(1), AuthNonce.from_int(0, 20)))
+        a, _ = started_initiator(test_params)
         with pytest.raises(SubgroupCheckFailed):
-            initiator_on_payload(state_a, bad)
-        assert state_a.session_key is None
-        assert Phase.CONFIRMED not in state_a.phase_log
+            a.receive(bad_share_frame(test_params, 0))
+        assert a.session_key is None
+        assert Phase.CONFIRMED not in a.phase_log
 
 
 class TestAttacksAtOpLevel:
     def test_identity_share_aborts_before_decommit(self, test_params):
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        bad = Msg2(test_params.set_id(), 20, PairingPayload(
-            Identity("bob"), PublicShare(1), AuthNonce.from_int(5, 20)))
+        a, _ = started_initiator(test_params)
         with pytest.raises(SubgroupCheckFailed):
-            initiator_on_payload(state_a, bad)
-        assert state_a.phase is Phase.ABORTED
+            a.receive(bad_share_frame(test_params, 5))
+        assert a.phase is Phase.ABORTED
         # the decommitment never left the initiator
-        assert Phase.DECOMMITTED not in state_a.phase_log
+        assert Phase.DECOMMITTED not in a.phase_log
 
     def test_param_set_mismatch_aborts(self, test_params):
         other = PARAM_SETS["p40"]
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        _, msg2 = responder_on_commit(other, "bob", 20, random.Random(2), msg1)
+        a, frame1 = started_initiator(test_params)
+        b = Peer(Role.RESPONDER, other, "bob", 20, random.Random(2))
+        (frame2,) = b.receive(frame1)
         with pytest.raises(MalformedMessage):
-            initiator_on_payload(state_a, msg2)
-        assert state_a.phase is Phase.ABORTED
+            a.receive(frame2)
+        assert a.phase is Phase.ABORTED
 
     def test_k_mismatch_aborts(self, test_params):
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        _, msg2 = responder_on_commit(test_params, "bob", 16, random.Random(2), msg1)
+        a, frame1 = started_initiator(test_params)
+        b = Peer(Role.RESPONDER, test_params, "bob", 16, random.Random(2))
+        (frame2,) = b.receive(frame1)
         with pytest.raises(MalformedMessage):
-            initiator_on_payload(state_a, msg2)
-        assert state_a.phase is Phase.ABORTED
+            a.receive(frame2)
+        assert a.phase is Phase.ABORTED
 
-    def test_decommit_for_different_message_fails_open(self, test_params):
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        state_b, msg2 = responder_on_commit(test_params, "bob", 20, random.Random(2), msg1)
-        initiator_on_payload(state_a, msg2)
+    def test_decommit_for_different_message_fails_open(self, test_params, monkeypatch):
+        a, frame1 = started_initiator(test_params)
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        (frame2,) = b.receive(frame1)
+        a.receive(frame2)
         # adversary commits to its own payload and sends that decommitment
         # against A's original commitment
         forged_payload = PairingPayload(
             Identity("alice"), PublicShare(8), AuthNonce.from_int(7, 20))
         _, forged_d = commit(encode_payload(forged_payload), random.Random(9))
+        parsed = []
+        monkeypatch.setattr(protocol, "decode_payload", lambda *args: parsed.append(args))
         with pytest.raises(OpenFailed):
-            responder_on_decommit(state_b, Msg3(forged_d))
-        assert state_b.phase is Phase.ABORTED
+            b.receive(encode_message(Msg3(forged_d)))
+        assert parsed == []  # the opening failed before the payload was parsed
+        assert b.phase is Phase.ABORTED
 
     def test_nonce_substitution_changes_sas(self, test_params):
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        state_b, msg2 = responder_on_commit(test_params, "bob", 20, random.Random(2), msg1)
+        a, frame1 = started_initiator(test_params)
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        (frame2,) = b.receive(frame1)
+        msg2 = decode_message(frame2)
         evil_nonce = AuthNonce.from_int(msg2.payload.auth_nonce.to_int() ^ 0x1, 20)
         evil = Msg2(msg2.param_set_id, msg2.k,
                     PairingPayload(msg2.payload.identity, msg2.payload.public_share, evil_nonce))
-        msg3, sas_a = initiator_on_payload(state_a, evil)
-        sas_b = responder_on_decommit(state_b, msg3)
+        (frame3,) = a.receive(encode_message(evil))
+        b.receive(frame3)
         # S_A xor S_B = N_B xor N_E != 0
-        assert sas_a != sas_b
-        assert sas_a.to_int() ^ sas_b.to_int() == 0x1
+        assert a.sas != b.sas
+        assert a.sas.to_int() ^ b.sas.to_int() == 0x1
 
     def test_initiator_share_outside_subgroup_rejected(self, test_params):
         # a forged commit/decommit pair whose payload carries a non-subgroup share
         forged_payload = PairingPayload(
             Identity("alice"), PublicShare(5), AuthNonce.from_int(3, 20))
         c, d = commit(encode_payload(forged_payload), random.Random(1))
-        state_b, _ = responder_on_commit(test_params, "bob", 20, random.Random(2), Msg1(c))
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        b.receive(encode_message(Msg1(c)))
         with pytest.raises(SubgroupCheckFailed):
-            responder_on_decommit(state_b, Msg3(d))
-        assert state_b.phase is Phase.ABORTED
+            b.receive(encode_message(Msg3(d)))
+        assert b.phase is Phase.ABORTED
 
     def test_garbage_inside_opened_commitment_is_malformed(self, test_params):
         c, d = commit(b"\x00\x70junk", random.Random(1))
-        state_b, _ = responder_on_commit(test_params, "bob", 20, random.Random(2), Msg1(c))
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        b.receive(encode_message(Msg1(c)))
         with pytest.raises(MalformedMessage):
-            responder_on_decommit(state_b, Msg3(d))
-        assert state_b.phase is Phase.ABORTED
+            b.receive(encode_message(Msg3(d)))
+        assert b.phase is Phase.ABORTED
 
 
 class TestPeer:
-    """The sans-I/O driver sequences the same state-machine calls."""
-
-    def test_reproduces_golden_frames(self, test_params):
-        golden = [
-            bytes.fromhex(line)
-            for line in (Path(__file__).parent / "data" / "golden_frames.txt").read_text().splitlines()
-            if line and not line.startswith("#")
-        ]
-        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1000))
-        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(1009))
-        assert b.start() == []
-        wire = [(b, frame) for frame in a.start()]
-        frames = []
-        while wire:
-            peer, frame = wire.pop(0)
-            frames.append(frame)
-            other = a if peer is b else b
-            wire += [(other, reply) for reply in peer.receive(frame)]
-        assert frames == golden
-        assert format_sas(a.sas) == format_sas(b.sas) == "A875B"
-        assert confirm(a.state, True).value == confirm(b.state, True).value
-        expected = [
-            Phase.CREATED,
-            Phase.COMMIT_EXCHANGED,
-            Phase.PAYLOAD_EXCHANGED,
-            Phase.DECOMMITTED,
-            Phase.SAS_READY,
-            Phase.CONFIRMED,
-        ]
-        assert a.state.phase_log == expected
-        assert b.state.phase_log == expected
+    """The abort, ignore and construction rules of the state machine."""
 
     def test_construction_draws_nothing(self, test_params):
         rng = random.Random(5)
         before = rng.getstate()
         Peer(Role.INITIATOR, test_params, "alice", 20, rng)
+        # the responder draws nothing until the commitment arrives
+        assert Peer(Role.RESPONDER, test_params, "bob", 20, rng).start() == []
         assert rng.getstate() == before
+
+    def test_k_checked_at_construction(self, test_params):
+        with pytest.raises(ValueError):
+            Peer(Role.INITIATOR, test_params, "alice", 0)
+        with pytest.raises(ValueError):
+            Peer(Role.RESPONDER, test_params, "bob", 20, nonce=AuthNonce.from_int(1, 8))
+
+    def test_receive_before_start_is_wrong_phase(self, test_params):
+        _, _, _, frame2, _ = honest_exchange(test_params)
+        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
+        with pytest.raises(WrongPhase):
+            a.receive(frame2)
+        assert a.phase_log == [Phase.CREATED, Phase.ABORTED]
+
+    def test_start_twice_is_wrong_phase(self, test_params):
+        a, frame1 = started_initiator(test_params)
+        with pytest.raises(WrongPhase):
+            a.start()
+        assert a.phase is Phase.COMMIT_EXCHANGED
+        assert encode_message(Msg1(a.commitment)) == frame1
 
     def test_rejected_frame_aborts_and_later_frames_are_ignored(self, test_params):
         a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
@@ -470,7 +473,7 @@ class TestPeer:
         (msg2,) = b.receive(msg1)
         with pytest.raises(MalformedMessage):
             a.receive(b"\x07\x00\x00\x00\x01\x00")
-        assert a.aborted and a.state.phase_log[-1] is Phase.ABORTED
+        assert a.phase is Phase.ABORTED and a.phase_log[-1] is Phase.ABORTED
         assert a.receive(msg2) == []
         assert a.sas is None
 
@@ -478,7 +481,7 @@ class TestPeer:
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         with pytest.raises(MalformedMessage):
             b.receive(b"\x01\x00\x00")
-        assert b.aborted and b.state is None
+        assert b.phase_log == [Phase.CREATED, Phase.ABORTED] and b.private is None
         a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
         assert b.receive(a.start()[0]) == []
 
@@ -490,4 +493,4 @@ class TestPeer:
         (msg3,) = a.receive(msg2)
         assert b.receive(msg3) == []
         assert b.receive(msg3) == [] and a.receive(msg2) == []
-        assert a.sas == b.sas and not a.aborted and not b.aborted
+        assert a.sas == b.sas and a.phase is b.phase is Phase.SAS_READY

@@ -6,14 +6,7 @@ import time
 import pytest
 
 from saska.errors import ChannelClosed, MalformedMessage, Timeout
-from saska.protocol import (
-    decode_message,
-    encode_message,
-    init_initiator,
-    initiator_on_payload,
-    responder_on_commit,
-    responder_on_decommit,
-)
+from saska.protocol import Peer, Role
 from saska import transport
 from saska.transport import StreamChannel, StreamListener, connect_stream
 
@@ -51,24 +44,25 @@ class TestStreamTransport:
 
         def server():
             chan = listener.accept(2.0)
-            state_b, msg2 = responder_on_commit(
-                test_params, "bob", 20, random.Random(2),
-                decode_message(chan.recv_frame(2.0)))
-            chan.send_frame(encode_message(msg2))
-            box["sas_b"] = responder_on_decommit(state_b, decode_message(chan.recv_frame(2.0)))
+            b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+            while b.sas is None:
+                for frame in b.receive(chan.recv_frame(2.0)):
+                    chan.send_frame(frame)
+            box["sas_b"] = b.sas
             chan.close()
 
         t = threading.Thread(target=server)
         t.start()
         chan = connect_stream("127.0.0.1", listener.port, timeout=2.0)
-        state_a, msg1 = init_initiator(test_params, "alice", 20, random.Random(1))
-        chan.send_frame(encode_message(msg1))
-        msg3, sas_a = initiator_on_payload(state_a, decode_message(chan.recv_frame(2.0)))
-        chan.send_frame(encode_message(msg3))
+        a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
+        for frame in a.start():
+            chan.send_frame(frame)
+        for frame in a.receive(chan.recv_frame(2.0)):
+            chan.send_frame(frame)
         t.join()
         listener.close()
         chan.close()
-        assert sas_a == box["sas_b"]
+        assert a.sas == box["sas_b"]
 
     def test_connection_refused(self):
         listener = StreamListener(0)
