@@ -1,0 +1,69 @@
+"""Pin every seeded simulator output to one digest.
+
+The digest covers raw values only (booleans, integers, strings, bytes and
+enum values), never the repr of a saska class, so a refactor that keeps
+every trial byte-identical keeps the digest.  If a change is meant to alter
+simulator outputs, recompute the digests and say why in the change.
+"""
+
+import hashlib
+
+import pytest
+
+from saska.adversary import (
+    AttackStrategy,
+    GuessRule,
+    StrategyKind,
+    exhaustive_attack_success,
+    run_mitm_trial,
+)
+
+SEEDS = range(60)
+FIXED_GUESS = 3
+EXHAUSTIVE_K = 3
+EXHAUSTIVE_SEED = 7
+
+EXPECTED = {
+    ("test", 4): "6e137d883016411730cd9989986b3c4bb5d141d3a2682c6f317f9f5c342972ee",
+    ("p40", 8): "f0874c9e6ac21f444f87e861bff4ecec68f3670b1f5cac2523f7e64c60b0befd",
+}
+
+
+def _sas_int(sas):
+    return None if sas is None else sas.to_int()
+
+
+def _raw(outcome) -> tuple:
+    return (
+        outcome.success,
+        _sas_int(outcome.sas_a),
+        _sas_int(outcome.sas_b),
+        outcome.aborts,
+        tuple(
+            (
+                e.seq,
+                e.direction.value,
+                e.frame,
+                tuple((d.value, f) for d, f in e.delivered),
+            )
+            for e in outcome.transcript
+        ),
+    )
+
+
+def seeded_digest(params, k: int) -> str:
+    h = hashlib.sha256()
+    for kind in StrategyKind:
+        for rule in GuessRule:
+            strategy = AttackStrategy(kind, rule, FIXED_GUESS)
+            for seed in SEEDS:
+                h.update(repr(_raw(run_mitm_trial(strategy, params, k, seed))).encode())
+            rate = exhaustive_attack_success(strategy, params, EXHAUSTIVE_K, seed=EXHAUSTIVE_SEED)
+            h.update(repr((rate.numerator, rate.denominator)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,k", sorted(EXPECTED))
+def test_seeded_outputs_unchanged(request, name, k):
+    params = request.getfixturevalue(f"{name}_params")
+    assert seeded_digest(params, k) == EXPECTED[(name, k)]
