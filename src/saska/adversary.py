@@ -14,8 +14,8 @@ exhaustive enumeration (small k) and Monte Carlo estimation.
 
 The simulator needs no channel object: _run_trial moves frames between two
 sans-I/O peers itself and asks the attacker callback, at send time, what
-becomes of each frame.  The attacker's choices are the action classes
-Deliver, Replace, Drop and Inject.
+becomes of each frame.  The callback answers with the deliveries it makes:
+(Direction, frame) pairs, which relay, replace, drop or inject frames.
 """
 
 from __future__ import annotations
@@ -65,43 +65,19 @@ class Direction(Enum):
         return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
 
 
-# Adversary actions.  A callback (frame, direction, history) returns one
-# action or a list of them; actions apply in order.
-
-@dataclass(frozen=True)
-class Deliver:
-    """Pass the observed frame through unchanged."""
-
-
-@dataclass(frozen=True)
-class Replace:
-    """Deliver this frame instead of the observed one."""
-
-    frame: bytes
-
-
-@dataclass(frozen=True)
-class Drop:
-    """Deliver nothing."""
-
-
-@dataclass(frozen=True)
-class Inject:
-    """Additionally deliver a forged frame travelling in `direction`."""
-
-    frame: bytes
-    direction: Direction
-
+# An attacker callback (frame, direction, history) returns the deliveries
+# it makes in place of the observed frame, as (Direction, bytes) pairs that
+# are delivered in order: [] drops the frame, [(direction, frame)] relays
+# it, and further pairs inject forged frames.
 
 @dataclass(frozen=True)
 class TranscriptEvent:
-    """One observed frame plus everything the adversary did with it."""
+    """One observed frame plus the deliveries the adversary made of it."""
 
     seq: int
     direction: Direction
     frame: bytes
-    actions: tuple
-    delivered: tuple  # of (Direction, bytes) actually passed on
+    delivered: tuple  # of (Direction, bytes), in delivery order
 
 
 class StrategyKind(Enum):
@@ -185,7 +161,6 @@ class _Attacker:
         self.seen_nonces: list[int] = []   # plaintext nonces, in observation order
         self.seen_share_a: int | None = None
         self.seen_share_b: int | None = None
-        self.guess: int | None = None
 
     def resolve_guess(self) -> int:
         """Fix the guess of the still-hidden honest nonce.  Called exactly
@@ -199,8 +174,7 @@ class _Attacker:
             guess = 0
             for n in self.seen_nonces:
                 guess ^= n
-        self.guess = guess & ((1 << self.k) - 1)
-        return self.guess
+        return guess & ((1 << self.k) - 1)
 
     def payload(self, label: str, nonce_value: int) -> PairingPayload:
         return PairingPayload(
@@ -243,15 +217,15 @@ class ImpersonateInitiatorAttacker(_Attacker):
             n_e = self.resolve_guess()
             c, d = commit(encode_payload(self.payload(INITIATOR_ID, n_e)), self.rng)
             self.decommit = d
-            return Replace(encode_message(Msg1(c)))
+            return [(direction, encode_message(Msg1(c)))]
         if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
             self.note_payload(msg.payload, "b")
             forged = self.payload(RESPONDER_ID, msg.payload.auth_nonce.to_int())
-            return Replace(encode_message(Msg2(msg.param_set_id, msg.k, forged)))
+            return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
         if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
             self.note_payload(decode_payload(msg.d.message, self.k), "a")
-            return Replace(encode_message(Msg3(self.decommit)))
-        return Drop()
+            return [(direction, encode_message(Msg3(self.decommit)))]
+        return []
 
 
 class ImpersonateResponderAttacker(_Attacker):
@@ -270,7 +244,7 @@ class ImpersonateResponderAttacker(_Attacker):
             self.own_reply_nonce = self.rng.getrandbits(self.k)
             forged = self.payload(RESPONDER_ID, self.own_reply_nonce)
             reply = Msg2(self.params.set_id(), self.k, forged)
-            return [Drop(), Inject(encode_message(reply), Direction.B_TO_A)]
+            return [(Direction.B_TO_A, encode_message(reply))]
         if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
             # A decommitted to us; now impersonate A toward B
             payload_a = decode_payload(msg.d.message, self.k)
@@ -280,12 +254,12 @@ class ImpersonateResponderAttacker(_Attacker):
             n_e2 = n_a ^ self.own_reply_nonce ^ guess_n_b
             c, d = commit(encode_payload(self.payload(INITIATOR_ID, n_e2)), self.rng)
             self.decommit = d
-            return [Drop(), Inject(encode_message(Msg1(c)), Direction.A_TO_B)]
+            return [(Direction.A_TO_B, encode_message(Msg1(c)))]
         if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
             # B's real payload; N_B arrives after our commitment is out
             self.note_payload(msg.payload, "b")
-            return [Drop(), Inject(encode_message(Msg3(self.decommit)), Direction.A_TO_B)]
-        return Drop()
+            return [(Direction.A_TO_B, encode_message(Msg3(self.decommit)))]
+        return []
 
 
 class FullMitmAttacker(_Attacker):
@@ -299,17 +273,17 @@ class FullMitmAttacker(_Attacker):
             self.bridge_nonce = self.rng.getrandbits(self.k)
             c, d = commit(encode_payload(self.payload(INITIATOR_ID, self.bridge_nonce)), self.rng)
             self.decommit = d
-            return Replace(encode_message(Msg1(c)))
+            return [(direction, encode_message(Msg1(c)))]
         if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
             self.note_payload(msg.payload, "b")
             guess_n_a = self.resolve_guess()
             n_e_a = msg.payload.auth_nonce.to_int() ^ self.bridge_nonce ^ guess_n_a
             forged = self.payload(RESPONDER_ID, n_e_a)
-            return Replace(encode_message(Msg2(msg.param_set_id, msg.k, forged)))
+            return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
         if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
             self.note_payload(decode_payload(msg.d.message, self.k), "a")
-            return Replace(encode_message(Msg3(self.decommit)))
-        return Drop()
+            return [(direction, encode_message(Msg3(self.decommit)))]
+        return []
 
 
 _ATTACKERS = {
@@ -352,23 +326,14 @@ def _run_trial(
     def send(direction: Direction, frames: list[bytes]):
         for frame in frames:
             if attacker is None:
-                actions: tuple = (Deliver(),)
+                delivered = ((direction, frame),)
             else:
-                result = attacker(frame, direction, tuple(events))
-                actions = tuple(result) if isinstance(result, (list, tuple)) else (result,)
-            delivered = []
-            for action in actions:
-                if isinstance(action, Deliver):
-                    delivered.append((direction, frame))
-                elif isinstance(action, Replace):
-                    delivered.append((direction, action.frame))
-                elif isinstance(action, Inject):
-                    delivered.append((action.direction, action.frame))
-                elif not isinstance(action, Drop):
-                    raise TypeError(f"not an adversary action: {action!r}")
-            events.append(
-                TranscriptEvent(len(events) + 1, direction, frame, actions, tuple(delivered))
-            )
+                delivered = tuple(attacker(frame, direction, tuple(events)))
+                for pair in delivered:
+                    if not (isinstance(pair, tuple) and len(pair) == 2
+                            and isinstance(pair[0], Direction) and isinstance(pair[1], bytes)):
+                        raise TypeError(f"not a (Direction, bytes) delivery: {pair!r}")
+            events.append(TranscriptEvent(len(events) + 1, direction, frame, delivered))
             in_flight.extend(delivered)
 
     send(Direction.A_TO_B, peer_a.start())

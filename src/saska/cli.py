@@ -86,8 +86,6 @@ def _check_peer_args(args):
         raise ValueError(f"--listen {args.listen} is not a port in 0..65535")
     if args.connect is not None:
         args.connect = _parse_address(args.connect)
-    if not 1 <= args.k <= MAX_K:
-        raise ValueError(f"--k must be in [1, {MAX_K}], got {args.k}")
     Identity(args.id)
 
 
@@ -221,6 +219,8 @@ def main(argv: list[str] | None = None) -> int:
     # argument errors exit 2 through argparse, before any network I/O
     try:
         args.params = _resolve_params(args.params)
+        if not 1 <= args.k <= MAX_K:
+            raise ValueError(f"--k must be in [1, {MAX_K}], got {args.k}")
         if not sim:
             _check_peer_args(args)
     except (ValueError, ParameterError, OSError) as exc:

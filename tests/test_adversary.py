@@ -6,13 +6,9 @@ import pytest
 from saska.adversary import (
     AttackStrategy,
     _Attacker,
-    Deliver,
     Direction,
-    Drop,
     FullMitmAttacker,
     GuessRule,
-    Inject,
-    Replace,
     StrategyKind,
     _child_rngs,
     _run_trial,
@@ -121,7 +117,7 @@ class TestMitmTrials:
                     better = self.payload(
                         "alice", (self.bridge_nonce ^ 1) & ((1 << self.k) - 1))
                     forged = Decommitment(self.decommit.nonce, encode_payload(better))
-                    return Replace(encode_message(Msg3(forged)))
+                    return [(direction, encode_message(Msg3(forged)))]
                 return super().__call__(frame, direction, history)
 
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
@@ -138,8 +134,8 @@ class TestMitmTrials:
         class GarbageToInitiator(_Attacker):
             def __call__(self, frame, direction, history):
                 if isinstance(decode_message(frame), Msg1):
-                    return [Deliver(), Inject(bytes.fromhex("070000000100"), Direction.B_TO_A)]
-                return Deliver()
+                    return [(direction, frame), (Direction.B_TO_A, bytes.fromhex("070000000100"))]
+                return [(direction, frame)]
 
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
         rng_a, rng_b, rng_e = _child_rngs(3)
@@ -346,14 +342,14 @@ def run_through(decide, params, k=20):
 
 class TestInterposition:
     def test_identity_callback_passes_through(self, test_params):
-        out = run_through(lambda frame, direction, history: Deliver(), test_params)
+        out = run_through(lambda frame, direction, history: [(direction, frame)], test_params)
         assert out.sas_a is not None and out.sas_a == out.sas_b
         assert out.keys_equal
         assert out.aborts == ()
         assert len(out.transcript) == 3
 
     def test_drop_everything_starves_both_peers(self, test_params):
-        out = run_through(lambda frame, direction, history: Drop(), test_params)
+        out = run_through(lambda frame, direction, history: [], test_params)
         assert out.sas_a is None and out.sas_b is None
         assert out.aborts == ()
         assert len(out.transcript) == 1
@@ -365,8 +361,8 @@ class TestInterposition:
 
         def adversary(frame, direction, history):
             if not history:
-                return [Replace(swap), Inject(extra, Direction.B_TO_A)]
-            return Deliver()
+                return [(direction, swap), (Direction.B_TO_A, extra)]
+            return [(direction, frame)]
 
         out = run_through(adversary, test_params)
         event = out.transcript[0]
@@ -390,8 +386,8 @@ class TestInterposition:
                     msg.payload.public_share,
                     AuthNonce.from_int(n.to_int() ^ 1, n.k),
                 )
-                return Replace(encode_message(Msg2(msg.param_set_id, msg.k, forged)))
-            return Deliver()
+                return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
+            return [(direction, frame)]
 
         out = run_through(flip_msg2_nonce, test_params)
         assert out.sas_a is not None and out.sas_b is not None
@@ -403,7 +399,7 @@ class TestInterposition:
 
         def adversary(frame, direction, history):
             observed_histories.append(history)
-            return Deliver()
+            return [(direction, frame)]
 
         out = run_through(adversary, test_params)
         assert [e.seq for e in out.transcript] == [1, 2, 3]
@@ -415,21 +411,21 @@ class TestInterposition:
     def test_deterministic_replay_of_decisions(self, test_params):
         def substitute(frame, direction, history):
             if len(history) == 1:
-                return Replace(frame_of(b"\x99" * 32, tag=0x02))
-            return Deliver()
+                return [(direction, frame_of(b"\x99" * 32, tag=0x02))]
+            return [(direction, frame)]
 
         out = run_through(substitute, test_params)
         assert len(out.transcript) == 2
         # replay: feeding the recorded prefix back into the callback
-        # reproduces the recorded actions, proving decisions used only
+        # reproduces the recorded deliveries, proving decisions used only
         # frames 1..n
         for i, event in enumerate(out.transcript):
             again = substitute(event.frame, event.direction, out.transcript[:i])
-            assert (again,) == event.actions
+            assert tuple(again) == event.delivered
 
     def test_duplicating_every_frame_terminates(self, test_params):
         def duplicate(frame, direction, history):
-            return [Deliver(), Inject(frame, direction)]
+            return [(direction, frame), (direction, frame)]
 
         out = run_through(duplicate, test_params)
         # one callback per frame a peer sends: Msg1, Msg2, Msg3
@@ -441,3 +437,11 @@ class TestInterposition:
         assert out.aborts == (
             "responder: MalformedMessage: expected a decommit message, got Msg1",
         )
+
+    @pytest.mark.parametrize("bad", [
+        lambda direction, frame: frame,
+        lambda direction, frame: ("a->b", frame),
+    ], ids=["bare-bytes", "str-direction"])
+    def test_non_delivery_is_type_error(self, test_params, bad):
+        with pytest.raises(TypeError, match="delivery"):
+            run_through(lambda frame, direction, history: [bad(direction, frame)], test_params)

@@ -91,6 +91,7 @@ class TestArgumentErrors:
         ["--listen", "0", "--id", "a", "--k", "0"],
         ["--listen", "0", "--id", ""],
         ["sim", "--strategy", "honest", "--params", "nosuch"],
+        ["sim", "--strategy", "full-mitm", "--k", "-1", "--exhaustive", "--params", "test"],
     ])
     def test_usage_error(self, args):
         proc = run_cli(args)
