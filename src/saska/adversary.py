@@ -2,9 +2,11 @@
 
 The attacker owns the channel between two honest peers (Dolev-Yao: it can
 overhear, intercept, modify, drop, and inject frames) but cannot break the
-commitment hash.  Every built-in strategy substitutes its own payload
-m_E = ID || g^e || N_E into the sessions it manipulates, so it ends up
-sharing a key with a victim whenever the victims accept.
+commitment hash.  Every built-in strategy forges frames through three moves
+that carry its own payload m_E = ID || g^e || N_E: commit_toward_b (Msg1 as
+alice), reply_toward_a (Msg2 as bob) and open_toward_b (Msg3); a strategy
+only picks the move and the nonce.  Impersonate-initiator is full-mitm
+whose bridge nonce is its guess of N_A.
 
 What the strategies cannot dodge is the commit/reveal ordering: one honest
 k-bit nonce is still hidden at the moment the attacker's own nonce becomes
@@ -13,9 +15,11 @@ success rate of the optimal guess is exactly 2^-k - measurable here by
 exhaustive enumeration (small k) and Monte Carlo estimation.
 
 The simulator needs no channel object: _run_trial moves frames between two
-sans-I/O peers itself and asks the attacker callback, at send time, what
-becomes of each frame.  The callback answers with the deliveries it makes:
-(Direction, frame) pairs, which relay, replace, drop or inject frames.
+sans-I/O peers itself and asks the attacker callback (frame, direction,
+history), at send time, what becomes of each frame.  The callback returns
+the deliveries it makes, as (Direction, bytes) pairs delivered in order:
+[] drops the frame, [(direction, frame)] relays it, a different frame
+replaces it, and further pairs inject forged frames.
 """
 
 from __future__ import annotations
@@ -64,11 +68,6 @@ class Direction(Enum):
     def reverse(self) -> "Direction":
         return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
 
-
-# An attacker callback (frame, direction, history) returns the deliveries
-# it makes in place of the observed frame, as (Direction, bytes) pairs that
-# are delivered in order: [] drops the frame, [(direction, frame)] relays
-# it, and further pairs inject forged frames.
 
 @dataclass(frozen=True)
 class TranscriptEvent:
@@ -148,8 +147,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # --- attacker callbacks -----------------------------------------------------
 
 class _Attacker:
-    """Shared machinery: crafts frames, tracks what it has seen in
-    plaintext, resolves its nonce guess under the configured rule."""
+    """Shared machinery: tracks what it has seen in plaintext, resolves its
+    nonce guess under the configured rule, and forges frames through the
+    three moves below, the only place an attacker builds a frame."""
 
     def __init__(self, strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random):
         self.strategy = strategy
@@ -178,112 +178,99 @@ class _Attacker:
 
     def payload(self, label: str, nonce_value: int) -> PairingPayload:
         return PairingPayload(
-            Identity(label),
-            PublicShare(self.share),
-            AuthNonce.from_int(nonce_value, self.k),
-        )
+            Identity(label), PublicShare(self.share), AuthNonce.from_int(nonce_value, self.k))
 
-    def note_payload(self, payload: PairingPayload, side: str):
+    def note_payload(self, payload: PairingPayload, side: str) -> int:
+        """Record a payload seen in the clear; returns its nonce."""
         self.seen_nonces.append(payload.auth_nonce.to_int())
         if side == "a":
             self.seen_share_a = payload.public_share.value
         else:
             self.seen_share_b = payload.public_share.value
+        return self.seen_nonces[-1]
 
     def key_with_a(self) -> int | None:
-        if self.seen_share_a is None:
-            return None
-        return pow(self.seen_share_a, self.exponent, self.params.p)
+        share = self.seen_share_a
+        return None if share is None else pow(share, self.exponent, self.params.p)
 
     def key_with_b(self) -> int | None:
-        if self.seen_share_b is None:
-            return None
-        return pow(self.seen_share_b, self.exponent, self.params.p)
+        share = self.seen_share_b
+        return None if share is None else pow(share, self.exponent, self.params.p)
 
+    def commit_toward_b(self, nonce: int) -> tuple[Direction, bytes]:
+        """Msg1 committing to our payload as alice; keeps the opening."""
+        c, self.decommit = commit(encode_payload(self.payload(INITIATOR_ID, nonce)), self.rng)
+        return Direction.A_TO_B, encode_message(Msg1(c))
 
-class ImpersonateInitiatorAttacker(_Attacker):
-    """Run the protocol with B pretending to be A (commit-first attack).
+    def reply_toward_a(self, nonce: int) -> tuple[Direction, bytes]:
+        """Msg2 carrying our payload as bob."""
+        msg = Msg2(self.params.set_id(), self.k, self.payload(RESPONDER_ID, nonce))
+        return Direction.B_TO_A, encode_message(msg)
 
-    The attacker's committed nonce must equal N_A, which is revealed only
-    after the commitment is out.  Toward A it passes N_B through unchanged
-    while substituting its own share, so S_A = N_A ^ N_B and
-    S_B = guess ^ N_B.
-    """
-
-    def __call__(self, frame, direction, history):
-        msg = decode_message(frame)
-        if isinstance(msg, Msg1) and direction is Direction.A_TO_B:
-            # replace A's commitment with our own; the guess is frozen here
-            n_e = self.resolve_guess()
-            c, d = commit(encode_payload(self.payload(INITIATOR_ID, n_e)), self.rng)
-            self.decommit = d
-            return [(direction, encode_message(Msg1(c)))]
-        if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
-            self.note_payload(msg.payload, "b")
-            forged = self.payload(RESPONDER_ID, msg.payload.auth_nonce.to_int())
-            return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
-        if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
-            self.note_payload(decode_payload(msg.d.message, self.k), "a")
-            return [(direction, encode_message(Msg3(self.decommit)))]
-        return []
+    def open_toward_b(self) -> tuple[Direction, bytes]:
+        """Msg3 with the opening kept by commit_toward_b."""
+        return Direction.A_TO_B, encode_message(Msg3(self.decommit))
 
 
 class ImpersonateResponderAttacker(_Attacker):
     """Reply to initiator A with the attacker's own payload, then carry the
-    stolen session to B.
-
-    The reply to A is sent while N_A is still hidden inside A's commitment,
-    and the later commitment toward B must be emitted before B reveals N_B;
-    the attacker aligns the two SAS values up to one blind guess of N_B.
-    """
+    stolen session to B.  The reply goes out while N_A is still hidden in
+    A's commitment, and the commitment toward B before B reveals N_B, so the
+    two SAS values align up to one blind guess of N_B."""
 
     def __call__(self, frame, direction, history):
         msg = decode_message(frame)
         if isinstance(msg, Msg1) and direction is Direction.A_TO_B:
             # absorb A's commitment and answer it ourselves
             self.own_reply_nonce = self.rng.getrandbits(self.k)
-            forged = self.payload(RESPONDER_ID, self.own_reply_nonce)
-            reply = Msg2(self.params.set_id(), self.k, forged)
-            return [(Direction.B_TO_A, encode_message(reply))]
+            return [self.reply_toward_a(self.own_reply_nonce)]
         if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
             # A decommitted to us; now impersonate A toward B
-            payload_a = decode_payload(msg.d.message, self.k)
-            self.note_payload(payload_a, "a")
-            n_a = payload_a.auth_nonce.to_int()
-            guess_n_b = self.resolve_guess()
-            n_e2 = n_a ^ self.own_reply_nonce ^ guess_n_b
-            c, d = commit(encode_payload(self.payload(INITIATOR_ID, n_e2)), self.rng)
-            self.decommit = d
-            return [(Direction.A_TO_B, encode_message(Msg1(c)))]
+            n_a = self.note_payload(decode_payload(msg.d.message, self.k), "a")
+            return [self.commit_toward_b(n_a ^ self.own_reply_nonce ^ self.resolve_guess())]
         if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
             # B's real payload; N_B arrives after our commitment is out
             self.note_payload(msg.payload, "b")
-            return [(Direction.A_TO_B, encode_message(Msg3(self.decommit)))]
+            return [self.open_toward_b()]
         return []
 
 
 class FullMitmAttacker(_Attacker):
     """Bridge two concurrent sessions, substituting the attacker's payload
-    in both.  With the adaptive rule the reply to A folds in the observed
-    N_B, which still leaves N_A to be guessed blind."""
+    in both: commit toward B to a bridge nonce, answer A with
+    N_B ^ bridge ^ guess(N_A), and open toward B.  N_A is still hidden
+    when the answer goes out, so the guess is blind."""
+
+    def bridge(self) -> int:
+        return self.rng.getrandbits(self.k)
+
+    def guess_n_a(self) -> int:
+        return self.resolve_guess()
 
     def __call__(self, frame, direction, history):
         msg = decode_message(frame)
         if isinstance(msg, Msg1) and direction is Direction.A_TO_B:
-            self.bridge_nonce = self.rng.getrandbits(self.k)
-            c, d = commit(encode_payload(self.payload(INITIATOR_ID, self.bridge_nonce)), self.rng)
-            self.decommit = d
-            return [(direction, encode_message(Msg1(c)))]
+            self.bridge_nonce = self.bridge()
+            return [self.commit_toward_b(self.bridge_nonce)]
         if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
-            self.note_payload(msg.payload, "b")
-            guess_n_a = self.resolve_guess()
-            n_e_a = msg.payload.auth_nonce.to_int() ^ self.bridge_nonce ^ guess_n_a
-            forged = self.payload(RESPONDER_ID, n_e_a)
-            return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
+            n_b = self.note_payload(msg.payload, "b")
+            return [self.reply_toward_a(n_b ^ self.bridge_nonce ^ self.guess_n_a())]
         if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
             self.note_payload(decode_payload(msg.d.message, self.k), "a")
-            return [(direction, encode_message(Msg3(self.decommit)))]
+            return [self.open_toward_b()]
         return []
+
+
+class ImpersonateInitiatorAttacker(FullMitmAttacker):
+    """Full-mitm whose bridge nonce is its guess of N_A (commit-first
+    attack): the XOR cancels, N_B reaches A unchanged, and the SAS values
+    are N_A ^ N_B at A and guess ^ N_B at B."""
+
+    def bridge(self) -> int:
+        return self.resolve_guess()
+
+    def guess_n_a(self) -> int:
+        return self.bridge_nonce
 
 
 _ATTACKERS = {
@@ -426,12 +413,8 @@ def exhaustive_attack_success(
         nonce = AuthNonce.from_int(value, k)
         rng_a, rng_b, rng_e = _child_rngs(seed)
         attacker = make_attacker(frozen, params, k, rng_e)
-        outcome = _run_trial(
-            params, k, rng_a, rng_b, attacker,
-            nonce_a=nonce if target == "initiator" else None,
-            nonce_b=nonce if target == "responder" else None,
-        )
-        successes += outcome.success
+        nonces = (nonce, None) if target == "initiator" else (None, nonce)
+        successes += _run_trial(params, k, rng_a, rng_b, attacker, *nonces).success
     return Fraction(successes, 2 ** k)
 
 
@@ -449,18 +432,7 @@ def estimate_attack_success(
     successes = 0
     for _ in range(trials):
         successes += run_mitm_trial(strategy, params, k, master.getrandbits(64)).success
-    rate = successes / trials
-    ci_low, ci_high = wilson_interval(successes, trials)
-    bound = 2.0 ** -k
-    if strategy.kind is StrategyKind.HONEST:
-        mode, passed = "honest", rate == 1.0
-    else:
-        # the bound holds unless the whole 99% interval sits above it
-        mode, passed = "montecarlo", ci_low <= bound
-    return SimReport(
-        mode, strategy.kind.value, k, trials, successes,
-        rate, ci_low, ci_high, bound, passed,
-    )
+    return sim_report(strategy, k, trials, successes)
 
 
 # --- reporting --------------------------------------------------------------
@@ -487,17 +459,28 @@ class SimReport:
         )
 
 
-def report_from_exhaustive(strategy: AttackStrategy, k: int, fraction: Fraction) -> SimReport:
-    bound = 2.0 ** -k
-    rate = float(fraction)
-    if strategy.kind is StrategyKind.HONEST:
-        passed = fraction == 1
+def sim_report(
+    strategy: AttackStrategy, k: int, trials: int, successes: int, exhaustive: bool = False
+) -> SimReport:
+    """The report on `successes` in `trials`, under the one pass rule: an
+    honest run pairs every trial, an exhaustive run (2^k trials) has at most
+    one success, and a Monte Carlo run passes unless its whole 99% interval
+    sits above 2^-k."""
+    honest = strategy.kind is StrategyKind.HONEST
+    rate, bound = successes / trials, 2.0 ** -k
+    if exhaustive:
+        mode, ci_low, ci_high = "exhaustive", rate, rate
     else:
-        passed = fraction <= Fraction(1, 2 ** k)
-    return SimReport(
-        "exhaustive", strategy.kind.value, k, 2 ** k,
-        int(fraction * 2 ** k), rate, rate, rate, bound, passed,
-    )
+        mode = "honest" if honest else "montecarlo"
+        ci_low, ci_high = wilson_interval(successes, trials)
+    if honest:
+        passed = successes == trials
+    elif exhaustive:
+        passed = successes * 2 ** k <= trials
+    else:
+        passed = ci_low <= bound
+    return SimReport(mode, strategy.kind.value, k, trials, successes,
+                     rate, ci_low, ci_high, bound, passed)
 
 
 def report_table(reports: list[SimReport]) -> list[str]:

@@ -19,6 +19,7 @@ import argparse
 import os
 import secrets
 import sys
+import threading
 
 from . import adversary
 from .adversary import AttackStrategy, GuessRule, StrategyKind
@@ -86,6 +87,8 @@ def _check_peer_args(args):
         raise ValueError(f"--listen {args.listen} is not a port in 0..65535")
     if args.connect is not None:
         args.connect = _parse_address(args.connect)
+    if not 0 < args.timeout <= threading.TIMEOUT_MAX:  # also rejects nan and inf
+        raise ValueError(f"--timeout {args.timeout} is not in (0, {threading.TIMEOUT_MAX:g}] seconds")
     Identity(args.id)
 
 
@@ -192,7 +195,8 @@ def run_sim(args) -> int:
             rule = GuessRule(args.guess) if args.guess else GuessRule.FIXED
             strategy = AttackStrategy(kind, rule, args.guess_value)
             frac = adversary.exhaustive_attack_success(strategy, params, args.k, seed=seed)
-            reports.append(adversary.report_from_exhaustive(strategy, args.k, frac))
+            reports.append(adversary.sim_report(
+                strategy, args.k, 2 ** args.k, int(frac * 2 ** args.k), exhaustive=True))
         if args.trials is not None or not args.exhaustive:
             trials = args.trials if args.trials is not None else 10000
             rule = GuessRule(args.guess) if args.guess else GuessRule.UNIFORM

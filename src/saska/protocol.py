@@ -63,7 +63,8 @@ MAX_BODY = 65535
 
 @dataclass(frozen=True)
 class Identity:
-    """Human-readable peer label, 1..64 octets of UTF-8."""
+    """Human-readable peer label, 1..64 octets of printable UTF-8: it is shown
+    beside the SAS, a line that ESC, CR, LF or a bidi control could rewrite."""
 
     label: str
 
@@ -74,6 +75,8 @@ class Identity:
             raise ValueError(f"identity is not encodable UTF-8: {exc}") from exc
         if not 1 <= len(encoded) <= MAX_IDENTITY_OCTETS:
             raise ValueError(f"identity must be 1..{MAX_IDENTITY_OCTETS} octets, got {len(encoded)}")
+        if not self.label.isprintable():
+            raise ValueError(f"identity {self.label!r} has a non-printable character")
 
     def encoded(self) -> bytes:
         return self.label.encode("utf-8")

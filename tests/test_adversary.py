@@ -17,6 +17,7 @@ from saska.adversary import (
     make_attacker,
     run_honest_session,
     run_mitm_trial,
+    sim_report,
     wilson_interval,
 )
 from saska.commitment import Decommitment
@@ -300,6 +301,31 @@ class TestEstimate:
             est = estimate_attack_success(strategy, test_params, 3, 1200, seed=1000 + i)
             covered += est.ci_low <= float(exact) <= est.ci_high
         assert covered >= 0.95 * experiments
+
+
+class TestPassRule:
+    """Every report `saska sim` prints is judged by sim_report alone."""
+
+    honest = AttackStrategy(StrategyKind.HONEST)
+    attack = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.UNIFORM)
+
+    def test_honest_with_one_unpaired_trial_fails(self):
+        assert not sim_report(self.honest, 8, 100, 99).passed
+        assert sim_report(self.honest, 8, 100, 100).passed
+
+    def test_exhaustive_two_successes_fail(self):
+        report = sim_report(self.attack, 3, 8, 2, exhaustive=True)
+        assert report.mode == "exhaustive" and not report.passed
+        assert "result=fail" in report.kv_line()
+
+    def test_exhaustive_one_success_passes(self):
+        report = sim_report(self.attack, 3, 8, 1, exhaustive=True)
+        assert report.passed and report.rate == report.ci_low == report.ci_high == 2**-3
+
+    def test_montecarlo_interval_above_bound_fails(self):
+        report = sim_report(self.attack, 8, 1000, 50)
+        assert report.mode == "montecarlo"
+        assert report.ci_low > 2**-8 and not report.passed
 
 
 class TestWilson:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,13 @@ class TestArgumentErrors:
         ["--listen", "0", "--id", ""],
         ["sim", "--strategy", "honest", "--params", "nosuch"],
         ["sim", "--strategy", "full-mitm", "--k", "-1", "--exhaustive", "--params", "test"],
+        ["--listen", "0", "--id", "bob\x1b[8m"],
+        ["--listen", "0", "--id", "a", "--timeout", "-1"],
+        ["--listen", "0", "--id", "a", "--timeout", "0"],
+        ["--listen", "0", "--id", "a", "--timeout", "nan"],
+        ["--listen", "0", "--id", "a", "--timeout", "inf"],
+        ["--connect", "127.0.0.1:9", "--id", "b", "--timeout", "-1"],
+        ["--connect", "127.0.0.1:9", "--id", "b", "--timeout", "1e300"],
     ])
     def test_usage_error(self, args):
         proc = run_cli(args)
@@ -180,6 +188,15 @@ class TestSim:
         code = main(["sim", "--strategy", "full-mitm", "--k", "8",
                      "--trials", "10", "--params", "test", "--seed", "1"])
         assert code == 2
+
+    def test_rate_above_bound_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.adversary, "exhaustive_attack_success",
+                            lambda *args, **kwargs: Fraction(2, 8))
+        code = main(["sim", "--strategy", "full-mitm", "--k", "3",
+                     "--exhaustive", "--params", "test", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "successes=2" in out and "result=fail" in out
 
 
 class TestPeerExitCodes:

@@ -87,6 +87,11 @@ class TestIdentity:
         with pytest.raises(ValueError):
             Identity("é" * 33)
 
+    @pytest.mark.parametrize("label", ["bob : 00000\x1b[8m", "bob\r", "a\nb", "bob\u202e"])
+    def test_non_printable_rejected(self, label):
+        with pytest.raises(ValueError):
+            Identity(label)
+
 
 class TestAuthNonce:
     def test_k20_is_3_octets_top_bits_zero(self):
@@ -153,11 +158,6 @@ class TestFormatSas:
 
 
 class TestWireFormat:
-    def id_strategy(self):
-        return st.text(min_size=1, max_size=16).filter(
-            lambda s: 1 <= len(s.encode("utf-8")) <= 64
-        )
-
     def test_msg1_frame_layout(self, test_params):
         _, frame = started_initiator(test_params)
         assert frame[0] == 0x01
@@ -203,13 +203,23 @@ class TestWireFormat:
         with pytest.raises(MalformedMessage):
             decode_payload(raw, 20)  # k=20 expects 3 nonce octets, field has 1
 
+    def test_escape_in_msg2_identity_rejected(self, test_params):
+        a, frame1 = started_initiator(test_params)
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        (frame2,) = b.receive(frame1)
+        assert frame2.count(b"\x00\x03bob") == 1
+        with pytest.raises(MalformedMessage):
+            a.receive(frame2.replace(b"\x00\x03bob", b"\x00\x03bo\x1b"))
+        assert a.phase is Phase.ABORTED
+
     def test_bad_utf8_identity_rejected(self):
         raw = b"\x00\x02\xff\xfe" + b"\x00\x01\x08" + b"\x00\x01\x01"
         with pytest.raises(MalformedMessage):
             decode_payload(raw, 8)
 
     @given(
-        label=st.text(min_size=1, max_size=16).filter(lambda s: len(s.encode()) <= 64),
+        label=st.text(st.characters(exclude_categories=("C", "Z")) | st.just(" "),
+                      min_size=1, max_size=16),
         share=st.integers(min_value=1, max_value=2**256),
         k=st.integers(min_value=1, max_value=64),
         nonce=st.integers(min_value=0),
