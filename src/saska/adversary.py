@@ -383,11 +383,25 @@ def run_honest_session(params: DhParams, k: int = 20, seed=None) -> AttackOutcom
     return run_mitm_trial(AttackStrategy(StrategyKind.HONEST), params, k, seed)
 
 
-def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None) -> AttackOutcome:
-    """One full protocol execution with the strategy's attacker interposed."""
+def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None,
+                   nonce: AuthNonce | None = None) -> AttackOutcome:
+    """One full protocol execution with the strategy's attacker interposed;
+    `nonce`, if given, is the honest nonce on `strategy.guessed_side`."""
     rng_a, rng_b, rng_e = _child_rngs(seed)
     attacker = make_attacker(strategy, params, k, rng_e)
-    return _run_trial(params, k, rng_a, rng_b, attacker)
+    nonces = (nonce, None) if strategy.guessed_side == "initiator" else (None, nonce)
+    return _run_trial(params, k, rng_a, rng_b, attacker, *nonces)
+
+
+def check_run(strategy: AttackStrategy, k: int, trials: int | None = None) -> None:
+    """Refuse a run before its first trial; `trials` None is the enumeration."""
+    if trials is None:
+        if k > EXHAUSTIVE_MAX_K:
+            raise KTooLarge(f"k = {k} exceeds the enumeration bound {EXHAUSTIVE_MAX_K}")
+    elif strategy.kind is not StrategyKind.HONEST and trials < 1000:
+        raise ValueError(f"need at least 1000 trials for a meaningful rate, got {trials}")
+    elif trials < 1:
+        raise ValueError("trials must be positive")
 
 
 def exhaustive_attack_success(
@@ -396,25 +410,15 @@ def exhaustive_attack_success(
     """Exact attack success fraction by enumerating all 2^k values of the
     honest nonce the attacker must guess, holding everything else fixed.
 
-    The attacker guess is fixed across the enumeration: a strategy with the
-    uniform rule has its guess drawn once from the seed.
+    Every trial reuses one seed, so the attacker makes the same guess in
+    all 2^k trials under any rule, as long as its random draws do not
+    depend on nonce values (true of every built-in attacker).
     """
-    if k > EXHAUSTIVE_MAX_K:
-        raise KTooLarge(f"k = {k} exceeds the enumeration bound {EXHAUSTIVE_MAX_K}")
+    check_run(strategy, k)
     seed = 0 if seed is None else seed
-    frozen = strategy
-    if strategy.guess_rule is GuessRule.UNIFORM:
-        _, _, rng_e = _child_rngs(seed)
-        frozen = AttackStrategy(strategy.kind, GuessRule.FIXED, rng_e.getrandbits(k))
-
-    target = frozen.guessed_side
-    successes = 0
-    for value in range(2 ** k):
-        nonce = AuthNonce.from_int(value, k)
-        rng_a, rng_b, rng_e = _child_rngs(seed)
-        attacker = make_attacker(frozen, params, k, rng_e)
-        nonces = (nonce, None) if target == "initiator" else (None, nonce)
-        successes += _run_trial(params, k, rng_a, rng_b, attacker, *nonces).success
+    successes = sum(
+        run_mitm_trial(strategy, params, k, seed, AuthNonce.from_int(value, k)).success
+        for value in range(2 ** k))
     return Fraction(successes, 2 ** k)
 
 
@@ -424,14 +428,10 @@ def estimate_attack_success(
     """Monte Carlo attack rate over independent honest randomness, with a
     99% two-sided binomial (Wilson) confidence interval, as the report
     `saska sim` prints."""
-    if strategy.kind is not StrategyKind.HONEST and trials < 1000:
-        raise ValueError(f"need at least 1000 trials for a meaningful rate, got {trials}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    check_run(strategy, k, trials)
     master = random.Random(seed)
-    successes = 0
-    for _ in range(trials):
-        successes += run_mitm_trial(strategy, params, k, master.getrandbits(64)).success
+    successes = sum(
+        run_mitm_trial(strategy, params, k, master.getrandbits(64)).success for _ in range(trials))
     return sim_report(strategy, k, trials, successes)
 
 

@@ -189,20 +189,24 @@ def run_sim(args) -> int:
     kind = STRATEGY_NAMES[args.strategy]
     seed = args.seed if args.seed is not None else secrets.randbits(64)
 
+    rule = GuessRule(args.guess) if args.guess else None
+    runs = []  # (strategy, Monte Carlo trials or None for the enumeration)
+    if args.exhaustive:
+        runs.append((AttackStrategy(kind, rule or GuessRule.FIXED, args.guess_value), None))
+    if args.trials is not None or not args.exhaustive:
+        trials = args.trials if args.trials is not None else 10000
+        runs.append((AttackStrategy(kind, rule or GuessRule.UNIFORM, args.guess_value), trials))
     reports = []
     try:
-        if args.exhaustive:
-            rule = GuessRule(args.guess) if args.guess else GuessRule.FIXED
-            strategy = AttackStrategy(kind, rule, args.guess_value)
-            frac = adversary.exhaustive_attack_success(strategy, params, args.k, seed=seed)
-            reports.append(adversary.sim_report(
-                strategy, args.k, 2 ** args.k, int(frac * 2 ** args.k), exhaustive=True))
-        if args.trials is not None or not args.exhaustive:
-            trials = args.trials if args.trials is not None else 10000
-            rule = GuessRule(args.guess) if args.guess else GuessRule.UNIFORM
-            strategy = AttackStrategy(kind, rule, args.guess_value)
-            reports.append(
-                adversary.estimate_attack_success(strategy, params, args.k, trials, seed=seed))
+        for strategy, trials in runs:  # every run is checked before the first trial
+            adversary.check_run(strategy, args.k, trials)
+        for strategy, trials in runs:
+            if trials is None:
+                frac = adversary.exhaustive_attack_success(strategy, params, args.k, seed=seed)
+                reports.append(adversary.sim_report(
+                    strategy, args.k, 2 ** args.k, int(frac * 2 ** args.k), exhaustive=True))
+            else:
+                reports.append(adversary.estimate_attack_success(strategy, params, args.k, trials, seed=seed))
     except (PairingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

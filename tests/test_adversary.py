@@ -30,6 +30,7 @@ from saska.protocol import (
     Msg3,
     PairingPayload,
     decode_message,
+    decode_payload,
     encode_message,
     encode_payload,
 )
@@ -471,3 +472,30 @@ class TestInterposition:
     def test_non_delivery_is_type_error(self, test_params, bad):
         with pytest.raises(TypeError, match="delivery"):
             run_through(lambda frame, direction, history: [bad(direction, frame)], test_params)
+
+
+class ShareSwap(_Attacker):
+    """Relay Msg1 and Msg3, and answer B's Msg2 toward A with the attacker's
+    share and B's own nonce: ROADMAP item 1's share-swap."""
+
+    def __call__(self, frame, direction, history):
+        msg = decode_message(frame)
+        if isinstance(msg, Msg2):
+            return [self.reply_toward_a(self.note_payload(msg.payload, "b"))]
+        if isinstance(msg, Msg3):
+            self.note_payload(decode_payload(msg.d.message, self.k), "a")
+        return [(direction, frame)]
+
+
+def test_known_defect_share_swap_wins(p40_params):
+    """KNOWN DEFECT, pinned so that it cannot go unnoticed: the SAS binds
+    both nonces but not the responder's public share, so swapping that
+    share in Msg2 wins every trial with no guess.  When ROADMAP item 1(b)
+    binds both payloads into the SAS, flip this test to assert that the
+    share-swap fails."""
+    for seed in range(20):
+        rng_a, rng_b, rng_e = _child_rngs(seed)
+        attacker = ShareSwap(AttackStrategy(StrategyKind.FULL_MITM), p40_params, 20, rng_e)
+        out = _run_trial(p40_params, 20, rng_a, rng_b, attacker)
+        assert out.success and out.sas_match and out.attacker_key_with_a, seed
+        assert out.aborts == (), seed

@@ -189,6 +189,22 @@ class TestSim:
                      "--trials", "10", "--params", "test", "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["--strategy", "full-mitm", "--k", "12", "--exhaustive", "--trials", "10"],
+         "error: need at least 1000 trials for a meaningful rate, got 10"),
+        (["--strategy", "honest", "--k", "10", "--exhaustive", "--trials", "0"],
+         "error: trials must be positive"),
+    ], ids=["attack-trials-below-1000", "zero-honest-trials"])
+    def test_bad_trials_refused_before_any_trial(self, capsys, monkeypatch, args, message):
+        calls = []
+        real = cli.adversary._run_trial
+        monkeypatch.setattr(cli.adversary, "_run_trial",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        code = main(["sim", *args, "--params", "test", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert calls == []
+
     def test_rate_above_bound_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.adversary, "exhaustive_attack_success",
                             lambda *args, **kwargs: Fraction(2, 8))
@@ -217,6 +233,7 @@ class TestPeerExitCodes:
         code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
                      "--params", "test", "--timeout", "0.2"])
         t.join()
+        accepted[0].close()
         listener.close()
         assert code == EXIT_TIMEOUT
 
@@ -227,6 +244,7 @@ class TestPeerExitCodes:
             chan = listener.accept(5.0)
             chan.recv_frame(5.0)  # discard msg1
             chan.send_frame(bytes([0x07]) + (3).to_bytes(4, "big") + b"abc")
+            chan.close()
 
         t = threading.Thread(target=bad_server)
         t.start()
@@ -273,6 +291,7 @@ class TestPeerExitCodes:
             peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
             respond(chan, peer)
             box["sas"] = peer.sas
+            chan.close()
 
         t = threading.Thread(target=responder)
         t.start()
@@ -307,6 +326,7 @@ class TestPeerExitCodes:
             peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
             respond(chan, peer)
             box["sas"] = peer.sas
+            chan.close()
 
         t = threading.Thread(target=responder)
         t.start()
@@ -352,6 +372,7 @@ class TestPeerExitCodes:
             peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
             respond(chan, peer)
             box["sas"] = peer.sas
+            chan.close()
 
         t = threading.Thread(target=responder)
         t.start()
