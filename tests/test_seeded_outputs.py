@@ -17,6 +17,7 @@ from saska.adversary import (
     exhaustive_attack_success,
     run_mitm_trial,
 )
+from saska.group import PARAM_SETS
 
 SEEDS = range(60)
 FIXED_GUESS = 3
@@ -67,3 +68,19 @@ def seeded_digest(params, k: int) -> str:
 def test_seeded_outputs_unchanged(request, name, k):
     params = request.getfixturevalue(f"{name}_params")
     assert seeded_digest(params, k) == EXPECTED[(name, k)]
+
+
+MODP2048_SEEDS = range(8)
+MODP2048_EXPECTED = "834fe7f9da34612ee2a479e0b8e9c92e2ae144c005f348e1730e9469baeb1ac8"
+
+
+def test_modp2048_outputs_unchanged():
+    # every trial on the full-size group: pins g^x, the attacker's share and
+    # the key path there without the cost of the exhaustive rates above
+    params = PARAM_SETS["modp2048"]
+    h = hashlib.sha256()
+    for kind in StrategyKind:
+        strategy = AttackStrategy(kind, GuessRule.UNIFORM)
+        for seed in MODP2048_SEEDS:
+            h.update(repr(_raw(run_mitm_trial(strategy, params, 20, seed))).encode())
+    assert h.hexdigest() == MODP2048_EXPECTED
