@@ -33,7 +33,7 @@ from statistics import NormalDist
 
 from .commitment import commit
 from .errors import KTooLarge, PairingError
-from .group import DhParams, PublicShare, gen_private_share
+from .group import DhParams, PublicShare, gen_private_share, pub_share
 from .protocol import (
     AuthNonce,
     Identity,
@@ -156,8 +156,9 @@ class _Attacker:
         self.params = params
         self.k = k
         self.rng = rng
-        self.exponent = gen_private_share(params, rng).exponent
-        self.share = pow(params.g, self.exponent, params.p)
+        priv = gen_private_share(params, rng)
+        self.exponent = priv.exponent
+        self.share = pub_share(params, priv).value
         self.seen_nonces: list[int] = []   # plaintext nonces, in observation order
         self.seen_share_a: int | None = None
         self.seen_share_b: int | None = None

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from saska.group import (
     DhParams,
     PrivateShare,
     PublicShare,
+    _fixed_base_rows,
     derive_key,
     gen_private_share,
     in_subgroup,
@@ -263,11 +268,13 @@ class TestBuiltinSets:
 # 29 = 4 * 7 + 1: a Schnorr group, not a safe prime.  Its quadratic residues
 # form the order-14 subgroup, so a Jacobi test would wrongly accept half of them.
 SCHNORR = parse_params_text("29\n7\n16\n")
-# Groups just above 2^31, where the Jacobi test takes over from pow on safe
-# primes: the smallest safe prime there, and a Schnorr group p = 4q + 1.
+# Groups just above 2^31, where the Jacobi test and the fixed-base table
+# take over from pow: the smallest safe prime there, and a Schnorr group
+# p = 4q + 1.  SAFE31 is the largest safe prime below 2^31, which keeps pow.
 SAFE32 = parse_params_text("2147483783\n1073741891\n4\n")
 SCHNORR32 = parse_params_text("2147483693\n536870923\n16\n")
-GROUPS = {**PARAM_SETS, "schnorr29": SCHNORR, "safe32": SAFE32, "schnorr32": SCHNORR32}
+SAFE31 = parse_params_text("2147483579\n1073741789\n4\n")
+GROUPS = {**PARAM_SETS, "schnorr29": SCHNORR, "safe32": SAFE32, "schnorr32": SCHNORR32, "safe31": SAFE31}
 
 
 def reference_in_subgroup(params, value):
@@ -365,3 +372,71 @@ def test_int_to_octets_minimal():
     assert int_to_octets(1) == b"\x01"
     assert int_to_octets(255) == b"\xff"
     assert int_to_octets(256) == b"\x01\x00"
+
+
+def edge_exponents(params):
+    """0, 1, the top of the table's range, exponents whose 5-bit windows are
+    all ones, and exponents at or above exponent_limit (pow path)."""
+    limit = params.exponent_limit
+    bits = (limit - 1).bit_length()
+    ones = [(1 << n) - 1 for n in (*range(5, bits, 5), bits)]
+    return sorted({0, 1, 2, limit - 1, limit, params.q - 1, params.q, 2 * params.q, *ones})
+
+
+def exponents(params):
+    limit = params.exponent_limit
+    return st.one_of(
+        st.integers(min_value=0, max_value=limit - 1),
+        st.integers(min_value=0, max_value=limit.bit_length()).map(lambda n: (1 << n) - 1),
+        st.integers(min_value=limit, max_value=2 * params.q),
+    )
+
+
+class TestPubShareReference:
+    """pub_share against pow(g, x, p), the reference for the fixed-base table."""
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_edge_exponents(self, name):
+        params = GROUPS[name]
+        for x in edge_exponents(params):
+            assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p), x
+
+    @pytest.mark.parametrize("name", ["test", "p40", "schnorr29", "safe32", "schnorr32", "safe31"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pow(self, name, data):
+        params = GROUPS[name]
+        x = data.draw(exponents(params))
+        assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_pow_modp2048(self, data):
+        params = PARAM_SETS["modp2048"]
+        x = data.draw(exponents(params))
+        assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p)
+
+    def test_table_shape(self):
+        # one row of 32 per 5-bit window below exponent_limit
+        assert [len(_fixed_base_rows(PARAM_SETS[n])) for n in ("p40", "modp2048")] == [27, 52]
+        assert {len(row) for row in _fixed_base_rows(PARAM_SETS["modp2048"])} == {32}
+        assert SAFE31.p < 2**31 < SAFE32.p
+
+    def test_no_table_until_a_large_group_needs_one(self):
+        """Importing the CLI and simulating on the test group build no table,
+        so CLI start-up and test-group trials keep their cost."""
+        code = (
+            "import saska.cli\n"
+            "from saska import group\n"
+            "from saska.adversary import AttackStrategy, StrategyKind, run_mitm_trial\n"
+            "sizes = [group._fixed_base_rows.cache_info().currsize]\n"
+            "for name in ('test', 'p40'):\n"
+            "    run_mitm_trial(AttackStrategy(StrategyKind.FULL_MITM), group.PARAM_SETS[name], 4, 1)\n"
+            "    sizes.append(group._fixed_base_rows.cache_info().currsize)\n"
+            "print(sizes)\n"
+        )
+        src = str(Path(__file__).parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 1]\n"
