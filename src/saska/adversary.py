@@ -283,9 +283,14 @@ _ATTACKERS = {
 
 # --- trial driver -----------------------------------------------------------
 
-def _child_rngs(seed) -> tuple[random.Random, random.Random, random.Random]:
+def _child_rngs(seed, attacker: bool = True) -> tuple[random.Random, random.Random, random.Random | None]:
+    """A's, B's and the attacker's generators, seeded in that order from
+    `seed`.  Without an attacker the third is None: nothing would draw
+    from it, and A's and B's seeds come first either way."""
     master = random.Random(seed)
-    return tuple(random.Random(master.getrandbits(64)) for _ in range(3))
+    rng_a = random.Random(master.getrandbits(64))
+    rng_b = random.Random(master.getrandbits(64))
+    return rng_a, rng_b, random.Random(master.getrandbits(64)) if attacker else None
 
 
 def _run_trial(
@@ -372,7 +377,7 @@ def _run_trial(
     )
 
 
-def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random):
+def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random | None):
     if strategy.kind is StrategyKind.HONEST:
         return None
     return _ATTACKERS[strategy.kind](strategy, params, k, rng)
@@ -388,7 +393,7 @@ def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None
                    nonce: AuthNonce | None = None) -> AttackOutcome:
     """One full protocol execution with the strategy's attacker interposed;
     `nonce`, if given, is the honest nonce on `strategy.guessed_side`."""
-    rng_a, rng_b, rng_e = _child_rngs(seed)
+    rng_a, rng_b, rng_e = _child_rngs(seed, strategy.kind is not StrategyKind.HONEST)
     attacker = make_attacker(strategy, params, k, rng_e)
     nonces = (nonce, None) if strategy.guessed_side == "initiator" else (None, nonce)
     return _run_trial(params, k, rng_a, rng_b, attacker, *nonces)

@@ -174,15 +174,18 @@ def test_criterion_5_dh_oracle_equivalence(test_params):
     report(5, mismatches == 0, f"100-point sweep against the naive oracle, {mismatches} mismatches")
 
 
-def test_criterion_6_cli_end_to_end(tmp_path):
-    """Two loopback CLI processes pair with identical SAS and fingerprints."""
+def cli_pairing(*extra_args):
+    """Pair two loopback CLI processes, each confirming with "y".  Returns
+    whether both exited 0 with equal 5-digit SAS values and equal
+    fingerprints, the report detail, and the wall time."""
     env = dict(os.environ)
     env.pop("SASKA_PARAMS", None)
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
 
     start = time.monotonic()
     listener = subprocess.Popen(
-        [sys.executable, "-m", "saska.cli", "--listen", "0", "--id", "alice", "--timeout", "10"],
+        [sys.executable, "-m", "saska.cli", "--listen", "0", "--id", "alice", "--timeout", "10",
+         *extra_args],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=env, text=True,
     )
@@ -191,7 +194,7 @@ def test_criterion_6_cli_end_to_end(tmp_path):
         port = int(re.match(r"listening :(\d+)", line).group(1))
         connector = subprocess.Popen(
             [sys.executable, "-m", "saska.cli", "--connect", f"127.0.0.1:{port}",
-             "--id", "bob", "--timeout", "10"],
+             "--id", "bob", "--timeout", "10", *extra_args],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=env, text=True,
         )
@@ -209,21 +212,32 @@ def test_criterion_6_cli_end_to_end(tmp_path):
     fp_l = re.search(r"fingerprint: ([0-9a-f]{8})", out_l)
     fp_c = re.search(r"fingerprint: ([0-9a-f]{8})", out_c)
 
-    ok = bool(
+    paired = bool(
         listener.returncode == 0
         and connector.returncode == 0
         and sas_l and sas_c and sas_l.group(1) == sas_c.group(1)
         and len(sas_l.group(1)) == 5
         and fp_l and fp_c and fp_l.group(1) == fp_c.group(1)
-        and elapsed < 1.0
     )
-    report(
-        6,
-        ok,
+    detail = (
         f"exit codes ({listener.returncode}, {connector.returncode}), "
         f"sas {sas_l.group(1) if sas_l else '?'} == {sas_c.group(1) if sas_c else '?'} (5 hex digits), "
-        f"fingerprints match, {elapsed:.2f}s (< 1s)",
+        f"fingerprints match"
     )
+    return paired, detail, elapsed
+
+
+def test_criterion_6_cli_end_to_end(tmp_path):
+    """Two loopback CLI processes pair with identical SAS and fingerprints."""
+    paired, detail, elapsed = cli_pairing()
+    report(6, paired and elapsed < 1.0, f"{detail}, {elapsed:.2f}s (< 1s)")
+
+
+def test_criterion_6_cli_end_to_end_modp2048(tmp_path):
+    """The same pairing on the full-size group, where each peer's g^x is
+    its group's first use of the fixed-base table."""
+    paired, detail, elapsed = cli_pairing("--params", "modp2048")
+    report(6, paired, f"{detail} on modp2048, {elapsed:.2f}s")
 
 
 def test_criterion_7_wire_stability(test_params):

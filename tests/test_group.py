@@ -15,6 +15,7 @@ from saska.group import (
     PrivateShare,
     PublicShare,
     _fixed_base_rows,
+    _table_entry,
     derive_key,
     gen_private_share,
     in_subgroup,
@@ -417,9 +418,10 @@ class TestPubShareReference:
         assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p)
 
     def test_table_shape(self):
-        # one row of 32 per 5-bit window below exponent_limit
-        assert [len(_fixed_base_rows(PARAM_SETS[n])) for n in ("p40", "modp2048")] == [27, 52]
-        assert {len(row) for row in _fixed_base_rows(PARAM_SETS["modp2048"])} == {32}
+        # one row of 256 per octet below exponent_limit
+        assert [len(_fixed_base_rows(PARAM_SETS[n])) for n in ("p40", "modp2048")] == [17, 32]
+        for name in ("p40", "modp2048"):
+            assert {len(row) for row in _fixed_base_rows(PARAM_SETS[name])} == {256}
         assert SAFE31.p < 2**31 < SAFE32.p
 
     def test_no_table_until_a_large_group_needs_one(self):
@@ -440,3 +442,30 @@ class TestPubShareReference:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[0, 0, 1]\n"
+
+
+class TestLazyTable:
+    """The fixed-base table fills each entry on first use."""
+
+    def test_every_entry_in_any_order(self):
+        params = PARAM_SETS["p40"]
+        _fixed_base_rows.cache_clear()
+        rows = _fixed_base_rows(params)
+        cells = [(i, d) for i in range(len(rows)) for d in range(256)]
+        random.Random(11).shuffle(cells)
+        for i, d in cells:
+            assert _table_entry(rows[i], d, params.p) == pow(params.g, d * 256**i, params.p), (i, d)
+        for i, row in enumerate(rows):
+            assert row == [pow(params.g, d * 256**i, params.p) for d in range(256)], i
+
+    def test_cold_share_fills_at_most_one_chain_per_row(self):
+        """One pub_share fills, per row, 0, 1 and at most the seven other
+        prefixes of its octet: no up-front build."""
+        params = PARAM_SETS["modp2048"]
+        _fixed_base_rows.cache_clear()
+        x = params.exponent_limit - 1 - 0x5A  # every octet non-zero, the low one odd
+        assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p)
+        filled = [sum(entry is not None for entry in row) for row in _fixed_base_rows(params)]
+        assert len(filled) == 32
+        assert max(filled) <= 9
+        assert sum(filled) > 2 * 32
