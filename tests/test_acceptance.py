@@ -233,7 +233,7 @@ def test_criterion_6_cli_end_to_end(tmp_path):
     report(6, paired and elapsed < 1.0, f"{detail}, {elapsed:.2f}s (< 1s)")
 
 
-def test_criterion_6_cli_end_to_end_modp2048(tmp_path):
+def test_criterion_6_cli_end_to_end_modp2048():
     """The same pairing on the full-size group, where each peer's g^x is
     its group's first use of the fixed-base table."""
     paired, detail, elapsed = cli_pairing("--params", "modp2048")

@@ -376,11 +376,12 @@ def test_int_to_octets_minimal():
 
 
 def edge_exponents(params):
-    """0, 1, the top of the table's range, exponents whose 5-bit windows are
-    all ones, and exponents at or above exponent_limit (pow path)."""
+    """0, 1, the top of the table's range, all-ones exponents that end on an
+    octet boundary or inside an octet, and exponents at or above
+    exponent_limit (pow path)."""
     limit = params.exponent_limit
     bits = (limit - 1).bit_length()
-    ones = [(1 << n) - 1 for n in (*range(5, bits, 5), bits)]
+    ones = [(1 << n) - 1 for n in (*range(5, bits, 5), *range(8, bits, 8), bits)]
     return sorted({0, 1, 2, limit - 1, limit, params.q - 1, params.q, 2 * params.q, *ones})
 
 
