@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
@@ -50,6 +49,7 @@ from .protocol import (
     encode_message,
     encode_payload,
 )
+from .record import Record, set_field
 
 EXHAUSTIVE_MAX_K = 16
 CONFIDENCE = 0.99  # of the Monte Carlo interval
@@ -69,14 +69,16 @@ class Direction(Enum):
         return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(Record):
     """One observed frame plus the deliveries the adversary made of it."""
 
-    seq: int
-    direction: Direction
-    frame: bytes
-    delivered: tuple  # of (Direction, bytes), in delivery order
+    __slots__ = ("seq", "direction", "frame", "delivered")
+
+    def __init__(self, seq: int, direction: Direction, frame: bytes, delivered: tuple):
+        set_field(self, "seq", seq)
+        set_field(self, "direction", direction)
+        set_field(self, "frame", frame)
+        set_field(self, "delivered", delivered)  # of (Direction, bytes), in delivery order
 
 
 class StrategyKind(Enum):
@@ -92,8 +94,7 @@ class GuessRule(Enum):
     ADAPTIVE = "adaptive"
 
 
-@dataclass(frozen=True)
-class AttackStrategy:
+class AttackStrategy(Record):
     """A strategy kind plus the rule for choosing the blind nonce guess.
 
     * fixed: always guess `fixed_guess` (masked to k bits).
@@ -103,9 +104,12 @@ class AttackStrategy:
       cannot raise the hit rate; the simulator demonstrates that.
     """
 
-    kind: StrategyKind
-    guess_rule: GuessRule = GuessRule.UNIFORM
-    fixed_guess: int = 0
+    __slots__ = ("kind", "guess_rule", "fixed_guess")
+
+    def __init__(self, kind: StrategyKind, guess_rule: GuessRule = GuessRule.UNIFORM, fixed_guess: int = 0):
+        set_field(self, "kind", kind)
+        set_field(self, "guess_rule", guess_rule)
+        set_field(self, "fixed_guess", fixed_guess)
 
     @property
     def guessed_side(self) -> str:
@@ -115,19 +119,24 @@ class AttackStrategy:
         return "initiator"
 
 
-@dataclass
-class AttackOutcome:
+class AttackOutcome(Record):
     """Result of one protocol run under an interposed adversary."""
 
-    success: bool
-    sas_a: Sas | None
-    sas_b: Sas | None
-    sas_match: bool
-    keys_equal: bool
-    attacker_key_with_a: bool
-    attacker_key_with_b: bool
-    transcript: tuple  # of TranscriptEvent, in send order
-    aborts: tuple = ()  # "<side>: <error>" for every rejected frame
+    __slots__ = ("success", "sas_a", "sas_b", "sas_match", "keys_equal",
+                 "attacker_key_with_a", "attacker_key_with_b", "transcript", "aborts")
+
+    def __init__(self, success: bool, sas_a: Sas | None, sas_b: Sas | None, sas_match: bool,
+                 keys_equal: bool, attacker_key_with_a: bool, attacker_key_with_b: bool,
+                 transcript: tuple, aborts: tuple = ()):
+        set_field(self, "success", success)
+        set_field(self, "sas_a", sas_a)
+        set_field(self, "sas_b", sas_b)
+        set_field(self, "sas_match", sas_match)
+        set_field(self, "keys_equal", keys_equal)
+        set_field(self, "attacker_key_with_a", attacker_key_with_a)
+        set_field(self, "attacker_key_with_b", attacker_key_with_b)
+        set_field(self, "transcript", transcript)  # of TranscriptEvent, in send order
+        set_field(self, "aborts", aborts)  # "<side>: <error>" for every rejected frame
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -443,18 +452,22 @@ def estimate_attack_success(
 
 # --- reporting --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimReport:
-    mode: str          # "exhaustive" | "montecarlo" | "honest"
-    strategy: str
-    k: int
-    trials: int
-    successes: int
-    rate: float
-    ci_low: float
-    ci_high: float
-    bound: float
-    passed: bool
+class SimReport(Record):
+    __slots__ = ("mode", "strategy", "k", "trials", "successes", "rate", "ci_low", "ci_high",
+                 "bound", "passed")
+
+    def __init__(self, mode: str, strategy: str, k: int, trials: int, successes: int,
+                 rate: float, ci_low: float, ci_high: float, bound: float, passed: bool):
+        set_field(self, "mode", mode)  # "exhaustive" | "montecarlo" | "honest"
+        set_field(self, "strategy", strategy)
+        set_field(self, "k", k)
+        set_field(self, "trials", trials)
+        set_field(self, "successes", successes)
+        set_field(self, "rate", rate)
+        set_field(self, "ci_low", ci_low)
+        set_field(self, "ci_high", ci_high)
+        set_field(self, "bound", bound)
+        set_field(self, "passed", passed)
 
     def kv_line(self) -> str:
         return (

@@ -21,8 +21,6 @@ import secrets
 import sys
 import threading
 
-from . import adversary
-from .adversary import AttackStrategy, GuessRule, StrategyKind
 from .errors import (
     ChannelClosed,
     MalformedMessage,
@@ -53,8 +51,6 @@ EXIT_TIMEOUT = 5
 
 PARAMS_ENV_VAR = "SASKA_PARAMS"
 DEFAULT_TIMEOUT = 30.0  # seconds per awaited message (--timeout)
-
-STRATEGY_NAMES = {s.value: s for s in StrategyKind}
 
 
 def _resolve_params(spec: str | None) -> DhParams:
@@ -113,11 +109,13 @@ def _peer_parser() -> argparse.ArgumentParser:
 
 
 def _sim_parser() -> argparse.ArgumentParser:
+    from .adversary import GuessRule, StrategyKind  # a peer never loads the simulator
+
     p = argparse.ArgumentParser(
         prog="saska sim",
         description="Measure man-in-the-middle attack success rates.",
     )
-    p.add_argument("--strategy", required=True, choices=sorted(STRATEGY_NAMES))
+    p.add_argument("--strategy", required=True, choices=sorted(s.value for s in StrategyKind))
     p.add_argument("--k", type=int, default=DEFAULT_K, metavar="BITS")
     p.add_argument("--trials", type=int, default=None, metavar="N",
                    help="Monte Carlo trial count (default 10000 unless --exhaustive)")
@@ -185,8 +183,11 @@ def run_peer(args) -> int:
 
 
 def run_sim(args) -> int:
+    from . import adversary
+    from .adversary import AttackStrategy, GuessRule, StrategyKind
+
     params = args.params
-    kind = STRATEGY_NAMES[args.strategy]
+    kind = StrategyKind(args.strategy)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
 
     rule = GuessRule(args.guess) if args.guess else None

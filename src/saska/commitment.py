@@ -13,9 +13,9 @@ import hashlib
 import hmac
 import random
 import secrets
-from dataclasses import dataclass
 
 from .errors import EmptyMessage, OpenFailed, RngFailure
+from .record import Record, set_field
 
 # Fixed 8-octet ASCII domain separation tag; both peers use it implicitly,
 # preventing digests from being replayed across protocols.
@@ -25,19 +25,21 @@ DIGEST_LEN = 32
 NONCE_LEN = 32
 
 
-@dataclass(frozen=True)
-class Commitment:
-    digest: bytes
+class Commitment(Record):
+    __slots__ = ("digest",)
 
-    def __post_init__(self):
-        if len(self.digest) != DIGEST_LEN:
-            raise ValueError(f"commitment digest must be {DIGEST_LEN} octets, got {len(self.digest)}")
+    def __init__(self, digest: bytes):
+        if len(digest) != DIGEST_LEN:
+            raise ValueError(f"commitment digest must be {DIGEST_LEN} octets, got {len(digest)}")
+        set_field(self, "digest", digest)
 
 
-@dataclass(frozen=True)
-class Decommitment:
-    nonce: bytes
-    message: bytes
+class Decommitment(Record):
+    __slots__ = ("nonce", "message")
+
+    def __init__(self, nonce: bytes, message: bytes):
+        set_field(self, "nonce", nonce)
+        set_field(self, "message", message)
 
 
 def _digest(nonce: bytes, message: bytes) -> bytes:

@@ -34,7 +34,6 @@ import functools
 import hashlib
 import random
 import secrets
-from dataclasses import dataclass, field
 
 from .errors import (
     BadGenerator,
@@ -43,6 +42,7 @@ from .errors import (
     RngFailure,
     SubgroupCheckFailed,
 )
+from .record import Record, set_field
 
 PRIMALITY_ROUNDS = 64
 
@@ -71,51 +71,55 @@ def _safe_prime_exponent_limit(p: int, q: int) -> int:
     return min(q, 1 << max(_MIN_EXPONENT_BITS, 2 * strength))
 
 
-@dataclass(frozen=True)
-class DhParams:
+class DhParams(Record):
     """Public group triple (p, q, g).  Construct via validate_params().
 
     safe_prime (p == 2q + 1) and exponent_limit are derived from the
     triple; they take no part in equality, hashing or set_id().
     """
 
-    p: int
-    q: int
-    g: int
-    safe_prime: bool = field(init=False, repr=False, compare=False)
-    exponent_limit: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "q", "g", "safe_prime", "exponent_limit")
+    _fields = ("p", "q", "g")
 
-    def __post_init__(self):
-        safe = self.p == 2 * self.q + 1
-        limit = _safe_prime_exponent_limit(self.p, self.q) if safe else self.q
-        object.__setattr__(self, "safe_prime", safe)
-        object.__setattr__(self, "exponent_limit", limit)
+    def __init__(self, p: int, q: int, g: int):
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+        set_field(self, "g", g)
+        safe = p == 2 * q + 1
+        set_field(self, "safe_prime", safe)
+        set_field(self, "exponent_limit", _safe_prime_exponent_limit(p, q) if safe else q)
 
     def set_id(self) -> int:
         """32-bit identifier carried on the wire to detect mismatched sets."""
         return _params_set_id(self)
 
 
-@dataclass(frozen=True)
-class PrivateShare:
+class PrivateShare(Record):
     """Secret exponent in [1, params.exponent_limit - 1]."""
 
-    exponent: int
+    __slots__ = ("exponent",)
+
+    def __init__(self, exponent: int):
+        set_field(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class PublicShare:
+class PublicShare(Record):
     """Group element g^exponent mod p."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(Record):
     """Shared secret, as a group element and its canonical octet encoding."""
 
-    value: int
-    octets: bytes
+    __slots__ = ("value", "octets")
+
+    def __init__(self, value: int, octets: bytes):
+        set_field(self, "value", value)
+        set_field(self, "octets", octets)
 
 
 def int_to_octets(n: int) -> bytes:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import random
 import secrets
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .commitment import (
@@ -48,6 +47,7 @@ from .group import (
     int_to_octets,
     pub_share,
 )
+from .record import Record, set_field
 
 DEFAULT_K = 20
 MAX_K = 64
@@ -61,22 +61,22 @@ HEADER_LEN = 5
 MAX_BODY = 65535
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """Human-readable peer label, 1..64 octets of printable UTF-8: it is shown
     beside the SAS, a line that ESC, CR, LF or a bidi control could rewrite."""
 
-    label: str
+    __slots__ = ("label",)
 
-    def __post_init__(self):
+    def __init__(self, label: str):
         try:
-            encoded = self.label.encode("utf-8")
+            encoded = label.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ValueError(f"identity is not encodable UTF-8: {exc}") from exc
         if not 1 <= len(encoded) <= MAX_IDENTITY_OCTETS:
             raise ValueError(f"identity must be 1..{MAX_IDENTITY_OCTETS} octets, got {len(encoded)}")
-        if not self.label.isprintable():
-            raise ValueError(f"identity {self.label!r} has a non-printable character")
+        if not label.isprintable():
+            raise ValueError(f"identity {label!r} has a non-printable character")
+        set_field(self, "label", label)
 
     def encoded(self) -> bytes:
         return self.label.encode("utf-8")
@@ -91,15 +91,15 @@ def _check_bits(data: bytes, k: int, what: str):
         raise ValueError(f"{what}: padding bits above bit {k} must be zero")
 
 
-@dataclass(frozen=True)
-class AuthNonce:
+class AuthNonce(Record):
     """k-bit random string, stored big-endian in ceil(k/8) octets."""
 
-    data: bytes
-    k: int
+    __slots__ = ("data", "k")
 
-    def __post_init__(self):
-        _check_bits(self.data, self.k, "auth nonce")
+    def __init__(self, data: bytes, k: int):
+        _check_bits(data, k, "auth nonce")
+        set_field(self, "data", data)
+        set_field(self, "k", k)
 
     @classmethod
     def from_int(cls, value: int, k: int) -> "AuthNonce":
@@ -109,15 +109,15 @@ class AuthNonce:
         return int.from_bytes(self.data, "big")
 
 
-@dataclass(frozen=True)
-class Sas:
+class Sas(Record):
     """Authentication string S = N_A xor N_B."""
 
-    data: bytes
-    k: int
+    __slots__ = ("data", "k")
 
-    def __post_init__(self):
-        _check_bits(self.data, self.k, "sas")
+    def __init__(self, data: bytes, k: int):
+        _check_bits(data, k, "sas")
+        set_field(self, "data", data)
+        set_field(self, "k", k)
 
     def to_int(self) -> int:
         return int.from_bytes(self.data, "big")
@@ -154,13 +154,15 @@ def key_fingerprint(key: SessionKey) -> str:
 
 # --- payload and wire encoding -------------------------------------------
 
-@dataclass(frozen=True)
-class PairingPayload:
+class PairingPayload(Record):
     """The cleartext message m = identity || public share || nonce."""
 
-    identity: Identity
-    public_share: PublicShare
-    auth_nonce: AuthNonce
+    __slots__ = ("identity", "public_share", "auth_nonce")
+
+    def __init__(self, identity: Identity, public_share: PublicShare, auth_nonce: AuthNonce):
+        set_field(self, "identity", identity)
+        set_field(self, "public_share", public_share)
+        set_field(self, "auth_nonce", auth_nonce)
 
 
 def _field(data: bytes) -> bytes:
@@ -210,21 +212,27 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
     return PairingPayload(identity, share, nonce)
 
 
-@dataclass(frozen=True)
-class Msg1:
-    c: Commitment
+class Msg1(Record):
+    __slots__ = ("c",)
+
+    def __init__(self, c: Commitment):
+        set_field(self, "c", c)
 
 
-@dataclass(frozen=True)
-class Msg2:
-    param_set_id: int
-    k: int
-    payload: PairingPayload
+class Msg2(Record):
+    __slots__ = ("param_set_id", "k", "payload")
+
+    def __init__(self, param_set_id: int, k: int, payload: PairingPayload):
+        set_field(self, "param_set_id", param_set_id)
+        set_field(self, "k", k)
+        set_field(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class Msg3:
-    d: Decommitment
+class Msg3(Record):
+    __slots__ = ("d",)
+
+    def __init__(self, d: Decommitment):
+        set_field(self, "d", d)
 
 
 PairingMessage = Msg1 | Msg2 | Msg3

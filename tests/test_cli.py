@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from saska import cli, protocol
+from saska import adversary, cli, protocol
 from saska.cli import EXIT_REJECTED, EXIT_TAMPER, EXIT_TIMEOUT, EXIT_TRANSPORT, main
 from saska.errors import Timeout
 from saska.group import DhParams, PARAM_SETS
@@ -178,6 +178,17 @@ class TestSim:
             main(["sim", "--strategy", "replay-everything"])
         assert excinfo.value.code == 2
 
+    def test_invalid_strategy_in_fresh_process(self):
+        # in-process tests run with saska.adversary already imported, so only
+        # a fresh interpreter catches a name the lazy sim parser lacks
+        proc = run_cli(["sim", "--strategy", "bogus"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: saska sim")
+        assert ("choose from 'full-mitm', 'honest', 'impersonate-initiator', "
+                "'impersonate-responder'") in proc.stderr
+        assert proc.stdout == ""
+
     def test_exhaustive_k_too_large(self, capsys):
         code = main(["sim", "--strategy", "full-mitm", "--k", "20",
                      "--exhaustive", "--params", "test", "--seed", "1"])
@@ -197,8 +208,8 @@ class TestSim:
     ], ids=["attack-trials-below-1000", "zero-honest-trials"])
     def test_bad_trials_refused_before_any_trial(self, capsys, monkeypatch, args, message):
         calls = []
-        real = cli.adversary._run_trial
-        monkeypatch.setattr(cli.adversary, "_run_trial",
+        real = adversary._run_trial
+        monkeypatch.setattr(adversary, "_run_trial",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         code = main(["sim", *args, "--params", "test", "--seed", "1"])
         assert code == 2
@@ -206,7 +217,7 @@ class TestSim:
         assert calls == []
 
     def test_rate_above_bound_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.adversary, "exhaustive_attack_success",
+        monkeypatch.setattr(adversary, "exhaustive_attack_success",
                             lambda *args, **kwargs: Fraction(2, 8))
         code = main(["sim", "--strategy", "full-mitm", "--k", "3",
                      "--exhaustive", "--params", "test", "--seed", "1"])

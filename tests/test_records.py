@@ -62,8 +62,6 @@ CASES = [
      "ci_low=0.5, ci_high=0.5, bound=0.5, passed=True)"),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
-# records that may change after construction
-MUTABLE = {AttackOutcome}
 
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
@@ -85,14 +83,12 @@ def test_equality_is_by_fields(cls, fields, text):
     assert record != tuple(fields.values())
 
 
-@pytest.mark.parametrize("cls,fields,text", [c for c in CASES if c[0] not in MUTABLE],
-                         ids=[i for c, i in zip(CASES, IDS) if c[0] not in MUTABLE])
+@pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
 def test_hash_is_hash_of_field_tuple(cls, fields, text):
     assert hash(cls(**fields)) == hash(tuple(fields.values()))
 
 
-@pytest.mark.parametrize("cls,fields,text", [c for c in CASES if c[0] not in MUTABLE],
-                         ids=[i for c, i in zip(CASES, IDS) if c[0] not in MUTABLE])
+@pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
 def test_assignment_raises(cls, fields, text):
     record = cls(**fields)
     name, value = next(iter(fields.items()))

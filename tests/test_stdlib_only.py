@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and the
-simulator imports no network code."""
+"""The package imports nothing outside the standard library, the
+simulator imports no network code, and a pairing peer imports no simulator
+code and no dataclasses."""
 
 import ast
 import os
@@ -31,12 +32,28 @@ def test_every_absolute_import_is_stdlib():
     assert outside == []
 
 
-def test_simulator_loads_no_network_code():
-    """The simulator moves frames itself: importing it loads neither the
-    TCP transport nor the socket module."""
-    code = "import sys, saska.adversary; print(sorted({'saska.transport', 'socket'} & set(sys.modules)))"
+def loaded_modules(statement: str) -> set[str]:
+    """The modules loaded after `statement` in a fresh interpreter."""
+    code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
     src = str(Path(__file__).parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.split())
+
+
+def test_simulator_loads_no_network_code():
+    """The simulator moves frames itself: importing it loads neither the
+    TCP transport nor the socket module."""
+    assert {"saska.transport", "socket"} & loaded_modules("import saska.adversary") == set()
+
+
+def test_peer_loads_no_simulator_code():
+    """A CLI peer starts a fresh interpreter for every pairing, so the
+    peer path imports neither the simulator and the statistics modules it
+    uses nor dataclasses, beyond what the bare interpreter already loads;
+    the simulator itself needs no dataclasses either."""
+    bare = loaded_modules("pass")
+    heavy = {"saska.adversary", "fractions", "statistics", "dataclasses"}
+    assert heavy & (loaded_modules("import saska.cli") - bare) == set()
+    assert "dataclasses" not in loaded_modules("import saska.adversary") - bare
