@@ -1,12 +1,13 @@
 """Immutable value records without the dataclasses module.
 
 A record class lists its fields in __slots__ and writes its own __init__,
-which checks the arguments and stores each field with set_field.  Records
-compare equal when they have the same class and the same fields, hash as
-the tuple of their fields, print as Name(field=value, ...), and refuse
-assignment with AttributeError.  A class that also stores values derived
-from its fields names the fields alone in _fields; the derived slots then
-take no part in equality, hashing, repr or copying.
+which takes the fields in that order (copy and pickle call it), checks
+them and stores each with set_field.  Records compare equal when they have
+the same class and the same fields, hash as the tuple of their fields,
+print as Name(field=value, ...), and refuse assignment with
+AttributeError.  A class that also stores values derived from its fields
+names the fields alone in _fields; the derived slots then take no part in
+equality, hashing, repr or copying.
 
 Every CLI peer is a fresh process, and with CPython 3.11 on 2 CPUs
 importing dataclasses (it loads inspect) took about 15 ms of its start and
@@ -30,6 +31,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         get = attrgetter(*fields)
+        # the field tuple; attrgetter of a single name returns the bare value
         cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other):
