@@ -392,12 +392,6 @@ def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: rando
     return _ATTACKERS[strategy.kind](strategy, params, k, rng)
 
 
-def run_honest_session(params: DhParams, k: int = 20, seed=None) -> AttackOutcome:
-    """Identity adversary: the completeness check.  Succeeds iff the two
-    SAS values agree and both sides derive the same key."""
-    return run_mitm_trial(AttackStrategy(StrategyKind.HONEST), params, k, seed)
-
-
 def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None,
                    nonce: AuthNonce | None = None) -> AttackOutcome:
     """One full protocol execution with the strategy's attacker interposed;

@@ -74,11 +74,11 @@ def _safe_prime_exponent_limit(p: int, q: int) -> int:
 class DhParams(Record):
     """Public group triple (p, q, g).  Construct via validate_params().
 
-    safe_prime (p == 2q + 1) and exponent_limit are derived from the
-    triple; they take no part in equality, hashing or set_id().
+    safe_prime (p == 2q + 1), exponent_limit and the wire set id are
+    derived from the triple; they take no part in equality, hashing or repr.
     """
 
-    __slots__ = ("p", "q", "g", "safe_prime", "exponent_limit")
+    __slots__ = ("p", "q", "g", "safe_prime", "exponent_limit", "_set_id")
     _fields = ("p", "q", "g")
 
     def __init__(self, p: int, q: int, g: int):
@@ -88,10 +88,16 @@ class DhParams(Record):
         safe = p == 2 * q + 1
         set_field(self, "safe_prime", safe)
         set_field(self, "exponent_limit", _safe_prime_exponent_limit(p, q) if safe else q)
+        h = hashlib.sha256()
+        for n in (p, q, g):
+            enc = int_to_octets(n)
+            h.update(len(enc).to_bytes(2, "big"))
+            h.update(enc)
+        set_field(self, "_set_id", int.from_bytes(h.digest()[:4], "big"))
 
     def set_id(self) -> int:
         """32-bit identifier carried on the wire to detect mismatched sets."""
-        return _params_set_id(self)
+        return self._set_id
 
 
 class PrivateShare(Record):
@@ -125,27 +131,6 @@ class SessionKey(Record):
 def int_to_octets(n: int) -> bytes:
     """Minimal big-endian encoding; at least one octet."""
     return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
-
-
-@functools.lru_cache(maxsize=None)
-def _params_set_id(params: DhParams) -> int:
-    h = hashlib.sha256()
-    for n in (params.p, params.q, params.g):
-        enc = int_to_octets(n)
-        h.update(len(enc).to_bytes(2, "big"))
-        h.update(enc)
-    return int.from_bytes(h.digest()[:4], "big")
-
-
-def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """base^exponent mod modulus for non-negative exponent, 0 <= base < modulus."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    if not 0 <= base < modulus:
-        raise ValueError(f"base must lie in [0, modulus), got {base}")
-    return pow(base, exponent, modulus)
 
 
 def is_probable_prime(n: int) -> bool:

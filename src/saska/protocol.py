@@ -200,7 +200,7 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
         raise MalformedMessage(f"{len(data) - off} trailing octets after payload fields")
     try:
         identity = Identity(ident_raw.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedMessage(f"bad identity field: {exc}") from exc
     if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):
         raise MalformedMessage("public share is not a minimal big-endian integer")
@@ -238,22 +238,15 @@ class Msg3(Record):
 PairingMessage = Msg1 | Msg2 | Msg3
 
 
-def frame_body_length(frame: bytes, *, whole: bool = True) -> int:
-    """Check the outer framing and return the declared body length.
-
-    The frame must hold the 5-octet header and declare at most MAX_BODY
-    octets; when whole, it must also carry exactly the declared body.  A
-    stream reader checks the bare header (whole=False) before it reads on.
-    """
-    if len(frame) < HEADER_LEN:
-        raise MalformedMessage(f"frame of {len(frame)} octets is shorter than the header")
-    body_len = int.from_bytes(frame[1:HEADER_LEN], "big")
+def frame_body_length(header: bytes) -> int:
+    """Check a frame's 5-octet header and return the body length it
+    declares, at most MAX_BODY.  A stream reader calls this on the bare
+    header to bound its read; decode_message checks the whole frame."""
+    if len(header) < HEADER_LEN:
+        raise MalformedMessage(f"frame of {len(header)} octets is shorter than the header")
+    body_len = int.from_bytes(header[1:HEADER_LEN], "big")
     if body_len > MAX_BODY:
         raise MalformedMessage(f"declared body length {body_len} exceeds {MAX_BODY}")
-    if whole and len(frame) - HEADER_LEN != body_len:
-        raise MalformedMessage(
-            f"body length {len(frame) - HEADER_LEN} does not match header {body_len}"
-        )
     return body_len
 
 
@@ -284,6 +277,10 @@ def decode_message(frame: bytes) -> PairingMessage:
     surfaces as OpenFailed rather than a parse error.
     """
     body_len = frame_body_length(frame)
+    if len(frame) - HEADER_LEN != body_len:
+        raise MalformedMessage(
+            f"body length {len(frame) - HEADER_LEN} does not match header {body_len}"
+        )
     tag = frame[0]
     body = frame[HEADER_LEN:]
     if tag == TAG_COMMIT:

@@ -21,10 +21,9 @@ class StreamChannel:
         self._sock = sock
 
     def send_frame(self, frame: bytes):
-        frame_body_length(frame)
         try:
             self._sock.sendall(frame)
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
+        except OSError as exc:
             raise ChannelClosed(str(exc)) from exc
 
     def _read_exact(self, n: int, deadline: float, timeout: float) -> bytes:
@@ -50,7 +49,7 @@ class StreamChannel:
         recv()."""
         deadline = time.monotonic() + timeout
         header = self._read_exact(HEADER_LEN, deadline, timeout)
-        body_len = frame_body_length(header, whole=False)
+        body_len = frame_body_length(header)
         return header + self._read_exact(body_len, deadline, timeout)
 
     def close(self):
@@ -75,10 +74,7 @@ class StreamListener:
     """Listening socket that accepts one pairing peer at a time."""
 
     def __init__(self, port: int):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind(("", port))
-        self._sock.listen(1)
+        self._sock = socket.create_server(("", port), backlog=1)
 
     @property
     def port(self) -> int:

@@ -18,10 +18,10 @@ from saska.adversary import (
     StrategyKind,
     estimate_attack_success,
     exhaustive_attack_success,
-    run_honest_session,
+    run_mitm_trial,
 )
 from saska.errors import OpenFailed
-from saska.group import PrivateShare, pub_share, derive_key, mod_exp
+from saska.group import PrivateShare, pub_share, derive_key
 from saska.protocol import (
     AuthNonce,
     Msg2,
@@ -79,11 +79,11 @@ def test_criterion_3_completeness(test_params, p40_params):
     """Randomized honest sessions always agree on SAS and key."""
     failures = 0
     for seed in range(1000):
-        out = run_honest_session(test_params, 20, seed=seed)
+        out = run_mitm_trial(AttackStrategy(StrategyKind.HONEST), test_params, 20, seed)
         if not (out.success and out.sas_a == out.sas_b and out.keys_equal):
             failures += 1
     for seed in range(10):
-        out = run_honest_session(p40_params, 20, seed=seed)
+        out = run_mitm_trial(AttackStrategy(StrategyKind.HONEST), p40_params, 20, seed)
         if not (out.success and out.sas_a == out.sas_b and out.keys_equal):
             failures += 1
     report(3, failures == 0, f"1000 sessions at p=23 plus 10 at 40-digit p, {failures} failures")
@@ -156,13 +156,13 @@ def test_criterion_4_tamper_suite(test_params):
 
 
 def test_criterion_5_dh_oracle_equivalence(test_params):
-    """mod_exp and derive_key agree with repeated multiplication on the
+    """pub_share and derive_key agree with repeated multiplication on the
     full (a, b) in [1,10]^2 sweep."""
     mismatches = 0
     for a in range(1, 11):
         for b in range(1, 11):
-            ga = mod_exp(2, a, 23)
-            gb = mod_exp(2, b, 23)
+            ga = pub_share(test_params, PrivateShare(a)).value
+            gb = pub_share(test_params, PrivateShare(b)).value
             if ga != naive_mod_exp(2, a, 23) or gb != naive_mod_exp(2, b, 23):
                 mismatches += 1
                 continue

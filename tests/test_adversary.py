@@ -15,7 +15,6 @@ from saska.adversary import (
     estimate_attack_success,
     exhaustive_attack_success,
     make_attacker,
-    run_honest_session,
     run_mitm_trial,
     sim_report,
     wilson_interval,
@@ -40,31 +39,32 @@ ATTACK_KINDS = (
     StrategyKind.IMPERSONATE_RESPONDER,
     StrategyKind.FULL_MITM,
 )
+HONEST = AttackStrategy(StrategyKind.HONEST)
 
 
 class TestHonestSession:
     def test_small_group(self, test_params):
-        out = run_honest_session(test_params, 20, seed=1)
+        out = run_mitm_trial(HONEST, test_params, 20, 1)
         assert out.success and out.sas_match and out.keys_equal
         assert out.sas_a == out.sas_b
 
     def test_p40_group(self, p40_params):
-        out = run_honest_session(p40_params, 20, seed=2)
+        out = run_mitm_trial(HONEST, p40_params, 20, 2)
         assert out.success
 
     def test_distinct_seeds_distinct_nonces(self, test_params):
-        a = run_honest_session(test_params, 20, seed=3)
-        b = run_honest_session(test_params, 20, seed=4)
+        a = run_mitm_trial(HONEST, test_params, 20, 3)
+        b = run_mitm_trial(HONEST, test_params, 20, 4)
         assert a.success and b.success
         assert a.sas_a != b.sas_a  # overwhelmingly likely at k=20; frozen by seeds
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_modp2048_group(self, seed):
-        out = run_honest_session(PARAM_SETS["modp2048"], 20, seed)
+        out = run_mitm_trial(HONEST, PARAM_SETS["modp2048"], 20, seed)
         assert out.success and out.sas_match and out.keys_equal
 
     def test_transcript_has_three_frames(self, test_params):
-        out = run_honest_session(test_params, 20, seed=5)
+        out = run_mitm_trial(HONEST, test_params, 20, 5)
         assert [e.seq for e in out.transcript] == [1, 2, 3]
 
 

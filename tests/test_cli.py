@@ -232,6 +232,17 @@ class TestPeerExitCodes:
         code = main(["--connect", f"127.0.0.1:{port}", "--id", "bob", "--params", "test"])
         assert code == EXIT_TRANSPORT
 
+    def test_busy_port_is_one_transport_error_line(self):
+        """With warnings as errors, a listening socket left unclosed after
+        its bind failed would add a ResourceWarning to the error line."""
+        with socket.create_server(("", 0)) as holder:
+            port = holder.getsockname()[1]
+            proc = run_cli(["--listen", str(port), "--id", "alice", "--timeout", "1"],
+                           PYTHONWARNINGS="error")
+        assert proc.returncode == EXIT_TRANSPORT
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("transport error:"), proc.stderr
+
     def test_silent_peer_times_out(self):
         listener = StreamListener(0)
         accepted = []

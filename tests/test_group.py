@@ -23,7 +23,6 @@ from saska.group import (
     is_probable_prime,
     jacobi,
     load_params_file,
-    mod_exp,
     parse_params_text,
     pub_share,
     validate_params,
@@ -84,27 +83,6 @@ class TestModExp:
     )
     def test_known_values(self, base, exponent, modulus, expected):
         assert naive_mod_exp(base, exponent, modulus) == expected
-        assert mod_exp(base, exponent, modulus) == expected
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            mod_exp(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_exp(2, -1, 23)
-        with pytest.raises(ValueError):
-            mod_exp(23, 3, 23)
-        with pytest.raises(ValueError):
-            mod_exp(-1, 3, 23)
-
-    @given(
-        modulus=st.integers(min_value=2, max_value=1000),
-        base=st.integers(min_value=0, max_value=999),
-        exponent=st.integers(min_value=0, max_value=200),
-    )
-    @settings(max_examples=300)
-    def test_agrees_with_naive_oracle(self, modulus, base, exponent):
-        base %= modulus
-        assert mod_exp(base, exponent, modulus) == naive_mod_exp(base, exponent, modulus)
 
 
 class TestPrivateShare:

@@ -178,6 +178,12 @@ class TestWireFormat:
         with pytest.raises(MalformedMessage):
             decode_message(frame)
 
+    def test_oversize_body_rejected_at_encode(self):
+        # encode_message alone bounds outgoing frames: 32 nonce octets + 65,504
+        _, d = commit(b"\x00" * 65504, random.Random(0))
+        with pytest.raises(MalformedMessage):
+            encode_message(Msg3(d))
+
     def test_header_length_mismatch_rejected(self):
         frame = bytes([0x01]) + (32).to_bytes(4, "big") + b"\x00" * 31
         with pytest.raises(MalformedMessage):

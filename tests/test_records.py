@@ -17,8 +17,9 @@ from saska.adversary import (
     TranscriptEvent,
 )
 from saska.commitment import Commitment, Decommitment
-from saska.group import DhParams, PrivateShare, PublicShare, SessionKey
+from saska.group import PARAM_SETS, DhParams, PrivateShare, PublicShare, SessionKey
 from saska.protocol import AuthNonce, Identity, Msg1, Msg2, Msg3, PairingPayload, Sas
+from saska.record import set_field
 
 DIGEST = bytes(range(32))
 NONCE = b"\x07" * 32
@@ -121,3 +122,13 @@ def test_dhparams_derived_fields_outside_value():
     with pytest.raises(AttributeError):
         params.safe_prime = False
     assert DhParams(p=29, q=7, g=7).safe_prime is False
+    for params in PARAM_SETS.values():
+        derived = (params.safe_prime, params.exponent_limit, params.set_id())
+        for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert (twin.safe_prime, twin.exponent_limit, twin.set_id()) == derived
+        assert repr(params) == f"DhParams(p={params.p}, q={params.q}, g={params.g})"
+        # a twin whose set id differs still equals and hashes like the original
+        twin = copy.copy(params)
+        set_field(twin, "_set_id", params.set_id() ^ 1)
+        assert twin.set_id() != params.set_id()
+        assert twin == params and hash(twin) == hash(params)

@@ -1,6 +1,7 @@
-"""The package imports nothing outside the standard library, the
-simulator imports no network code, and a pairing peer imports no simulator
-code and no dataclasses."""
+"""The package imports nothing outside the standard library, no module
+of the package or the tests imports a name it never uses, the simulator
+imports no network code, and a pairing peer imports no simulator code and
+no dataclasses."""
 
 import ast
 import os
@@ -30,6 +31,27 @@ def test_every_absolute_import_is_stdlib():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by an import in `path` that no expression reads;
+    `from __future__` imports are switches, not names."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert SOURCES and tests
+    unused = [f"{path.name}: {name}" for path in SOURCES + tests for name in unused_imports(path)]
+    assert unused == []
 
 
 def loaded_modules(statement: str) -> set[str]:

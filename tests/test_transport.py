@@ -110,16 +110,6 @@ class TestStreamTransport:
         client.close()
         listener.close()
 
-    def test_oversize_rejected_at_send(self):
-        listener = StreamListener(0)
-        client = connect_stream("127.0.0.1", listener.port, timeout=1.0)
-        server = listener.accept(1.0)
-        with pytest.raises(MalformedMessage):
-            client.send_frame(frame_of(b"\x00" * 65536))
-        server.close()
-        client.close()
-        listener.close()
-
     def test_accept_timeout(self):
         listener = StreamListener(0)
         with pytest.raises(Timeout):
