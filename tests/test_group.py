@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saska import group, protocol
+from saska.adversary import AttackStrategy, StrategyKind, run_mitm_trial
 from saska.errors import BadGenerator, NotPrime, OrderMismatch, RngFailure, SubgroupCheckFailed
 from saska.group import (
     PARAM_SETS,
@@ -321,6 +323,72 @@ class TestInSubgroup:
         for seed in range(50):
             expected = random.Random(seed).randrange(1, SCHNORR.q)
             assert gen_private_share(SCHNORR, random.Random(seed)).exponent == expected
+
+
+class TestVerdictCache:
+    """Above 2^31 each (group, share) verdict is computed once per process
+    and then answered from a small bounded cache."""
+
+    @pytest.mark.parametrize("kind, checks, jacobi_runs", [
+        (StrategyKind.HONEST, 4, 2),
+        (StrategyKind.IMPERSONATE_INITIATOR, 2, 1),
+        (StrategyKind.IMPERSONATE_RESPONDER, 2, 1),
+        (StrategyKind.FULL_MITM, 2, 1),
+    ])
+    def test_every_check_runs_and_each_verdict_once(self, monkeypatch, kind, checks, jacobi_runs):
+        """Each peer checks the share it receives and derive_key checks it
+        again (honest: 2 shares, 4 checks; attack: the attacker's share,
+        checked by A and B), but the Jacobi loop runs once per share."""
+        counts = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+
+            for owner in (group, protocol):
+                if getattr(owner, name, None) is original:
+                    monkeypatch.setattr(owner, name, counted)
+
+        spy(group, "in_subgroup")
+        spy(group, "jacobi")
+        for seed in range(3):
+            group._member_verdict.cache_clear()
+            counts.update(in_subgroup=0, jacobi=0)
+            run_mitm_trial(AttackStrategy(kind), PARAM_SETS["p40"], 20, seed)
+            assert counts == {"in_subgroup": checks, "jacobi": jacobi_runs}, seed
+
+    @pytest.mark.parametrize("first, second", [("p40", "modp2048"), ("safe32", "schnorr32")])
+    def test_verdict_belongs_to_its_group(self, first, second):
+        expected = {name: {v: reference_in_subgroup(GROUPS[name], v) for v in range(2, 30)}
+                    for name in (first, second)}
+        values = [v for v in expected[first] if expected[first][v] != expected[second][v]]
+        assert values
+        for order in ((first, second), (second, first)):
+            group._member_verdict.cache_clear()
+            for value in values:
+                for name in order:
+                    assert in_subgroup(GROUPS[name], value) == expected[name][value]
+
+    def test_rejected_share_rejected_again(self):
+        params = PARAM_SETS["p40"]
+        group._member_verdict.cache_clear()
+        non_residue = PublicShare(params.p - params.g)
+        priv = PrivateShare(5)
+        for _ in range(2):
+            with pytest.raises(SubgroupCheckFailed):
+                derive_key(params, non_residue, priv)
+
+    def test_cache_stays_bounded(self):
+        params = PARAM_SETS["p40"]
+        group._member_verdict.cache_clear()
+        for value in range(2, 402):
+            assert in_subgroup(params, value) == reference_in_subgroup(params, value)
+        info = group._member_verdict.cache_info()
+        assert info.maxsize == group._VERDICT_CACHE_SIZE
+        assert 0 < info.currsize <= info.maxsize
 
 
 class TestParamsFile:
