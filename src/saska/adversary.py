@@ -214,7 +214,7 @@ class _Attacker:
 
     def reply_toward_a(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg2 carrying our payload as bob."""
-        msg = Msg2(self.params.set_id(), self.k, self.payload(RESPONDER_ID, nonce))
+        msg = Msg2(self.params.set_id, self.k, self.payload(RESPONDER_ID, nonce))
         return Direction.B_TO_A, encode_message(msg)
 
     def open_toward_b(self) -> tuple[Direction, bytes]:

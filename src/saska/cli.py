@@ -156,7 +156,7 @@ def run_peer(args) -> int:
         while peer.sas is None:
             for frame in peer.receive(channel.recv_frame(args.timeout)):
                 channel.send_frame(frame)
-        print(f"{peer.remote_identity.label} : {format_sas(peer.sas)}", flush=True)
+        print(f"{peer.remote_payload.identity.label} : {format_sas(peer.sas)}", flush=True)
         if _ask_confirmation():
             key = peer.confirm(True)
             print(f"fingerprint: {key_fingerprint(key)}", flush=True)

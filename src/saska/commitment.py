@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-import secrets
 
 from .errors import EmptyMessage, OpenFailed, RngFailure
 from .record import Record, set_field
@@ -46,11 +45,10 @@ def _digest(nonce: bytes, message: bytes) -> bytes:
     return hashlib.sha256(DOMAIN_TAG + nonce + message).digest()
 
 
-def commit(message: bytes, rng: random.Random | None = None) -> tuple[Commitment, Decommitment]:
+def commit(message: bytes, rng: random.Random) -> tuple[Commitment, Decommitment]:
     """Produce the commit/open pair for a non-empty octet string."""
     if not message:
         raise EmptyMessage("cannot commit to an empty message")
-    rng = rng or secrets.SystemRandom()
     try:
         nonce = rng.getrandbits(NONCE_LEN * 8).to_bytes(NONCE_LEN, "big")
     except Exception as exc:

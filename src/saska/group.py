@@ -81,11 +81,12 @@ def _safe_prime_exponent_limit(p: int, q: int) -> int:
 class DhParams(Record):
     """Public group triple (p, q, g).  Construct via validate_params().
 
-    safe_prime (p == 2q + 1), exponent_limit and the wire set id are
-    derived from the triple; they take no part in equality, hashing or repr.
+    safe_prime (p == 2q + 1), exponent_limit and set_id, the 32-bit wire
+    id that detects mismatched sets, are derived from the triple; they take
+    no part in equality, hashing or repr.
     """
 
-    __slots__ = ("p", "q", "g", "safe_prime", "exponent_limit", "_set_id")
+    __slots__ = ("p", "q", "g", "safe_prime", "exponent_limit", "set_id")
     _fields = ("p", "q", "g")
 
     def __init__(self, p: int, q: int, g: int):
@@ -100,11 +101,7 @@ class DhParams(Record):
             enc = int_to_octets(n)
             h.update(len(enc).to_bytes(2, "big"))
             h.update(enc)
-        set_field(self, "_set_id", int.from_bytes(h.digest()[:4], "big"))
-
-    def set_id(self) -> int:
-        """32-bit identifier carried on the wire to detect mismatched sets."""
-        return self._set_id
+        set_field(self, "set_id", int.from_bytes(h.digest()[:4], "big"))
 
 
 class PrivateShare(Record):
@@ -236,16 +233,12 @@ def _member_verdict(params: DhParams, value: int) -> bool:
     return pow(value, params.q, params.p) == 1
 
 
-def gen_private_share(params: DhParams, rng: random.Random | None = None) -> PrivateShare:
+def gen_private_share(params: DhParams, rng: random.Random) -> PrivateShare:
     """Draw an exponent uniformly from [1, params.exponent_limit - 1].
 
     The limit is q, except on safe-prime groups larger than the short
     exponent cap (see the module docstring).
-
-    rng defaults to the OS entropy source; pass a seeded random.Random only
-    for simulation or tests.
     """
-    rng = rng or secrets.SystemRandom()
     try:
         exponent = rng.randrange(1, params.exponent_limit)
     except Exception as exc:

@@ -123,10 +123,9 @@ class Sas(Record):
         return int.from_bytes(self.data, "big")
 
 
-def gen_auth_nonce(k: int, rng: random.Random | None = None) -> AuthNonce:
+def gen_auth_nonce(k: int, rng: random.Random) -> AuthNonce:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-    rng = rng or secrets.SystemRandom()
     try:
         value = rng.getrandbits(k)
     except Exception as exc:
@@ -327,17 +326,17 @@ class Peer:
     queue).  receive() picks the step for the current phase, so the message
     order lives here alone.  Phases move strictly forward and every
     transition is appended to phase_log.  Construction draws nothing: the
-    initiator draws in start(), the responder when the commitment arrives.
-
-    nonce overrides the random draw; it exists for the attack simulator's
-    exhaustive enumeration and for tests.
+    initiator draws in start(), the responder when the commitment arrives,
+    each from rng, the session's one entropy source (the OS by default).  A
+    seeded rng and a forced nonce, which replaces the auth nonce's draw,
+    exist for the attack simulator and for tests.
     """
 
     def __init__(
         self,
         role: Role,
         params: DhParams,
-        identity: Identity | str,
+        identity: str,
         k: int = DEFAULT_K,
         rng: random.Random | None = None,
         *,
@@ -349,7 +348,7 @@ class Peer:
             raise ValueError(f"forced nonce has k={nonce.k}, session k={k}")
         self.role = role
         self.params = params
-        self.identity = identity if isinstance(identity, Identity) else Identity(identity)
+        self.identity = Identity(identity)
         self.k = k
         self.rng = rng or secrets.SystemRandom()
         self.phase = Phase.CREATED
@@ -362,10 +361,6 @@ class Peer:
         self.remote_payload: PairingPayload | None = None
         self.sas: Sas | None = None
         self.session_key: SessionKey | None = None
-
-    @property
-    def remote_identity(self) -> Identity | None:
-        return self.remote_payload.identity if self.remote_payload else None
 
     def _advance(self, phase: Phase):
         if self.phase in (Phase.CONFIRMED, Phase.ABORTED) or phase <= self.phase:
@@ -418,6 +413,14 @@ class Peer:
             self._abort()
             raise
 
+    def _accept_remote(self, payload: PairingPayload, side: str):
+        """Check the remote share, then keep the payload and compute the SAS.
+        The SAS is an XOR, so either role passes its own nonce first."""
+        if not in_subgroup(self.params, payload.public_share.value):
+            raise SubgroupCheckFailed(f"{side} share {payload.public_share.value} rejected")
+        self.remote_payload = payload
+        self.sas = compute_sas(self.own_nonce, payload.auth_nonce)
+
     def _on_commit(self, msg1: PairingMessage) -> list[bytes]:
         """Accept the initiator's commitment and reply with our payload."""
         if not isinstance(msg1, Msg1):
@@ -426,7 +429,7 @@ class Peer:
         self.commitment = msg1.c
         self._advance(Phase.COMMIT_EXCHANGED)
         self._advance(Phase.PAYLOAD_EXCHANGED)
-        return [encode_message(Msg2(self.params.set_id(), self.k, self.own_payload))]
+        return [encode_message(Msg2(self.params.set_id, self.k, self.own_payload))]
 
     def _on_payload(self, msg2: PairingMessage) -> list[bytes]:
         """Take the responder's payload, check it, and release the decommitment.
@@ -436,18 +439,13 @@ class Peer:
         """
         if not isinstance(msg2, Msg2):
             raise MalformedMessage(f"expected a payload message, got {type(msg2).__name__}")
-        if msg2.param_set_id != self.params.set_id():
+        if msg2.param_set_id != self.params.set_id:
             raise MalformedMessage(
-                f"parameter set mismatch: peer 0x{msg2.param_set_id:08x}, ours 0x{self.params.set_id():08x}"
+                f"parameter set mismatch: peer 0x{msg2.param_set_id:08x}, ours 0x{self.params.set_id:08x}"
             )
         if msg2.k != self.k:
             raise MalformedMessage(f"k mismatch: peer {msg2.k}, ours {self.k}")
-        if not in_subgroup(self.params, msg2.payload.public_share.value):
-            raise SubgroupCheckFailed(
-                f"responder share {msg2.payload.public_share.value} rejected"
-            )
-        self.remote_payload = msg2.payload
-        self.sas = compute_sas(self.own_nonce, msg2.payload.auth_nonce)
+        self._accept_remote(msg2.payload, "responder")
         self._advance(Phase.PAYLOAD_EXCHANGED)
         self._advance(Phase.DECOMMITTED)
         self._advance(Phase.SAS_READY)
@@ -462,11 +460,7 @@ class Peer:
         if not isinstance(msg3, Msg3):
             raise MalformedMessage(f"expected a decommit message, got {type(msg3).__name__}")
         message = open_commitment(self.commitment, msg3.d)
-        payload = decode_payload(message, self.k)
-        if not in_subgroup(self.params, payload.public_share.value):
-            raise SubgroupCheckFailed(f"initiator share {payload.public_share.value} rejected")
-        self.remote_payload = payload
-        self.sas = compute_sas(payload.auth_nonce, self.own_nonce)
+        self._accept_remote(decode_payload(message, self.k), "initiator")
         self._advance(Phase.DECOMMITTED)
         self._advance(Phase.SAS_READY)
         return []

@@ -14,7 +14,6 @@ from saska.adversary import (
     _run_trial,
     estimate_attack_success,
     exhaustive_attack_success,
-    make_attacker,
     run_mitm_trial,
     sim_report,
     wilson_interval,
@@ -71,12 +70,7 @@ class TestHonestSession:
 def forced_trial(kind, params, k, guess, nonce_value, seed=0):
     """Run a fixed-guess attack with the guessed honest nonce forced."""
     strategy = AttackStrategy(kind, GuessRule.FIXED, guess)
-    rng_a, rng_b, rng_e = _child_rngs(seed)
-    attacker = make_attacker(strategy, params, k, rng_e)
-    nonce = AuthNonce.from_int(nonce_value, k)
-    if strategy.guessed_side == "initiator":
-        return _run_trial(params, k, rng_a, rng_b, attacker, nonce_a=nonce)
-    return _run_trial(params, k, rng_a, rng_b, attacker, nonce_b=nonce)
+    return run_mitm_trial(strategy, params, k, seed, AuthNonce.from_int(nonce_value, k))
 
 
 class TestMitmTrials:

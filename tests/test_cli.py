@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import secrets
 import signal
 import socket
 import subprocess
@@ -406,6 +407,41 @@ class TestPeerExitCodes:
         assert code == 0
         assert f"alice : {format_sas(box['sas'])}" in out
         assert "fingerprint: " in out
+
+    def test_pairing_peer_draws_from_os_entropy(self, monkeypatch, test_params):
+        built, draws = [], []
+        real = secrets.SystemRandom.getrandbits
+
+        def build(*args, **kwargs):
+            built.append(Peer(*args, **kwargs))
+            return built[-1]
+
+        def getrandbits(self, k):
+            draws.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(cli, "Peer", build)
+        monkeypatch.setattr(secrets.SystemRandom, "getrandbits", getrandbits)
+        monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
+        listener = StreamListener(0)
+
+        def responder():
+            chan = listener.accept(5.0)
+            respond(chan, Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2)))
+            chan.close()
+
+        t = threading.Thread(target=responder)
+        t.start()
+        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                     "--params", "test", "--timeout", "5"])
+        t.join()
+        listener.close()
+        assert code == 0
+        (peer,) = built
+        assert isinstance(peer.rng, secrets.SystemRandom)
+        # the private share takes at least one draw, then the k-bit nonce
+        # and the commitment's 256-bit opening nonce
+        assert len(draws) >= 3 and draws[-2:] == [20, 256]
 
     def test_identity_flag_required(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -13,6 +13,7 @@ from saska.commitment import (
     open_commitment,
 )
 from saska.errors import EmptyMessage, OpenFailed, RngFailure
+from saska.protocol import gen_auth_nonce
 
 
 def flip_bit(data: bytes, bit: int) -> bytes:
@@ -55,6 +56,8 @@ def test_rng_failure_wrapped():
 
     with pytest.raises(RngFailure):
         commit(b"m", Broken())
+    with pytest.raises(RngFailure):
+        gen_auth_nonce(8, Broken())
 
 
 class TestTamperRejection:
@@ -89,7 +92,7 @@ class TestTamperRejection:
 @given(message=st.binary(min_size=1, max_size=4096))
 @settings(max_examples=200)
 def test_round_trip_property(message):
-    c, d = commit(message)
+    c, d = commit(message, random.Random(0))
     assert open_commitment(c, d) == message
 
 

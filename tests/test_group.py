@@ -234,16 +234,16 @@ class TestBuiltinSets:
 
     def test_derived_fields_leave_identity_unchanged(self):
         # safe_prime and exponent_limit stay out of equality, hashing and the wire id
-        ids = {name: params.set_id() for name, params in PARAM_SETS.items()}
+        ids = {name: params.set_id for name, params in PARAM_SETS.items()}
         assert ids == {"test": 3299674283, "p40": 3343870752, "modp2048": 1109075298}
         assert hash(PARAM_SETS["test"]) == hash((23, 11, 2))
         assert repr(PARAM_SETS["test"]) == "DhParams(p=23, q=11, g=2)"
 
     def test_set_ids_distinct_and_stable(self):
-        ids = {name: params.set_id() for name, params in PARAM_SETS.items()}
+        ids = {name: params.set_id for name, params in PARAM_SETS.items()}
         assert len(set(ids.values())) == len(ids)
         assert all(0 <= v < 2**32 for v in ids.values())
-        assert PARAM_SETS["test"].set_id() == ids["test"]
+        assert PARAM_SETS["test"].set_id == ids["test"]
 
 
 # 29 = 4 * 7 + 1: a Schnorr group, not a safe prime.  Its quadratic residues

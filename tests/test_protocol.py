@@ -87,9 +87,9 @@ class TestIdentity:
         with pytest.raises(ValueError):
             Identity("é" * 33)
 
-    @pytest.mark.parametrize("label", ["bob : 00000\x1b[8m", "bob\r", "a\nb", "bob\u202e"])
+    @pytest.mark.parametrize("label", ["bob : 00000\x1b[8m", "bob\r", "a\nb", "bob\u202e", "bob\udc80"])
     def test_non_printable_rejected(self, label):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^identity "):
             Identity(label)
 
 
@@ -105,9 +105,9 @@ class TestAuthNonce:
 
     def test_k_range_enforced(self):
         with pytest.raises(ValueError):
-            gen_auth_nonce(0)
+            gen_auth_nonce(0, random.Random(0))
         with pytest.raises(ValueError):
-            gen_auth_nonce(65)
+            gen_auth_nonce(65, random.Random(0))
 
     def test_int_round_trip(self):
         nonce = AuthNonce.from_int(0xBEEF, 20)
@@ -218,6 +218,19 @@ class TestWireFormat:
             a.receive(frame2.replace(b"\x00\x03bob", b"\x00\x03bo\x1b"))
         assert a.phase is Phase.ABORTED
 
+    @pytest.mark.parametrize("tag, body, reason", [
+        pytest.param(0x01, b"\x00" * 31, "commit body must be 32 octets", id="commit-31"),
+        pytest.param(0x02, b"\x00" * 5, "payload body shorter than its fixed prefix", id="payload-5"),
+        pytest.param(0x03, b"\x00" * 31, "decommit body must hold a 32-octet nonce", id="decommit-31"),
+        # set id 0, k = 8, a whole identity field, then one octet of a length prefix
+        pytest.param(0x02, bytes(4) + b"\x00\x08" + b"\x00\x01x" + b"\x00",
+                     "truncated field length", id="field-length-cut"),
+    ])
+    def test_well_framed_body_too_short_rejected(self, tag, body, reason):
+        frame = bytes([tag]) + len(body).to_bytes(4, "big") + body
+        with pytest.raises(MalformedMessage, match=reason):
+            decode_message(frame)
+
     def test_bad_utf8_identity_rejected(self):
         raw = b"\x00\x02\xff\xfe" + b"\x00\x01\x08" + b"\x00\x01\x01"
         with pytest.raises(MalformedMessage):
@@ -239,7 +252,7 @@ class TestWireFormat:
         msg2 = Msg2(data.draw(st.integers(0, 2**32 - 1)), k, payload)
         assert decode_message(encode_message(msg2)) == msg2
 
-        c, d = commit(encode_payload(payload))
+        c, d = commit(encode_payload(payload), random.Random(0))
         msg1 = Msg1(c)
         assert decode_message(encode_message(msg1)) == msg1
 
@@ -287,8 +300,8 @@ class TestHonestRun:
 
     def test_remote_identities_exchanged(self, test_params):
         a, b, *_ = honest_exchange(test_params)
-        assert a.remote_identity.label == "bob"
-        assert b.remote_identity.label == "alice"
+        assert a.remote_payload.identity.label == "bob"
+        assert b.remote_payload.identity.label == "alice"
 
     def test_completeness_many_seeds(self, test_params, p40_params):
         for seed in range(30):
@@ -345,7 +358,7 @@ class TestPhaseGuards:
 
 def bad_share_frame(params, nonce: int) -> bytes:
     """A Msg2 whose public share, 1, lies outside the subgroup."""
-    return encode_message(Msg2(params.set_id(), 20, PairingPayload(
+    return encode_message(Msg2(params.set_id, 20, PairingPayload(
         Identity("bob"), PublicShare(1), AuthNonce.from_int(nonce, 20))))
 
 

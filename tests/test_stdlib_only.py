@@ -1,7 +1,7 @@
 """The package imports nothing outside the standard library, no module
 of the package or the tests imports a name it never uses, the simulator
-imports no network code, and a pairing peer imports no simulator code and
-no dataclasses."""
+imports no network code, a pairing peer imports no simulator code and no
+dataclasses, and only Peer and the primality test pick the OS generator."""
 
 import ast
 import os
@@ -52,6 +52,33 @@ def test_no_unused_imports():
     assert SOURCES and tests
     unused = [f"{path.name}: {name}" for path in SOURCES + tests for name in unused_imports(path)]
     assert unused == []
+
+
+def system_random_uses(path: Path) -> list[str]:
+    """The enclosing function or class of each place `path` names
+    SystemRandom, as `file: qualified name`."""
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if "SystemRandom" in (getattr(child, "attr", None), getattr(child, "id", None),
+                                  getattr(child, "name", None)):
+                uses.append(f"{path.name}: {'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), [])
+    return uses
+
+
+def test_only_peer_and_primality_pick_os_entropy():
+    """A pairing session draws only from the generator its Peer holds, so
+    Peer.__init__ is the one place a session picks the OS generator;
+    is_probable_prime draws its own Miller-Rabin bases."""
+    uses = sorted(use for path in SOURCES for use in system_random_uses(path))
+    assert uses == ["group.py: is_probable_prime", "protocol.py: Peer.__init__"]
 
 
 def loaded_modules(statement: str) -> set[str]:
