@@ -32,7 +32,7 @@ from statistics import NormalDist
 
 from .commitment import commit
 from .errors import KTooLarge, PairingError
-from .group import DhParams, PublicShare, gen_private_share, pub_share
+from .group import DhParams, gen_private_share, pub_share
 from .protocol import (
     AuthNonce,
     Identity,
@@ -165,9 +165,8 @@ class _Attacker:
         self.params = params
         self.k = k
         self.rng = rng
-        priv = gen_private_share(params, rng)
-        self.exponent = priv.exponent
-        self.share = pub_share(params, priv).value
+        self.exponent = gen_private_share(params, rng)
+        self.share = pub_share(params, self.exponent)
         self.seen_nonces: list[int] = []   # plaintext nonces, in observation order
         self.seen_share_a: int | None = None
         self.seen_share_b: int | None = None
@@ -187,16 +186,15 @@ class _Attacker:
         return guess & ((1 << self.k) - 1)
 
     def payload(self, label: str, nonce_value: int) -> PairingPayload:
-        return PairingPayload(
-            Identity(label), PublicShare(self.share), AuthNonce.from_int(nonce_value, self.k))
+        return PairingPayload(Identity(label), self.share, AuthNonce.from_int(nonce_value, self.k))
 
     def note_payload(self, payload: PairingPayload, side: str) -> int:
         """Record a payload seen in the clear; returns its nonce."""
         self.seen_nonces.append(payload.auth_nonce.to_int())
         if side == "a":
-            self.seen_share_a = payload.public_share.value
+            self.seen_share_a = payload.public_share
         else:
-            self.seen_share_b = payload.public_share.value
+            self.seen_share_b = payload.public_share
         return self.seen_nonces[-1]
 
     def key_with_a(self) -> int | None:

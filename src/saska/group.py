@@ -104,24 +104,6 @@ class DhParams(Record):
         set_field(self, "set_id", int.from_bytes(h.digest()[:4], "big"))
 
 
-class PrivateShare(Record):
-    """Secret exponent in [1, params.exponent_limit - 1]."""
-
-    __slots__ = ("exponent",)
-
-    def __init__(self, exponent: int):
-        set_field(self, "exponent", exponent)
-
-
-class PublicShare(Record):
-    """Group element g^exponent mod p."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        set_field(self, "value", value)
-
-
 class SessionKey(Record):
     """Shared secret, as a group element and its canonical octet encoding."""
 
@@ -233,17 +215,16 @@ def _member_verdict(params: DhParams, value: int) -> bool:
     return pow(value, params.q, params.p) == 1
 
 
-def gen_private_share(params: DhParams, rng: random.Random) -> PrivateShare:
-    """Draw an exponent uniformly from [1, params.exponent_limit - 1].
+def gen_private_share(params: DhParams, rng: random.Random) -> int:
+    """Draw the secret exponent x uniformly from [1, params.exponent_limit - 1].
 
     The limit is q, except on safe-prime groups larger than the short
     exponent cap (see the module docstring).
     """
     try:
-        exponent = rng.randrange(1, params.exponent_limit)
+        return rng.randrange(1, params.exponent_limit)
     except Exception as exc:
         raise RngFailure(str(exc)) from exc
-    return PrivateShare(exponent)
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,31 +263,31 @@ def _table_entry(row: list[int | None], d: int, p: int) -> int:
     return value
 
 
-def pub_share(params: DhParams, priv: PrivateShare) -> PublicShare:
-    """g^exponent mod p; from the fixed-base table above 2^31 (see the
-    module docstring)."""
-    x = priv.exponent
+def pub_share(params: DhParams, x: int) -> int:
+    """The public share g^x mod p for the exponent x; from the fixed-base
+    table above 2^31 (see the module docstring)."""
     p = params.p
     if p <= _SMALL_P_MAX or not 0 <= x < params.exponent_limit:
-        return PublicShare(pow(params.g, x, p))
+        return pow(params.g, x, p)
     rows = _fixed_base_rows(params)
     value = 1
     for row, d in zip(rows, x.to_bytes(len(rows), "little")):
         if d:
             value = value * (row[d] or _table_entry(row, d, p)) % p
-    return PublicShare(value)
+    return value
 
 
-def derive_key(params: DhParams, peer_pub: PublicShare, priv: PrivateShare) -> SessionKey:
-    """peer_pub^exponent mod p, with a subgroup membership check first.
+def derive_key(params: DhParams, peer_share: int, x: int) -> SessionKey:
+    """peer_share^x mod p for the peer's public share and our exponent x,
+    with a subgroup membership check first.
 
     The check rejects shares outside the order-q subgroup (identity
     included), which an active attacker could use for small-subgroup
     confinement.
     """
-    if not in_subgroup(params, peer_pub.value):
-        raise SubgroupCheckFailed(f"peer share {peer_pub.value} is not a valid subgroup element")
-    value = pow(peer_pub.value, priv.exponent, params.p)
+    if not in_subgroup(params, peer_share):
+        raise SubgroupCheckFailed(f"peer share {peer_share} is not a valid subgroup element")
+    value = pow(peer_share, x, params.p)
     return SessionKey(value, int_to_octets(value))
 
 

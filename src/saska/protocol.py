@@ -38,8 +38,6 @@ from .errors import (
 )
 from .group import (
     DhParams,
-    PrivateShare,
-    PublicShare,
     SessionKey,
     derive_key,
     gen_private_share,
@@ -158,7 +156,7 @@ class PairingPayload(Record):
 
     __slots__ = ("identity", "public_share", "auth_nonce")
 
-    def __init__(self, identity: Identity, public_share: PublicShare, auth_nonce: AuthNonce):
+    def __init__(self, identity: Identity, public_share: int, auth_nonce: AuthNonce):
         set_field(self, "identity", identity)
         set_field(self, "public_share", public_share)
         set_field(self, "auth_nonce", auth_nonce)
@@ -185,7 +183,7 @@ def encode_payload(payload: PairingPayload) -> bytes:
     covers the exact identity/share/nonce boundaries."""
     return (
         _field(payload.identity.encoded())
-        + _field(int_to_octets(payload.public_share.value))
+        + _field(int_to_octets(payload.public_share))
         + _field(payload.auth_nonce.data)
     )
 
@@ -203,12 +201,11 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
         raise MalformedMessage(f"bad identity field: {exc}") from exc
     if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):
         raise MalformedMessage("public share is not a minimal big-endian integer")
-    share = PublicShare(int.from_bytes(share_raw, "big"))
     try:
         nonce = AuthNonce(nonce_raw, k)
     except ValueError as exc:
         raise MalformedMessage(f"bad nonce field: {exc}") from exc
-    return PairingPayload(identity, share, nonce)
+    return PairingPayload(identity, int.from_bytes(share_raw, "big"), nonce)
 
 
 class Msg1(Record):
@@ -353,7 +350,7 @@ class Peer:
         self.rng = rng or secrets.SystemRandom()
         self.phase = Phase.CREATED
         self.phase_log = [Phase.CREATED]
-        self.private: PrivateShare | None = None
+        self.private: int | None = None
         self.own_nonce = nonce
         self.own_payload: PairingPayload | None = None
         self.commitment: Commitment | None = None      # own (initiator) or received (responder)
@@ -416,8 +413,8 @@ class Peer:
     def _accept_remote(self, payload: PairingPayload, side: str):
         """Check the remote share, then keep the payload and compute the SAS.
         The SAS is an XOR, so either role passes its own nonce first."""
-        if not in_subgroup(self.params, payload.public_share.value):
-            raise SubgroupCheckFailed(f"{side} share {payload.public_share.value} rejected")
+        if not in_subgroup(self.params, payload.public_share):
+            raise SubgroupCheckFailed(f"{side} share {payload.public_share} rejected")
         self.remote_payload = payload
         self.sas = compute_sas(self.own_nonce, payload.auth_nonce)
 

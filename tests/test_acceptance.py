@@ -21,7 +21,7 @@ from saska.adversary import (
     run_mitm_trial,
 )
 from saska.errors import OpenFailed
-from saska.group import PrivateShare, pub_share, derive_key
+from saska.group import pub_share, derive_key
 from saska.protocol import (
     AuthNonce,
     Msg2,
@@ -161,13 +161,13 @@ def test_criterion_5_dh_oracle_equivalence(test_params):
     mismatches = 0
     for a in range(1, 11):
         for b in range(1, 11):
-            ga = pub_share(test_params, PrivateShare(a)).value
-            gb = pub_share(test_params, PrivateShare(b)).value
+            ga = pub_share(test_params, a)
+            gb = pub_share(test_params, b)
             if ga != naive_mod_exp(2, a, 23) or gb != naive_mod_exp(2, b, 23):
                 mismatches += 1
                 continue
-            key_a = derive_key(test_params, pub_share(test_params, PrivateShare(b)), PrivateShare(a))
-            key_b = derive_key(test_params, pub_share(test_params, PrivateShare(a)), PrivateShare(b))
+            key_a = derive_key(test_params, pub_share(test_params, b), a)
+            key_b = derive_key(test_params, pub_share(test_params, a), b)
             oracle = naive_mod_exp(naive_mod_exp(2, a, 23), b, 23)
             if key_a.value != oracle or key_b.value != oracle:
                 mismatches += 1

@@ -23,6 +23,7 @@ from saska.errors import KTooLarge
 from saska.group import PARAM_SETS
 from saska.protocol import (
     AuthNonce,
+    Identity,
     Msg1,
     Msg2,
     Msg3,
@@ -333,6 +334,8 @@ class TestWilson:
         low, high = wilson_interval(0, 1000)
         assert low == 0.0
         assert 0 < high < 0.02
+        with pytest.raises(ValueError):
+            wilson_interval(0, 0)
 
     def test_all_successes(self):
         low, high = wilson_interval(1000, 1000)
@@ -493,3 +496,33 @@ def test_known_defect_share_swap_wins(p40_params):
         out = _run_trial(p40_params, 20, rng_a, rng_b, attacker)
         assert out.success and out.sas_match and out.attacker_key_with_a, seed
         assert out.aborts == (), seed
+
+
+class IdentitySwap(_Attacker):
+    """Relay Msg1 and Msg3, and deliver B's Msg2 to A naming carol, with B's
+    share and nonce kept."""
+
+    def __call__(self, frame, direction, history):
+        msg = decode_message(frame)
+        if isinstance(msg, Msg2):
+            forged = PairingPayload(Identity("carol"), msg.payload.public_share, msg.payload.auth_nonce)
+            return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
+        return [(direction, frame)]
+
+
+def test_known_defect_identity_swap_uncounted(p40_params):
+    """KNOWN DEFECT, pinned so that it cannot go unnoticed: the SAS binds
+    neither identity, so A accepts B's share and nonce under the name carol
+    with matching SAS values and a key shared with B.  The win rule counts
+    only attacker keys, so this misbinding scores no success.  ROADMAP
+    item 2 flips `success` to True; item 1 then flips `sas_match` to
+    False."""
+    for seed in range(20):
+        rng_a, rng_b, rng_e = _child_rngs(seed)
+        attacker = IdentitySwap(AttackStrategy(StrategyKind.FULL_MITM), p40_params, 20, rng_e)
+        out = _run_trial(p40_params, 20, rng_a, rng_b, attacker)
+        assert out.sas_match and out.keys_equal, seed
+        assert out.aborts == (), seed
+        ((_, msg2_to_a),) = out.transcript[1].delivered
+        assert decode_message(msg2_to_a).payload.identity == Identity("carol"), seed
+        assert not out.success, seed

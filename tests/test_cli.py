@@ -335,9 +335,9 @@ class TestPeerExitCodes:
         calls = []
         real = protocol.derive_key
 
-        def spy(params, peer_pub, priv):
-            calls.append(peer_pub.value)
-            return real(params, peer_pub, priv)
+        def spy(params, peer_share, x):
+            calls.append(peer_share)
+            return real(params, peer_share, x)
 
         monkeypatch.setattr(protocol, "derive_key", spy)
         monkeypatch.setattr("sys.stdin", Interrupted())

@@ -30,6 +30,8 @@ def test_round_trip():
 def test_digest_is_32_octets():
     c, _ = commit(b"ab", random.Random(1))
     assert len(c.digest) == DIGEST_LEN
+    with pytest.raises(ValueError):
+        Commitment(bytes(31))
 
 
 def test_domain_tag_is_8_ascii_octets():

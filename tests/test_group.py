@@ -14,8 +14,6 @@ from saska.errors import BadGenerator, NotPrime, OrderMismatch, RngFailure, Subg
 from saska.group import (
     PARAM_SETS,
     DhParams,
-    PrivateShare,
-    PublicShare,
     _fixed_base_rows,
     _table_entry,
     derive_key,
@@ -53,6 +51,10 @@ class TestValidateParams:
     def test_composite_p_rejected(self):
         with pytest.raises(NotPrime):
             validate_params(25, 11, 2)
+        # 3233 = 53 * 61 passes trial division; 101 is prime and divides 3232,
+        # so only the Miller-Rabin witness loop stops this triple
+        with pytest.raises(NotPrime):
+            validate_params(3233, 101, 2)
 
     def test_composite_q_rejected(self):
         with pytest.raises(NotPrime):
@@ -92,18 +94,18 @@ class TestPrivateShare:
         rng = random.Random(7)
         for _ in range(200):
             share = gen_private_share(test_params, rng)
-            assert 1 <= share.exponent <= 10
+            assert 1 <= share <= 10
 
     def test_smallest_admissible_range(self):
         params = DhParams(p=7, q=3, g=2)  # 2^3 = 8 = 1 mod 7
         rng = random.Random(3)
-        seen = {gen_private_share(params, rng).exponent for _ in range(50)}
+        seen = {gen_private_share(params, rng) for _ in range(50)}
         assert seen == {1, 2}
 
     def test_independent_draws_differ(self, test_params):
         a = gen_private_share(test_params, random.Random(1))
         b = gen_private_share(test_params, random.Random(2))
-        assert a.exponent != b.exponent
+        assert a != b
 
     def test_rng_failure_wrapped(self, test_params):
         class Broken:
@@ -122,7 +124,7 @@ class TestPrivateShare:
         assert params.exponent_limit == params.q
         for seed in range(300):
             expected = random.Random(seed).randrange(1, params.q)
-            assert gen_private_share(params, random.Random(seed)).exponent == expected
+            assert gen_private_share(params, random.Random(seed)) == expected
 
     def test_modp2048_short_exponents(self):
         params = PARAM_SETS["modp2048"]
@@ -130,7 +132,7 @@ class TestPrivateShare:
         assert params.exponent_limit == 1 << n_bits
         assert n_bits == 256 >= 2 * 112  # SP 800-56A strength of a 2048-bit group
         rng = random.Random(5)
-        draws = [gen_private_share(params, rng).exponent for _ in range(300)]
+        draws = [gen_private_share(params, rng) for _ in range(300)]
         assert all(1 <= x < 2**256 for x in draws)
         assert max(draws).bit_length() == 256
 
@@ -155,50 +157,50 @@ class TestPrivateShare:
 
 class TestPubShare:
     def test_known_values(self, test_params):
-        assert pub_share(test_params, PrivateShare(3)).value == 8
-        assert pub_share(test_params, PrivateShare(4)).value == 16
+        assert pub_share(test_params, 3) == 8
+        assert pub_share(test_params, 4) == 16
 
     def test_deterministic(self, test_params):
-        assert pub_share(test_params, PrivateShare(7)) == pub_share(test_params, PrivateShare(7))
+        assert pub_share(test_params, 7) == pub_share(test_params, 7)
 
     def test_closure_in_subgroup(self, test_params):
         for a in range(1, 11):
-            value = pub_share(test_params, PrivateShare(a)).value
+            value = pub_share(test_params, a)
             assert naive_mod_exp(value, 11, 23) == 1
 
 
 class TestDeriveKey:
     def test_known_values(self, test_params):
         assert naive_mod_exp(16, 3, 23) == 2
-        key = derive_key(test_params, PublicShare(16), PrivateShare(3))
+        key = derive_key(test_params, 16, 3)
         assert key.value == 2
         assert key.octets == b"\x02"
 
         assert naive_mod_exp(8, 4, 23) == 2
-        other = derive_key(test_params, PublicShare(8), PrivateShare(4))
+        other = derive_key(test_params, 8, 4)
         assert other.value == key.value  # DH agreement
 
     def test_identity_share_rejected(self, test_params):
         with pytest.raises(SubgroupCheckFailed):
-            derive_key(test_params, PublicShare(1), PrivateShare(3))
+            derive_key(test_params, 1, 3)
 
     def test_share_outside_subgroup_rejected(self, test_params):
         # oracle: 5^11 mod 23 != 1, so 5 is not in the order-11 subgroup
         assert naive_mod_exp(5, 11, 23) != 1
         with pytest.raises(SubgroupCheckFailed):
-            derive_key(test_params, PublicShare(5), PrivateShare(3))
+            derive_key(test_params, 5, 3)
 
     def test_out_of_range_share_rejected(self, test_params):
         for bad in (0, 23, 24):
             with pytest.raises(SubgroupCheckFailed):
-                derive_key(test_params, PublicShare(bad), PrivateShare(3))
+                derive_key(test_params, bad, 3)
 
     def test_agreement_full_sweep(self, test_params):
         # all (a, b) in [1,10]^2 against the repeated-multiplication oracle
         for a in range(1, 11):
             for b in range(1, 11):
-                ka = derive_key(test_params, pub_share(test_params, PrivateShare(b)), PrivateShare(a))
-                kb = derive_key(test_params, pub_share(test_params, PrivateShare(a)), PrivateShare(b))
+                ka = derive_key(test_params, pub_share(test_params, b), a)
+                kb = derive_key(test_params, pub_share(test_params, a), b)
                 assert ka == kb
                 assert ka.value == naive_mod_exp(naive_mod_exp(2, a, 23), b, 23)
 
@@ -206,12 +208,20 @@ class TestDeriveKey:
 class TestPrimality:
     def test_small_cases(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
-        for n in range(2, 25):
+        for n in range(0, 25):
             assert is_probable_prime(n) == (n in primes)
 
     def test_carmichael_number_rejected(self):
         assert not is_probable_prime(561)
         assert not is_probable_prime(41041)
+        # 211 * 421 * 631: no factor up to 47, so trial division passes it
+        assert not is_probable_prime(56052361)
+
+    @pytest.mark.parametrize("n", [3233, 3215031751])
+    def test_composite_without_small_factor_rejected(self, n):
+        # 53 * 61, and 151 * 751 * 28351, a strong pseudoprime to bases
+        # 2, 3, 5 and 7; each of 64 random bases misses with probability <= 1/4
+        assert not is_probable_prime(n)
 
 
 class TestBuiltinSets:
@@ -322,7 +332,7 @@ class TestInSubgroup:
         assert SCHNORR.exponent_limit == SCHNORR.q
         for seed in range(50):
             expected = random.Random(seed).randrange(1, SCHNORR.q)
-            assert gen_private_share(SCHNORR, random.Random(seed)).exponent == expected
+            assert gen_private_share(SCHNORR, random.Random(seed)) == expected
 
 
 class TestVerdictCache:
@@ -375,8 +385,8 @@ class TestVerdictCache:
     def test_rejected_share_rejected_again(self):
         params = PARAM_SETS["p40"]
         group._member_verdict.cache_clear()
-        non_residue = PublicShare(params.p - params.g)
-        priv = PrivateShare(5)
+        non_residue = params.p - params.g
+        priv = 5
         for _ in range(2):
             with pytest.raises(SubgroupCheckFailed):
                 derive_key(params, non_residue, priv)
@@ -447,7 +457,7 @@ class TestPubShareReference:
     def test_edge_exponents(self, name):
         params = GROUPS[name]
         for x in edge_exponents(params):
-            assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p), x
+            assert pub_share(params, x) == pow(params.g, x, params.p), x
 
     @pytest.mark.parametrize("name", ["test", "p40", "schnorr29", "safe32", "schnorr32", "safe31"])
     @given(data=st.data())
@@ -455,14 +465,14 @@ class TestPubShareReference:
     def test_matches_pow(self, name, data):
         params = GROUPS[name]
         x = data.draw(exponents(params))
-        assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p)
+        assert pub_share(params, x) == pow(params.g, x, params.p)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_pow_modp2048(self, data):
         params = PARAM_SETS["modp2048"]
         x = data.draw(exponents(params))
-        assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p)
+        assert pub_share(params, x) == pow(params.g, x, params.p)
 
     def test_table_shape(self):
         # one row of 256 per octet below exponent_limit
@@ -511,7 +521,7 @@ class TestLazyTable:
         params = PARAM_SETS["modp2048"]
         _fixed_base_rows.cache_clear()
         x = params.exponent_limit - 1 - 0x5A  # every octet non-zero, the low one odd
-        assert pub_share(params, PrivateShare(x)).value == pow(params.g, x, params.p)
+        assert pub_share(params, x) == pow(params.g, x, params.p)
         filled = [sum(entry is not None for entry in row) for row in _fixed_base_rows(params)]
         assert len(filled) == 32
         assert max(filled) <= 9

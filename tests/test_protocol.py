@@ -12,7 +12,7 @@ from saska.errors import (
     SubgroupCheckFailed,
     WrongPhase,
 )
-from saska.group import PARAM_SETS, PublicShare
+from saska.group import PARAM_SETS, gen_private_share, pub_share
 from saska import protocol
 from saska.protocol import (
     AuthNonce,
@@ -108,6 +108,11 @@ class TestAuthNonce:
             gen_auth_nonce(0, random.Random(0))
         with pytest.raises(ValueError):
             gen_auth_nonce(65, random.Random(0))
+        # the records check k themselves, not only gen_auth_nonce
+        with pytest.raises(ValueError, match="^auth nonce: k must be"):
+            AuthNonce(b"\x00", 0)
+        with pytest.raises(ValueError, match="^sas: k must be"):
+            Sas(bytes(9), 65)
 
     def test_int_round_trip(self):
         nonce = AuthNonce.from_int(0xBEEF, 20)
@@ -172,6 +177,9 @@ class TestWireFormat:
     def test_unknown_tag_rejected(self):
         with pytest.raises(MalformedMessage):
             decode_message(bytes([0x09]) + (1).to_bytes(4, "big") + b"x")
+        # and on the way out, a value that is no message has no tag
+        with pytest.raises(TypeError):
+            encode_message(object())
 
     def test_oversize_body_rejected(self):
         frame = bytes([0x02]) + (70000).to_bytes(4, "big") + b"\x00" * 70000
@@ -190,12 +198,12 @@ class TestWireFormat:
             decode_message(frame)
 
     def test_trailing_payload_bytes_rejected(self):
-        payload = PairingPayload(Identity("x"), PublicShare(8), AuthNonce.from_int(1, 8))
+        payload = PairingPayload(Identity("x"), 8, AuthNonce.from_int(1, 8))
         with pytest.raises(MalformedMessage):
             decode_payload(encode_payload(payload) + b"\x00", 8)
 
     def test_non_minimal_share_rejected(self):
-        payload = PairingPayload(Identity("x"), PublicShare(8), AuthNonce.from_int(1, 8))
+        payload = PairingPayload(Identity("x"), 8, AuthNonce.from_int(1, 8))
         raw = bytearray(encode_payload(payload))
         # widen the share field 0x08 -> 0x00 0x08
         assert raw[3:6] == b"\x00\x01\x08"
@@ -204,7 +212,7 @@ class TestWireFormat:
             decode_payload(bytes(raw), 8)
 
     def test_bad_nonce_length_rejected(self):
-        payload = PairingPayload(Identity("x"), PublicShare(8), AuthNonce.from_int(1, 8))
+        payload = PairingPayload(Identity("x"), 8, AuthNonce.from_int(1, 8))
         raw = encode_payload(payload)
         with pytest.raises(MalformedMessage):
             decode_payload(raw, 20)  # k=20 expects 3 nonce octets, field has 1
@@ -236,6 +244,17 @@ class TestWireFormat:
         with pytest.raises(MalformedMessage):
             decode_payload(raw, 8)
 
+    @pytest.mark.parametrize("name", ["test", "p40", "modp2048"])
+    def test_dh_values_are_plain_ints(self, name):
+        # exponent, share and decoded share on the pow path and the table path
+        params = PARAM_SETS[name]
+        x = gen_private_share(params, random.Random(1))
+        share = pub_share(params, x)
+        payload = PairingPayload(Identity("x"), share, AuthNonce.from_int(1, 8))
+        decoded = decode_payload(encode_payload(payload), 8).public_share
+        assert type(x) is int and type(share) is int and type(decoded) is int
+        assert decoded == share
+
     @given(
         label=st.text(st.characters(exclude_categories=("C", "Z")) | st.just(" "),
                       min_size=1, max_size=16),
@@ -247,7 +266,7 @@ class TestWireFormat:
     @settings(max_examples=150)
     def test_wire_round_trip_all_variants(self, label, share, k, nonce, data):
         nonce %= 2**k
-        payload = PairingPayload(Identity(label), PublicShare(share), AuthNonce.from_int(nonce, k))
+        payload = PairingPayload(Identity(label), share, AuthNonce.from_int(nonce, k))
 
         msg2 = Msg2(data.draw(st.integers(0, 2**32 - 1)), k, payload)
         assert decode_message(encode_message(msg2)) == msg2
@@ -278,8 +297,8 @@ class TestHonestRun:
         rng_a = ScriptedExponents([3], seed=1)
         rng_b = ScriptedExponents([4], seed=2)
         a, b, *_ = honest_exchange(test_params, rng_a=rng_a, rng_b=rng_b)
-        assert a.own_payload.public_share.value == 8
-        assert b.own_payload.public_share.value == 16
+        assert a.own_payload.public_share == 8
+        assert b.own_payload.public_share == 16
         assert a.confirm(True).value == 2
         assert b.confirm(True).value == 2
 
@@ -359,7 +378,7 @@ class TestPhaseGuards:
 def bad_share_frame(params, nonce: int) -> bytes:
     """A Msg2 whose public share, 1, lies outside the subgroup."""
     return encode_message(Msg2(params.set_id, 20, PairingPayload(
-        Identity("bob"), PublicShare(1), AuthNonce.from_int(nonce, 20))))
+        Identity("bob"), 1, AuthNonce.from_int(nonce, 20))))
 
 
 class TestKeyGating:
@@ -367,9 +386,9 @@ class TestKeyGating:
         calls = []
         real = protocol.derive_key
 
-        def spy(params, peer_pub, priv):
-            calls.append(peer_pub.value)
-            return real(params, peer_pub, priv)
+        def spy(params, peer_share, x):
+            calls.append(peer_share)
+            return real(params, peer_share, x)
 
         monkeypatch.setattr(protocol, "derive_key", spy)
         a, b, *_ = honest_exchange(test_params)
@@ -421,7 +440,7 @@ class TestAttacksAtOpLevel:
         # adversary commits to its own payload and sends that decommitment
         # against A's original commitment
         forged_payload = PairingPayload(
-            Identity("alice"), PublicShare(8), AuthNonce.from_int(7, 20))
+            Identity("alice"), 8, AuthNonce.from_int(7, 20))
         _, forged_d = commit(encode_payload(forged_payload), random.Random(9))
         parsed = []
         monkeypatch.setattr(protocol, "decode_payload", lambda *args: parsed.append(args))
@@ -447,7 +466,7 @@ class TestAttacksAtOpLevel:
     def test_initiator_share_outside_subgroup_rejected(self, test_params):
         # a forged commit/decommit pair whose payload carries a non-subgroup share
         forged_payload = PairingPayload(
-            Identity("alice"), PublicShare(5), AuthNonce.from_int(3, 20))
+            Identity("alice"), 5, AuthNonce.from_int(3, 20))
         c, d = commit(encode_payload(forged_payload), random.Random(1))
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))

@@ -17,28 +17,26 @@ from saska.adversary import (
     TranscriptEvent,
 )
 from saska.commitment import Commitment, Decommitment
-from saska.group import PARAM_SETS, DhParams, PrivateShare, PublicShare, SessionKey
+from saska.group import PARAM_SETS, DhParams, SessionKey
 from saska.protocol import AuthNonce, Identity, Msg1, Msg2, Msg3, PairingPayload, Sas
 from saska.record import set_field
 
 DIGEST = bytes(range(32))
 NONCE = b"\x07" * 32
-PAYLOAD = PairingPayload(Identity("bob"), PublicShare(4), AuthNonce(b"\x05", 8))
-PAYLOAD_REPR = ("PairingPayload(identity=Identity(label='bob'), public_share=PublicShare(value=4), "
+PAYLOAD = PairingPayload(Identity("bob"), 4, AuthNonce(b"\x05", 8))
+PAYLOAD_REPR = ("PairingPayload(identity=Identity(label='bob'), public_share=4, "
                 "auth_nonce=AuthNonce(data=b'\\x05', k=8))")
 
 # (class, keyword arguments in field order, expected repr)
 CASES = [
     (DhParams, {"p": 23, "q": 11, "g": 2}, "DhParams(p=23, q=11, g=2)"),
-    (PrivateShare, {"exponent": 4}, "PrivateShare(exponent=4)"),
-    (PublicShare, {"value": 4}, "PublicShare(value=4)"),
     (SessionKey, {"value": 4, "octets": b"\x04"}, "SessionKey(value=4, octets=b'\\x04')"),
     (Commitment, {"digest": DIGEST}, f"Commitment(digest={DIGEST!r})"),
     (Decommitment, {"nonce": NONCE, "message": b"m"}, f"Decommitment(nonce={NONCE!r}, message=b'm')"),
     (Identity, {"label": "bob"}, "Identity(label='bob')"),
     (AuthNonce, {"data": b"\x05", "k": 8}, "AuthNonce(data=b'\\x05', k=8)"),
     (Sas, {"data": b"\x05", "k": 8}, "Sas(data=b'\\x05', k=8)"),
-    (PairingPayload, {"identity": Identity("bob"), "public_share": PublicShare(4),
+    (PairingPayload, {"identity": Identity("bob"), "public_share": 4,
                       "auth_nonce": AuthNonce(b"\x05", 8)}, PAYLOAD_REPR),
     (Msg1, {"c": Commitment(DIGEST)}, f"Msg1(c=Commitment(digest={DIGEST!r}))"),
     (Msg2, {"param_set_id": 7, "k": 8, "payload": PAYLOAD},
@@ -110,9 +108,7 @@ def test_copy_and_pickle_round_trip(cls, fields, text):
 def test_same_fields_different_class_are_unequal():
     assert Sas(b"\x05", 8) != AuthNonce(b"\x05", 8)
     assert AuthNonce(b"\x05", 8) != Sas(b"\x05", 8)
-    assert PublicShare(4) != PrivateShare(4)
-    assert PrivateShare(4) != PublicShare(4)
-    assert len({Sas(b"\x05", 8), AuthNonce(b"\x05", 8), PublicShare(4), PrivateShare(4)}) == 4
+    assert len({Sas(b"\x05", 8), AuthNonce(b"\x05", 8)}) == 2
 
 
 def test_dhparams_derived_fields_outside_value():
