@@ -15,8 +15,8 @@ success rate of the optimal guess is exactly 2^-k - measurable here by
 exhaustive enumeration (small k) and Monte Carlo estimation.
 
 The simulator needs no channel object: _run_trial moves frames between two
-sans-I/O peers itself and asks the attacker callback (frame, direction,
-history), at send time, what becomes of each frame.  The callback returns
+sans-I/O peers itself and asks the attacker callback (frame, direction),
+at send time, what becomes of each frame.  The callback returns
 the deliveries it makes, as (Direction, bytes) pairs delivered in order:
 [] drops the frame, [(direction, frame)] relays it, a different frame
 replaces it, and further pairs inject forged frames.
@@ -226,7 +226,7 @@ class ImpersonateResponderAttacker(_Attacker):
     A's commitment, and the commitment toward B before B reveals N_B, so the
     two SAS values align up to one blind guess of N_B."""
 
-    def __call__(self, frame, direction, history):
+    def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg1) and direction is Direction.A_TO_B:
             # absorb A's commitment and answer it ourselves
@@ -255,7 +255,7 @@ class FullMitmAttacker(_Attacker):
     def guess_n_a(self) -> int:
         return self.resolve_guess()
 
-    def __call__(self, frame, direction, history):
+    def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg1) and direction is Direction.A_TO_B:
             self.bridge_nonce = self.bridge()
@@ -312,9 +312,9 @@ def _run_trial(
     """Run two peers with every frame passing through `attacker` (None is
     the identity adversary).
 
-    The attacker is called once per frame, at send time, with the events
-    recorded so far: it never sees a frame that has not been sent.  Each
-    peer sends at most two frames in its life, so the queue drains.
+    The attacker is called once per frame, at send time, in send order: it
+    never sees a frame that has not been sent.  Each peer sends at most two
+    frames in its life, so the queue drains.
     """
     peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng_a, nonce=nonce_a)
     peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng_b, nonce=nonce_b)
@@ -328,7 +328,7 @@ def _run_trial(
             if attacker is None:
                 delivered = ((direction, frame),)
             else:
-                delivered = tuple(attacker(frame, direction, tuple(events)))
+                delivered = tuple(attacker(frame, direction))
                 for pair in delivered:
                     if not (isinstance(pair, tuple) and len(pair) == 2
                             and isinstance(pair[0], Direction) and isinstance(pair[1], bytes)):
@@ -360,13 +360,13 @@ def _run_trial(
             if peer.phase is Phase.SAS_READY:
                 peer.confirm(False)
 
-    keys_equal = key_a is not None and key_b is not None and key_a.octets == key_b.octets
+    keys_equal = key_a is not None and key_a == key_b
     atk_a = atk_b = False
     if attacker is not None:
         # the attacker's keys cost a full exponentiation each; skip them
         # when there is no victim key to compare against
-        atk_a = key_a is not None and attacker.key_with_a() == key_a.value
-        atk_b = key_b is not None and attacker.key_with_b() == key_b.value
+        atk_a = key_a is not None and attacker.key_with_a() == key_a
+        atk_b = key_b is not None and attacker.key_with_b() == key_b
         success = sas_match and (atk_a or atk_b)
     else:
         success = sas_match and keys_equal

@@ -59,6 +59,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # stay full range.
 _SAFE_PRIME_STRENGTH = ((2048, 112), (3072, 128), (4096, 152), (6144, 176), (8192, 200))
 _MIN_EXPONENT_BITS = 256
+_MAX_P_BITS = _SAFE_PRIME_STRENGTH[-1][0]  # Miller-Rabin on a larger p takes minutes
 # Groups with p <= 2^31 skip the Jacobi test, the verdict cache and the
 # fixed-base table, because below about 2^31 a single pow is cheaper
 # (measured with CPython 3.11).  Subgroup test: pow(y, q, p) takes 0.2 us
@@ -104,16 +105,6 @@ class DhParams(Record):
         set_field(self, "set_id", int.from_bytes(h.digest()[:4], "big"))
 
 
-class SessionKey(Record):
-    """Shared secret, as a group element and its canonical octet encoding."""
-
-    __slots__ = ("value", "octets")
-
-    def __init__(self, value: int, octets: bytes):
-        set_field(self, "value", value)
-        set_field(self, "octets", octets)
-
-
 def int_to_octets(n: int) -> bytes:
     """Minimal big-endian encoding; at least one octet."""
     return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
@@ -157,6 +148,8 @@ def validate_params(p: int, q: int, g: int) -> DhParams:
     """
     if p <= 0 or q <= 0 or g <= 0:
         raise ValueError("p, q, g must be positive integers")
+    if max(p, q).bit_length() > _MAX_P_BITS:
+        raise ValueError(f"p and q must have at most {_MAX_P_BITS} bits")
     if not is_probable_prime(p):
         raise NotPrime(p, "p")
     if not is_probable_prime(q):
@@ -277,9 +270,9 @@ def pub_share(params: DhParams, x: int) -> int:
     return value
 
 
-def derive_key(params: DhParams, peer_share: int, x: int) -> SessionKey:
-    """peer_share^x mod p for the peer's public share and our exponent x,
-    with a subgroup membership check first.
+def derive_key(params: DhParams, peer_share: int, x: int) -> int:
+    """The shared secret peer_share^x mod p for the peer's public share and
+    our exponent x, with a subgroup membership check first.
 
     The check rejects shares outside the order-q subgroup (identity
     included), which an active attacker could use for small-subgroup
@@ -287,8 +280,7 @@ def derive_key(params: DhParams, peer_share: int, x: int) -> SessionKey:
     """
     if not in_subgroup(params, peer_share):
         raise SubgroupCheckFailed(f"peer share {peer_share} is not a valid subgroup element")
-    value = pow(peer_share, x, params.p)
-    return SessionKey(value, int_to_octets(value))
+    return pow(peer_share, x, params.p)
 
 
 # Built-in parameter sets.  "test" is for unit tests and fast simulation
@@ -330,6 +322,8 @@ def parse_params_text(text: str) -> DhParams:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if len(line) > len(str(1 << _MAX_P_BITS)):  # checked before int() parses it
+            raise ValueError(f"a line of {len(line)} characters is too long for {_MAX_P_BITS} bits")
         try:
             values.append(int(line, 10))
         except ValueError:

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .group import (
     DhParams,
-    SessionKey,
     derive_key,
     gen_private_share,
     in_subgroup,
@@ -144,9 +143,9 @@ def format_sas(sas: Sas) -> str:
     return format(sas.to_int(), f"0{digits}X")
 
 
-def key_fingerprint(key: SessionKey) -> str:
-    """First 8 hex digits of SHA-256 over the key octets, for display."""
-    return hashlib.sha256(key.octets).hexdigest()[:8]
+def key_fingerprint(key: int) -> str:
+    """First 8 hex digits of SHA-256 over int_to_octets(key), for display."""
+    return hashlib.sha256(int_to_octets(key)).hexdigest()[:8]
 
 
 # --- payload and wire encoding -------------------------------------------
@@ -357,7 +356,7 @@ class Peer:
         self.decommitment: Decommitment | None = None  # initiator only
         self.remote_payload: PairingPayload | None = None
         self.sas: Sas | None = None
-        self.session_key: SessionKey | None = None
+        self.session_key: int | None = None
 
     def _advance(self, phase: Phase):
         if self.phase in (Phase.CONFIRMED, Phase.ABORTED) or phase <= self.phase:
@@ -462,7 +461,7 @@ class Peer:
         self._advance(Phase.SAS_READY)
         return []
 
-    def confirm(self, user_accepts: bool) -> SessionKey | None:
+    def confirm(self, user_accepts: bool) -> int | None:
         """Derive the session key iff the operator accepted the SAS comparison.
 
         On rejection the session aborts and no key material is ever computed.

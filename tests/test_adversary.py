@@ -108,14 +108,14 @@ class TestMitmTrials:
         nonce, is caught by the binding check."""
 
         class RebindingMitm(FullMitmAttacker):
-            def __call__(self, frame, direction, history):
+            def __call__(self, frame, direction):
                 msg = decode_message(frame)
                 if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
                     better = self.payload(
                         "alice", (self.bridge_nonce ^ 1) & ((1 << self.k) - 1))
                     forged = Decommitment(self.decommit.nonce, encode_payload(better))
                     return [(direction, encode_message(Msg3(forged)))]
-                return super().__call__(frame, direction, history)
+                return super().__call__(frame, direction)
 
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
         rng_a, rng_b, rng_e = _child_rngs(9)
@@ -129,7 +129,7 @@ class TestMitmTrials:
         behind it is ignored and A never releases its decommitment."""
 
         class GarbageToInitiator(_Attacker):
-            def __call__(self, frame, direction, history):
+            def __call__(self, frame, direction):
                 if isinstance(decode_message(frame), Msg1):
                     return [(direction, frame), (Direction.B_TO_A, bytes.fromhex("070000000100"))]
                 return [(direction, frame)]
@@ -355,8 +355,8 @@ class Scripted(_Attacker):
         super().__init__(AttackStrategy(StrategyKind.FULL_MITM), params, k, random.Random(0))
         self.decide = decide
 
-    def __call__(self, frame, direction, history):
-        return self.decide(frame, direction, history)
+    def __call__(self, frame, direction):
+        return self.decide(frame, direction)
 
 
 def run_through(decide, params, k=20):
@@ -366,14 +366,14 @@ def run_through(decide, params, k=20):
 
 class TestInterposition:
     def test_identity_callback_passes_through(self, test_params):
-        out = run_through(lambda frame, direction, history: [(direction, frame)], test_params)
+        out = run_through(lambda frame, direction: [(direction, frame)], test_params)
         assert out.sas_a is not None and out.sas_a == out.sas_b
         assert out.keys_equal
         assert out.aborts == ()
         assert len(out.transcript) == 3
 
     def test_drop_everything_starves_both_peers(self, test_params):
-        out = run_through(lambda frame, direction, history: [], test_params)
+        out = run_through(lambda frame, direction: [], test_params)
         assert out.sas_a is None and out.sas_b is None
         assert out.aborts == ()
         assert len(out.transcript) == 1
@@ -383,8 +383,8 @@ class TestInterposition:
         swap = frame_of(b"\x55" * 32)
         extra = frame_of(b"\x66" * 32)
 
-        def adversary(frame, direction, history):
-            if not history:
+        def adversary(frame, direction):
+            if isinstance(decode_message(frame), Msg1):
                 return [(direction, swap), (Direction.B_TO_A, extra)]
             return [(direction, frame)]
 
@@ -401,7 +401,7 @@ class TestInterposition:
         assert len(out.aborts) == 1 and out.aborts[0].startswith("initiator: MalformedMessage")
 
     def test_nonce_replacement_causes_sas_mismatch(self, test_params):
-        def flip_msg2_nonce(frame, direction, history):
+        def flip_msg2_nonce(frame, direction):
             msg = decode_message(frame)
             if isinstance(msg, Msg2):
                 n = msg.payload.auth_nonce
@@ -419,36 +419,33 @@ class TestInterposition:
         assert not out.success
 
     def test_transcript_sequencing_and_causality(self, test_params):
-        observed_histories = []
+        observed = []
 
-        def adversary(frame, direction, history):
-            observed_histories.append(history)
+        def adversary(frame, direction):
+            observed.append((direction, frame))
             return [(direction, frame)]
 
         out = run_through(adversary, test_params)
         assert [e.seq for e in out.transcript] == [1, 2, 3]
-        # decision n saw exactly the events of frames 1..n-1
-        assert len(observed_histories) == 3
-        for n, history in enumerate(observed_histories):
-            assert history == out.transcript[:n]
+        # one call per frame sent, in send order
+        assert observed == [(e.direction, e.frame) for e in out.transcript]
 
     def test_deterministic_replay_of_decisions(self, test_params):
-        def substitute(frame, direction, history):
-            if len(history) == 1:
+        def substitute(frame, direction):
+            if isinstance(decode_message(frame), Msg2):
                 return [(direction, frame_of(b"\x99" * 32, tag=0x02))]
             return [(direction, frame)]
 
         out = run_through(substitute, test_params)
         assert len(out.transcript) == 2
-        # replay: feeding the recorded prefix back into the callback
-        # reproduces the recorded deliveries, proving decisions used only
-        # frames 1..n
-        for i, event in enumerate(out.transcript):
-            again = substitute(event.frame, event.direction, out.transcript[:i])
+        # replay: feeding each recorded frame back into the callback
+        # reproduces the recorded deliveries
+        for event in out.transcript:
+            again = substitute(event.frame, event.direction)
             assert tuple(again) == event.delivered
 
     def test_duplicating_every_frame_terminates(self, test_params):
-        def duplicate(frame, direction, history):
+        def duplicate(frame, direction):
             return [(direction, frame), (direction, frame)]
 
         out = run_through(duplicate, test_params)
@@ -468,14 +465,14 @@ class TestInterposition:
     ], ids=["bare-bytes", "str-direction"])
     def test_non_delivery_is_type_error(self, test_params, bad):
         with pytest.raises(TypeError, match="delivery"):
-            run_through(lambda frame, direction, history: [bad(direction, frame)], test_params)
+            run_through(lambda frame, direction: [bad(direction, frame)], test_params)
 
 
 class ShareSwap(_Attacker):
     """Relay Msg1 and Msg3, and answer B's Msg2 toward A with the attacker's
     share and B's own nonce: ROADMAP item 1's share-swap."""
 
-    def __call__(self, frame, direction, history):
+    def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg2):
             return [self.reply_toward_a(self.note_payload(msg.payload, "b"))]
@@ -502,7 +499,7 @@ class IdentitySwap(_Attacker):
     """Relay Msg1 and Msg3, and deliver B's Msg2 to A naming carol, with B's
     share and nonce kept."""
 
-    def __call__(self, frame, direction, history):
+    def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg2):
             forged = PairingPayload(Identity("carol"), msg.payload.public_share, msg.payload.auth_nonce)

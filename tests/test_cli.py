@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from saska import adversary, cli, protocol
+from saska import adversary, cli, group, protocol
 from saska.cli import EXIT_REJECTED, EXIT_TAMPER, EXIT_TIMEOUT, EXIT_TRANSPORT, main
 from saska.errors import Timeout
 from saska.group import DhParams, PARAM_SETS
@@ -116,6 +116,28 @@ class TestArgumentErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "g = 5" in proc.stderr
+
+    @pytest.mark.parametrize("mode", [["--listen", "0", "--id", "a"], ["sim", "--strategy", "honest"]],
+                             ids=["peer", "sim"])
+    @pytest.mark.parametrize("p_line", [str(53 ** 2095), "9" * 4400],
+                             ids=["12000-bit-composite", "4400-digit-line"])
+    def test_oversize_params_file_refused_before_primality(self, tmp_path, monkeypatch, capsys,
+                                                            mode, p_line):
+        """A p above 8,192 bits is a short usage error before any
+        Miller-Rabin round: 53^2095 is an odd 12,000-bit composite with no
+        factor up to 47, and 4,400 digits exceed Python's int() limit."""
+        path = tmp_path / "big.params"
+        path.write_text(f"{p_line}\n11\n2\n")
+        calls = []
+        monkeypatch.setattr(group, "is_probable_prime", calls.append)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*mode, "--params", str(path)])
+        assert excinfo.value.code == 2
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0]) < 200
 
     def test_checked_before_connecting(self):
         listener = StreamListener(0)

@@ -173,12 +173,13 @@ class TestDeriveKey:
     def test_known_values(self, test_params):
         assert naive_mod_exp(16, 3, 23) == 2
         key = derive_key(test_params, 16, 3)
-        assert key.value == 2
-        assert key.octets == b"\x02"
+        assert type(key) is int
+        assert key == 2
+        assert int_to_octets(key) == b"\x02"
 
         assert naive_mod_exp(8, 4, 23) == 2
         other = derive_key(test_params, 8, 4)
-        assert other.value == key.value  # DH agreement
+        assert other == key  # DH agreement
 
     def test_identity_share_rejected(self, test_params):
         with pytest.raises(SubgroupCheckFailed):
@@ -202,7 +203,7 @@ class TestDeriveKey:
                 ka = derive_key(test_params, pub_share(test_params, b), a)
                 kb = derive_key(test_params, pub_share(test_params, a), b)
                 assert ka == kb
-                assert ka.value == naive_mod_exp(naive_mod_exp(2, a, 23), b, 23)
+                assert ka == naive_mod_exp(naive_mod_exp(2, a, 23), b, 23)
 
 
 class TestPrimality:
@@ -417,6 +418,25 @@ class TestParamsFile:
     def test_invalid_group_fails_validation(self):
         with pytest.raises(BadGenerator):
             parse_params_text("23\n11\n5\n")
+
+    def test_size_bound_checked_before_primality(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(group, "is_probable_prime", calls.append)
+        for p, q in (((1 << 8192) + 1, 11), (23, (1 << 8192) + 1)):
+            with pytest.raises(ValueError, match="at most 8192 bits"):
+                validate_params(p, q, 2)
+        assert calls == []
+        # an 8,192-bit p passes the bound and reaches the primality test
+        with pytest.raises(NotPrime):
+            validate_params((1 << 8192) - 1, 11, 2)
+        assert calls == [(1 << 8192) - 1]
+
+    def test_line_wider_than_the_bound_refused(self):
+        # 2^8192 has 2,467 decimal digits: a padded p of that width parses
+        padded = "0" * 2465 + "23"
+        assert parse_params_text(f"{padded}\n11\n2\n") == DhParams(23, 11, 2)
+        with pytest.raises(ValueError, match="a line of 2468 characters"):
+            parse_params_text(f"0{padded}\n11\n2\n")
 
     def test_load_file(self, tmp_path):
         path = tmp_path / "group.params"

@@ -17,7 +17,7 @@ from saska.adversary import (
     TranscriptEvent,
 )
 from saska.commitment import Commitment, Decommitment
-from saska.group import PARAM_SETS, DhParams, SessionKey
+from saska.group import PARAM_SETS, DhParams
 from saska.protocol import AuthNonce, Identity, Msg1, Msg2, Msg3, PairingPayload, Sas
 from saska.record import set_field
 
@@ -30,7 +30,6 @@ PAYLOAD_REPR = ("PairingPayload(identity=Identity(label='bob'), public_share=4, 
 # (class, keyword arguments in field order, expected repr)
 CASES = [
     (DhParams, {"p": 23, "q": 11, "g": 2}, "DhParams(p=23, q=11, g=2)"),
-    (SessionKey, {"value": 4, "octets": b"\x04"}, "SessionKey(value=4, octets=b'\\x04')"),
     (Commitment, {"digest": DIGEST}, f"Commitment(digest={DIGEST!r})"),
     (Decommitment, {"nonce": NONCE, "message": b"m"}, f"Decommitment(nonce={NONCE!r}, message=b'm')"),
     (Identity, {"label": "bob"}, "Identity(label='bob')"),

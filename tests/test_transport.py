@@ -1,5 +1,6 @@
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -98,6 +99,45 @@ class TestStreamTransport:
             client.recv_frame(1.0)
         client.close()
         listener.close()
+
+    def test_send_to_closed_peer_raises_channel_closed(self):
+        near, far = socket.socketpair()
+        far.close()
+        chan = StreamChannel(near)
+        try:
+            with pytest.raises(ChannelClosed) as excinfo:
+                chan.send_frame(frame_of(b"\x01" * 32))
+            assert isinstance(excinfo.value.__cause__, BrokenPipeError)
+        finally:
+            chan.close()
+
+    def test_reset_connection_raises_channel_closed(self):
+        listener = StreamListener(0)
+        client = connect_stream("127.0.0.1", listener.port, timeout=1.0)
+        server = listener.accept(1.0)
+        # linger on with a zero timeout: close() sends RST, not FIN
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        server.close()
+        try:
+            with pytest.raises(ChannelClosed) as excinfo:
+                client.recv_frame(1.0)
+            assert isinstance(excinfo.value.__cause__, ConnectionResetError)
+        finally:
+            client.close()
+            listener.close()
+
+    def test_spent_deadline_times_out_before_any_read(self):
+        near, far = socket.socketpair()
+        chan = StreamChannel(near)
+        frame = frame_of(b"\x03" * 32)
+        try:
+            far.sendall(frame)
+            with pytest.raises(Timeout):
+                chan.recv_frame(1e-9)
+            assert chan.recv_frame(1.0) == frame  # the waiting frame was not touched
+        finally:
+            chan.close()
+            far.close()
 
     def test_oversize_header_rejected_on_recv(self):
         listener = StreamListener(0)
