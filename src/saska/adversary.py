@@ -34,7 +34,6 @@ from .commitment import commit
 from .errors import KTooLarge, PairingError
 from .group import DhParams, gen_private_share, pub_share
 from .protocol import (
-    AuthNonce,
     Identity,
     Msg1,
     Msg2,
@@ -186,16 +185,16 @@ class _Attacker:
         return guess & ((1 << self.k) - 1)
 
     def payload(self, label: str, nonce_value: int) -> PairingPayload:
-        return PairingPayload(Identity(label), self.share, AuthNonce.from_int(nonce_value, self.k))
+        return PairingPayload(Identity(label), self.share, nonce_value)
 
     def note_payload(self, payload: PairingPayload, side: str) -> int:
         """Record a payload seen in the clear; returns its nonce."""
-        self.seen_nonces.append(payload.auth_nonce.to_int())
+        self.seen_nonces.append(payload.auth_nonce)
         if side == "a":
             self.seen_share_a = payload.public_share
         else:
             self.seen_share_b = payload.public_share
-        return self.seen_nonces[-1]
+        return payload.auth_nonce
 
     def key_with_a(self) -> int | None:
         share = self.seen_share_a
@@ -207,7 +206,7 @@ class _Attacker:
 
     def commit_toward_b(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg1 committing to our payload as alice; keeps the opening."""
-        c, self.decommit = commit(encode_payload(self.payload(INITIATOR_ID, nonce)), self.rng)
+        c, self.decommit = commit(encode_payload(self.payload(INITIATOR_ID, nonce), self.k), self.rng)
         return Direction.A_TO_B, encode_message(Msg1(c))
 
     def reply_toward_a(self, nonce: int) -> tuple[Direction, bytes]:
@@ -306,8 +305,8 @@ def _run_trial(
     rng_a: random.Random,
     rng_b: random.Random,
     attacker: _Attacker | None,
-    nonce_a: AuthNonce | None = None,
-    nonce_b: AuthNonce | None = None,
+    nonce_a: int | None = None,
+    nonce_b: int | None = None,
 ) -> AttackOutcome:
     """Run two peers with every frame passing through `attacker` (None is
     the identity adversary).
@@ -391,7 +390,7 @@ def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: rando
 
 
 def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None,
-                   nonce: AuthNonce | None = None) -> AttackOutcome:
+                   nonce: int | None = None) -> AttackOutcome:
     """One full protocol execution with the strategy's attacker interposed;
     `nonce`, if given, is the honest nonce on `strategy.guessed_side`."""
     rng_a, rng_b, rng_e = _child_rngs(seed, strategy.kind is not StrategyKind.HONEST)
@@ -424,7 +423,7 @@ def exhaustive_attack_success(
     check_run(strategy, k)
     seed = 0 if seed is None else seed
     successes = sum(
-        run_mitm_trial(strategy, params, k, seed, AuthNonce.from_int(value, k)).success
+        run_mitm_trial(strategy, params, k, seed, value).success
         for value in range(2 ** k))
     return Fraction(successes, 2 ** k)
 

@@ -10,19 +10,15 @@ class ParameterError(PairingError):
 
 
 class NotPrime(ParameterError):
-    def __init__(self, value: int, name: str = "value"):
-        self.value = value
-        super().__init__(f"{name} = {value} failed the primality test")
+    """p or q failed the primality test."""
 
 
 class OrderMismatch(ParameterError):
-    def __init__(self, p: int, q: int):
-        super().__init__(f"q = {q} does not divide p - 1 (p = {p})")
+    """q does not divide p - 1."""
 
 
 class BadGenerator(ParameterError):
-    def __init__(self, g: int, reason: str):
-        super().__init__(f"g = {g}: {reason}")
+    """g does not generate the order-q subgroup."""
 
 
 class SubgroupCheckFailed(PairingError):
@@ -47,10 +43,6 @@ class MalformedMessage(PairingError):
 
 class WrongPhase(PairingError):
     """A protocol operation was invoked out of order."""
-
-
-class LengthMismatch(PairingError):
-    """Two authentication nonces of different bit lengths were combined."""
 
 
 class KTooLarge(PairingError):

@@ -151,15 +151,16 @@ def validate_params(p: int, q: int, g: int) -> DhParams:
     if max(p, q).bit_length() > _MAX_P_BITS:
         raise ValueError(f"p and q must have at most {_MAX_P_BITS} bits")
     if not is_probable_prime(p):
-        raise NotPrime(p, "p")
+        raise NotPrime(f"p of {p.bit_length()} bits failed the primality test")
     if not is_probable_prime(q):
-        raise NotPrime(q, "q")
+        raise NotPrime(f"q of {q.bit_length()} bits failed the primality test")
     if (p - 1) % q != 0:
-        raise OrderMismatch(p, q)
+        raise OrderMismatch(
+            f"q of {q.bit_length()} bits does not divide p - 1 (p of {p.bit_length()} bits)")
     if not 1 < g < p:
-        raise BadGenerator(g, "generator must lie in (1, p)")
+        raise BadGenerator(f"g of {g.bit_length()} bits: generator must lie in (1, p)")
     if pow(g, q, p) != 1:
-        raise BadGenerator(g, "g^q mod p != 1, not in the order-q subgroup")
+        raise BadGenerator(f"g of {g.bit_length()} bits: g^q mod p != 1, not in the order-q subgroup")
     return DhParams(p, q, g)
 
 
@@ -279,7 +280,8 @@ def derive_key(params: DhParams, peer_share: int, x: int) -> int:
     confinement.
     """
     if not in_subgroup(params, peer_share):
-        raise SubgroupCheckFailed(f"peer share {peer_share} is not a valid subgroup element")
+        raise SubgroupCheckFailed(
+            f"peer share of {peer_share.bit_length()} bits is not a valid subgroup element")
     return pow(peer_share, x, params.p)
 
 
@@ -318,7 +320,7 @@ def parse_params_text(text: str) -> DhParams:
     Blank lines and '#' comments are ignored.
     """
     values = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -327,7 +329,7 @@ def parse_params_text(text: str) -> DhParams:
         try:
             values.append(int(line, 10))
         except ValueError:
-            raise ValueError(f"expected a decimal integer, got {line!r}") from None
+            raise ValueError(f"line {number} is not a decimal integer") from None
     if len(values) != 3:
         raise ValueError(f"parameter file must hold exactly 3 integers (p, q, g), got {len(values)}")
     return validate_params(*values)

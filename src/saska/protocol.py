@@ -29,7 +29,6 @@ from .commitment import (
     open_commitment,
 )
 from .errors import (
-    LengthMismatch,
     MalformedMessage,
     PairingError,
     RngFailure,
@@ -79,31 +78,16 @@ class Identity(Record):
         return self.label.encode("utf-8")
 
 
-def _check_bits(data: bytes, k: int, what: str):
+def _check_bits(data: bytes, k: int, what: str) -> int:
+    """The k-bit value of data, which must be ceil(k/8) big-endian octets."""
     if not 1 <= k <= MAX_K:
         raise ValueError(f"{what}: k must be in [1, {MAX_K}], got {k}")
     if len(data) != (k + 7) // 8:
         raise ValueError(f"{what}: need {(k + 7) // 8} octets for k={k}, got {len(data)}")
-    if int.from_bytes(data, "big") >> k:
+    value = int.from_bytes(data, "big")
+    if value >> k:
         raise ValueError(f"{what}: padding bits above bit {k} must be zero")
-
-
-class AuthNonce(Record):
-    """k-bit random string, stored big-endian in ceil(k/8) octets."""
-
-    __slots__ = ("data", "k")
-
-    def __init__(self, data: bytes, k: int):
-        _check_bits(data, k, "auth nonce")
-        set_field(self, "data", data)
-        set_field(self, "k", k)
-
-    @classmethod
-    def from_int(cls, value: int, k: int) -> "AuthNonce":
-        return cls(value.to_bytes((k + 7) // 8, "big"), k)
-
-    def to_int(self) -> int:
-        return int.from_bytes(self.data, "big")
+    return value
 
 
 class Sas(Record):
@@ -120,21 +104,18 @@ class Sas(Record):
         return int.from_bytes(self.data, "big")
 
 
-def gen_auth_nonce(k: int, rng: random.Random) -> AuthNonce:
+def gen_auth_nonce(k: int, rng: random.Random) -> int:
+    """A k-bit authentication nonce, an int below 2^k."""
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
     try:
-        value = rng.getrandbits(k)
+        return rng.getrandbits(k)
     except Exception as exc:
         raise RngFailure(str(exc)) from exc
-    return AuthNonce.from_int(value, k)
 
 
-def compute_sas(local: AuthNonce, remote: AuthNonce) -> Sas:
-    if local.k != remote.k:
-        raise LengthMismatch(f"nonce bit lengths differ: {local.k} vs {remote.k}")
-    data = bytes(a ^ b for a, b in zip(local.data, remote.data))
-    return Sas(data, local.k)
+def compute_sas(local: int, remote: int, k: int) -> Sas:
+    return Sas((local ^ remote).to_bytes((k + 7) // 8, "big"), k)
 
 
 def format_sas(sas: Sas) -> str:
@@ -151,11 +132,12 @@ def key_fingerprint(key: int) -> str:
 # --- payload and wire encoding -------------------------------------------
 
 class PairingPayload(Record):
-    """The cleartext message m = identity || public share || nonce."""
+    """The cleartext message m = identity || public share || nonce, where
+    the share and the k-bit nonce are ints."""
 
     __slots__ = ("identity", "public_share", "auth_nonce")
 
-    def __init__(self, identity: Identity, public_share: int, auth_nonce: AuthNonce):
+    def __init__(self, identity: Identity, public_share: int, auth_nonce: int):
         set_field(self, "identity", identity)
         set_field(self, "public_share", public_share)
         set_field(self, "auth_nonce", auth_nonce)
@@ -177,13 +159,14 @@ def _read_field(body: bytes, off: int) -> tuple[bytes, int]:
     return body[off:off + n], off + n
 
 
-def encode_payload(payload: PairingPayload) -> bytes:
-    """Length-prefixed field encoding; injective, so commitment binding
-    covers the exact identity/share/nonce boundaries."""
+def encode_payload(payload: PairingPayload, k: int) -> bytes:
+    """Length-prefixed field encoding, the nonce in ceil(k/8) big-endian
+    octets; injective, so commitment binding covers the exact
+    identity/share/nonce boundaries."""
     return (
         _field(payload.identity.encoded())
         + _field(int_to_octets(payload.public_share))
-        + _field(payload.auth_nonce.data)
+        + _field(payload.auth_nonce.to_bytes((k + 7) // 8, "big"))
     )
 
 
@@ -201,7 +184,7 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
     if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):
         raise MalformedMessage("public share is not a minimal big-endian integer")
     try:
-        nonce = AuthNonce(nonce_raw, k)
+        nonce = _check_bits(nonce_raw, k, "auth nonce")
     except ValueError as exc:
         raise MalformedMessage(f"bad nonce field: {exc}") from exc
     return PairingPayload(identity, int.from_bytes(share_raw, "big"), nonce)
@@ -253,7 +236,7 @@ def encode_message(msg: PairingMessage) -> bytes:
         body = (
             msg.param_set_id.to_bytes(4, "big")
             + msg.k.to_bytes(2, "big")
-            + encode_payload(msg.payload)
+            + encode_payload(msg.payload, msg.k)
         )
     elif isinstance(msg, Msg3):
         tag, body = TAG_DECOMMIT, msg.d.nonce + msg.d.message
@@ -336,12 +319,12 @@ class Peer:
         k: int = DEFAULT_K,
         rng: random.Random | None = None,
         *,
-        nonce: AuthNonce | None = None,
+        nonce: int | None = None,
     ):
         if not 1 <= k <= MAX_K:
             raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-        if nonce is not None and nonce.k != k:
-            raise ValueError(f"forced nonce has k={nonce.k}, session k={k}")
+        if nonce is not None and not 0 <= nonce < 1 << k:
+            raise ValueError(f"forced nonce is not a {k}-bit value")
         self.role = role
         self.params = params
         self.identity = Identity(identity)
@@ -386,7 +369,7 @@ class Peer:
         if self.phase is not Phase.CREATED:
             raise WrongPhase(f"start in phase {self.phase.name}")
         self._draw()
-        self.commitment, self.decommitment = commit(encode_payload(self.own_payload), self.rng)
+        self.commitment, self.decommitment = commit(encode_payload(self.own_payload, self.k), self.rng)
         self._advance(Phase.COMMIT_EXCHANGED)
         return [encode_message(Msg1(self.commitment))]
 
@@ -413,9 +396,10 @@ class Peer:
         """Check the remote share, then keep the payload and compute the SAS.
         The SAS is an XOR, so either role passes its own nonce first."""
         if not in_subgroup(self.params, payload.public_share):
-            raise SubgroupCheckFailed(f"{side} share {payload.public_share} rejected")
+            raise SubgroupCheckFailed(
+                f"{side} share of {payload.public_share.bit_length()} bits rejected")
         self.remote_payload = payload
-        self.sas = compute_sas(self.own_nonce, payload.auth_nonce)
+        self.sas = compute_sas(self.own_nonce, payload.auth_nonce, self.k)
 
     def _on_commit(self, msg1: PairingMessage) -> list[bytes]:
         """Accept the initiator's commitment and reply with our payload."""

@@ -23,7 +23,6 @@ from saska.adversary import (
 from saska.errors import OpenFailed
 from saska.group import pub_share, derive_key
 from saska.protocol import (
-    AuthNonce,
     Msg2,
     PairingPayload,
     Peer,
@@ -138,7 +137,7 @@ def test_criterion_4_tamper_suite(test_params):
             (frame1_f,) = fresh_a.start()
             (frame2_f,) = fresh_b.receive(frame1_f)
             msg2_f = decode_message(frame2_f)
-            forged_nonce = AuthNonce.from_int(msg2_f.payload.auth_nonce.to_int() ^ (1 << bit), 20)
+            forged_nonce = msg2_f.payload.auth_nonce ^ (1 << bit)
             forged = Msg2(msg2_f.param_set_id, msg2_f.k, PairingPayload(
                 msg2_f.payload.identity, msg2_f.payload.public_share, forged_nonce))
             (frame3_f,) = fresh_a.receive(encode_message(forged))

@@ -22,7 +22,6 @@ from saska.commitment import Decommitment
 from saska.errors import KTooLarge
 from saska.group import PARAM_SETS
 from saska.protocol import (
-    AuthNonce,
     Identity,
     Msg1,
     Msg2,
@@ -71,7 +70,7 @@ class TestHonestSession:
 def forced_trial(kind, params, k, guess, nonce_value, seed=0):
     """Run a fixed-guess attack with the guessed honest nonce forced."""
     strategy = AttackStrategy(kind, GuessRule.FIXED, guess)
-    return run_mitm_trial(strategy, params, k, seed, AuthNonce.from_int(nonce_value, k))
+    return run_mitm_trial(strategy, params, k, seed, nonce_value)
 
 
 class TestMitmTrials:
@@ -113,7 +112,7 @@ class TestMitmTrials:
                 if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
                     better = self.payload(
                         "alice", (self.bridge_nonce ^ 1) & ((1 << self.k) - 1))
-                    forged = Decommitment(self.decommit.nonce, encode_payload(better))
+                    forged = Decommitment(self.decommit.nonce, encode_payload(better, self.k))
                     return [(direction, encode_message(Msg3(forged)))]
                 return super().__call__(frame, direction)
 
@@ -404,11 +403,10 @@ class TestInterposition:
         def flip_msg2_nonce(frame, direction):
             msg = decode_message(frame)
             if isinstance(msg, Msg2):
-                n = msg.payload.auth_nonce
                 forged = PairingPayload(
                     msg.payload.identity,
                     msg.payload.public_share,
-                    AuthNonce.from_int(n.to_int() ^ 1, n.k),
+                    msg.payload.auth_nonce ^ 1,
                 )
                 return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
             return [(direction, frame)]

@@ -115,7 +115,7 @@ class TestArgumentErrors:
         proc = run_cli(["--listen", "0", "--id", "a"], **{cli.PARAMS_ENV_VAR: str(path)})
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "g = 5" in proc.stderr
+        assert "g of 3 bits: g^q mod p != 1" in proc.stderr
 
     @pytest.mark.parametrize("mode", [["--listen", "0", "--id", "a"], ["sim", "--strategy", "honest"]],
                              ids=["peer", "sim"])
@@ -138,6 +138,25 @@ class TestArgumentErrors:
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0]) < 200
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(f"{3 ** 5000}\n11\n2\n", id="p-not-prime"),
+        pytest.param(f"{2 ** 1279 - 1}\n5\n2\n", id="q-does-not-divide-p-1"),
+        pytest.param(f"23\n11\n{10 ** 2000}\n", id="g-out-of-range"),
+        pytest.param("23\n" + "9" * 2000 + "x\n2\n", id="non-integer-line"),
+    ])
+    def test_rejected_params_file_is_one_short_line(self, tmp_path, capsys, text):
+        """An error names the field and its bit length, or the line number,
+        and never echoes a number or a line of the file."""
+        path = tmp_path / "bad.params"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--listen", "0", "--id", "a", "--params", str(path)])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0]) < 200, errors
 
     def test_checked_before_connecting(self):
         listener = StreamListener(0)
@@ -298,6 +317,30 @@ class TestPeerExitCodes:
         t.join()
         listener.close()
         assert code == EXIT_TAMPER
+
+    def test_oversized_share_is_tamper_exit(self, capsys, test_params):
+        """A Msg2 whose share has 2,000 octets, past the digits int-to-str
+        allows, is refused like any share outside the subgroup."""
+        listener = StreamListener(0)
+        big_share = (1 << 16000) - 1
+
+        def bad_server():
+            chan = listener.accept(5.0)
+            chan.recv_frame(5.0)  # discard msg1
+            payload = protocol.PairingPayload(protocol.Identity("mallory"), big_share, 0)
+            chan.send_frame(protocol.encode_message(protocol.Msg2(test_params.set_id, 20, payload)))
+            chan.close()
+
+        t = threading.Thread(target=bad_server)
+        t.start()
+        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                     "--params", "test", "--timeout", "2"])
+        t.join()
+        listener.close()
+        assert code == EXIT_TAMPER
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200, lines
+        assert lines[0] == "protocol violation: responder share of 16000 bits rejected"
 
     def test_tampered_decommit_aborts_responder(self, monkeypatch, capsys, test_params):
         monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))

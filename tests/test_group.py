@@ -196,6 +196,11 @@ class TestDeriveKey:
             with pytest.raises(SubgroupCheckFailed):
                 derive_key(test_params, bad, 3)
 
+    def test_oversized_share_named_by_bit_length(self, test_params):
+        # 2,000 octets, past the 4,300 digits int-to-str allows by default
+        with pytest.raises(SubgroupCheckFailed, match="^peer share of 16000 bits is not"):
+            derive_key(test_params, (1 << 16000) - 1, 3)
+
     def test_agreement_full_sweep(self, test_params):
         # all (a, b) in [1,10]^2 against the repeated-multiplication oracle
         for a in range(1, 11):

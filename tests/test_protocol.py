@@ -1,21 +1,20 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saska.commitment import commit
 from saska.errors import (
-    LengthMismatch,
     MalformedMessage,
     OpenFailed,
+    PairingError,
     SubgroupCheckFailed,
     WrongPhase,
 )
 from saska.group import PARAM_SETS, gen_private_share, pub_share
 from saska import protocol
 from saska.protocol import (
-    AuthNonce,
     Identity,
     Msg1,
     Msg2,
@@ -93,57 +92,38 @@ class TestIdentity:
             Identity(label)
 
 
-class TestAuthNonce:
-    def test_k20_is_3_octets_top_bits_zero(self):
+class TestNonceGeneration:
+    def test_k20_is_an_int_below_2_to_20(self):
         nonce = gen_auth_nonce(20, random.Random(1))
-        assert len(nonce.data) == 3
-        assert nonce.data[0] >> 4 == 0
-
-    def test_padding_bits_enforced(self):
-        with pytest.raises(ValueError):
-            AuthNonce(b"\xff\xff\xff", 20)
+        assert type(nonce) is int
+        assert 0 <= nonce < 2**20
 
     def test_k_range_enforced(self):
         with pytest.raises(ValueError):
             gen_auth_nonce(0, random.Random(0))
         with pytest.raises(ValueError):
             gen_auth_nonce(65, random.Random(0))
-        # the records check k themselves, not only gen_auth_nonce
-        with pytest.raises(ValueError, match="^auth nonce: k must be"):
-            AuthNonce(b"\x00", 0)
+        # the wire check and the SAS record check k themselves too
+        with pytest.raises(MalformedMessage, match="^bad nonce field: auth nonce: k must be"):
+            decode_payload(b"\x00\x01x" + b"\x00\x01\x08" + b"\x00\x00", 0)
         with pytest.raises(ValueError, match="^sas: k must be"):
             Sas(bytes(9), 65)
-
-    def test_int_round_trip(self):
-        nonce = AuthNonce.from_int(0xBEEF, 20)
-        assert nonce.to_int() == 0xBEEF
-        assert nonce.data == b"\x00\xbe\xef"
 
 
 class TestComputeSas:
     def test_self_xor_is_zero(self):
-        n = AuthNonce.from_int(0x5A5A5, 20)
-        assert compute_sas(n, n).to_int() == 0
+        assert compute_sas(0x5A5A5, 0x5A5A5, 20).to_int() == 0
 
     def test_xor_identity(self):
-        n = AuthNonce.from_int(0x12345, 20)
-        zero = AuthNonce.from_int(0, 20)
-        assert compute_sas(n, zero).to_int() == 0x12345
+        assert compute_sas(0x12345, 0, 20).to_int() == 0x12345
 
     def test_byte_oracle(self):
-        a = AuthNonce.from_int(0xAB, 8)
-        b = AuthNonce.from_int(0x3C, 8)
-        assert compute_sas(a, b).to_int() == 0x97
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            compute_sas(AuthNonce.from_int(1, 8), AuthNonce.from_int(1, 20))
+        assert compute_sas(0xAB, 0x3C, 8) == Sas(b"\x97", 8)
 
     @given(x=st.integers(0, 2**20 - 1), y=st.integers(0, 2**20 - 1))
     @settings(max_examples=100)
     def test_symmetry(self, x, y):
-        a, b = AuthNonce.from_int(x, 20), AuthNonce.from_int(y, 20)
-        assert compute_sas(a, b) == compute_sas(b, a)
+        assert compute_sas(x, y, 20) == compute_sas(y, x, 20)
 
 
 class TestFormatSas:
@@ -159,7 +139,7 @@ class TestFormatSas:
         ],
     )
     def test_known(self, value, k, expected):
-        assert format_sas(Sas(AuthNonce.from_int(value, k).data, k)) == expected
+        assert format_sas(compute_sas(value, 0, k)) == expected
 
 
 class TestWireFormat:
@@ -198,13 +178,13 @@ class TestWireFormat:
             decode_message(frame)
 
     def test_trailing_payload_bytes_rejected(self):
-        payload = PairingPayload(Identity("x"), 8, AuthNonce.from_int(1, 8))
+        payload = PairingPayload(Identity("x"), 8, 1)
         with pytest.raises(MalformedMessage):
-            decode_payload(encode_payload(payload) + b"\x00", 8)
+            decode_payload(encode_payload(payload, 8) + b"\x00", 8)
 
     def test_non_minimal_share_rejected(self):
-        payload = PairingPayload(Identity("x"), 8, AuthNonce.from_int(1, 8))
-        raw = bytearray(encode_payload(payload))
+        payload = PairingPayload(Identity("x"), 8, 1)
+        raw = bytearray(encode_payload(payload, 8))
         # widen the share field 0x08 -> 0x00 0x08
         assert raw[3:6] == b"\x00\x01\x08"
         raw[3:6] = b"\x00\x02\x00\x08"
@@ -212,10 +192,24 @@ class TestWireFormat:
             decode_payload(bytes(raw), 8)
 
     def test_bad_nonce_length_rejected(self):
-        payload = PairingPayload(Identity("x"), 8, AuthNonce.from_int(1, 8))
-        raw = encode_payload(payload)
-        with pytest.raises(MalformedMessage):
-            decode_payload(raw, 20)  # k=20 expects 3 nonce octets, field has 1
+        payload = PairingPayload(Identity("x"), 8, 1)
+        raw = encode_payload(payload, 8)
+        # k=20 expects 3 nonce octets, field has 1
+        with pytest.raises(MalformedMessage, match="^bad nonce field: auth nonce: need 3 octets"):
+            decode_payload(raw, 20)
+
+    def test_nonce_padding_bits_rejected(self):
+        raw = encode_payload(PairingPayload(Identity("x"), 8, 0xFFFFF), 20)
+        assert raw.endswith(b"\x00\x03\x0f\xff\xff")
+        # the top four bits of a k=20 nonce field must be zero
+        with pytest.raises(MalformedMessage, match="^bad nonce field: auth nonce: padding bits"):
+            decode_payload(raw[:-3] + b"\xff\xff\xff", 20)
+
+    def test_nonce_field_is_ceil_k_octets_big_endian(self):
+        raw = encode_payload(PairingPayload(Identity("x"), 8, 0xBEEF), 20)
+        assert raw.endswith(b"\x00\x03\x00\xbe\xef")
+        nonce = decode_payload(raw, 20).auth_nonce
+        assert type(nonce) is int and nonce == 0xBEEF
 
     def test_escape_in_msg2_identity_rejected(self, test_params):
         a, frame1 = started_initiator(test_params)
@@ -250,8 +244,8 @@ class TestWireFormat:
         params = PARAM_SETS[name]
         x = gen_private_share(params, random.Random(1))
         share = pub_share(params, x)
-        payload = PairingPayload(Identity("x"), share, AuthNonce.from_int(1, 8))
-        decoded = decode_payload(encode_payload(payload), 8).public_share
+        payload = PairingPayload(Identity("x"), share, 1)
+        decoded = decode_payload(encode_payload(payload, 8), 8).public_share
         assert type(x) is int and type(share) is int and type(decoded) is int
         assert decoded == share
 
@@ -266,12 +260,12 @@ class TestWireFormat:
     @settings(max_examples=150)
     def test_wire_round_trip_all_variants(self, label, share, k, nonce, data):
         nonce %= 2**k
-        payload = PairingPayload(Identity(label), share, AuthNonce.from_int(nonce, k))
+        payload = PairingPayload(Identity(label), share, nonce)
 
         msg2 = Msg2(data.draw(st.integers(0, 2**32 - 1)), k, payload)
         assert decode_message(encode_message(msg2)) == msg2
 
-        c, d = commit(encode_payload(payload), random.Random(0))
+        c, d = commit(encode_payload(payload, k), random.Random(0))
         msg1 = Msg1(c)
         assert decode_message(encode_message(msg1)) == msg1
 
@@ -340,8 +334,7 @@ class TestHonestRun:
         a = Peer(Role.INITIATOR, test_params, "alice", rng=random.Random(1))
         a.start()
         assert a.k == 20
-        assert len(a.own_nonce.data) == 3
-        assert a.own_nonce.data[0] >> 4 == 0
+        assert type(a.own_nonce) is int and 0 <= a.own_nonce < 2**20
 
 
 class TestPhaseGuards:
@@ -381,7 +374,7 @@ class TestPhaseGuards:
 def bad_share_frame(params, nonce: int) -> bytes:
     """A Msg2 whose public share, 1, lies outside the subgroup."""
     return encode_message(Msg2(params.set_id, 20, PairingPayload(
-        Identity("bob"), 1, AuthNonce.from_int(nonce, 20))))
+        Identity("bob"), 1, nonce)))
 
 
 class TestKeyGating:
@@ -442,9 +435,8 @@ class TestAttacksAtOpLevel:
         a.receive(frame2)
         # adversary commits to its own payload and sends that decommitment
         # against A's original commitment
-        forged_payload = PairingPayload(
-            Identity("alice"), 8, AuthNonce.from_int(7, 20))
-        _, forged_d = commit(encode_payload(forged_payload), random.Random(9))
+        forged_payload = PairingPayload(Identity("alice"), 8, 7)
+        _, forged_d = commit(encode_payload(forged_payload, 20), random.Random(9))
         parsed = []
         monkeypatch.setattr(protocol, "decode_payload", lambda *args: parsed.append(args))
         with pytest.raises(OpenFailed):
@@ -457,7 +449,7 @@ class TestAttacksAtOpLevel:
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         (frame2,) = b.receive(frame1)
         msg2 = decode_message(frame2)
-        evil_nonce = AuthNonce.from_int(msg2.payload.auth_nonce.to_int() ^ 0x1, 20)
+        evil_nonce = msg2.payload.auth_nonce ^ 0x1
         evil = Msg2(msg2.param_set_id, msg2.k,
                     PairingPayload(msg2.payload.identity, msg2.payload.public_share, evil_nonce))
         (frame3,) = a.receive(encode_message(evil))
@@ -468,9 +460,8 @@ class TestAttacksAtOpLevel:
 
     def test_initiator_share_outside_subgroup_rejected(self, test_params):
         # a forged commit/decommit pair whose payload carries a non-subgroup share
-        forged_payload = PairingPayload(
-            Identity("alice"), 5, AuthNonce.from_int(3, 20))
-        c, d = commit(encode_payload(forged_payload), random.Random(1))
+        forged_payload = PairingPayload(Identity("alice"), 5, 3)
+        c, d = commit(encode_payload(forged_payload, 20), random.Random(1))
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))
         with pytest.raises(SubgroupCheckFailed):
@@ -484,6 +475,75 @@ class TestAttacksAtOpLevel:
         with pytest.raises(MalformedMessage):
             b.receive(encode_message(Msg3(d)))
         assert b.phase is Phase.ABORTED
+
+
+# 2,000 octets: past the 4,300 digits int-to-str allows by default
+BIG_SHARE = (1 << 16000) - 1
+
+
+def raw_payload(identity: bytes, share: bytes, nonce: bytes) -> bytes:
+    """Payload octets built field by field, with no check on any field."""
+    return b"".join(len(f).to_bytes(2, "big") + f for f in (identity, share, nonce))
+
+
+# each field is either arbitrary octets or a well-formed value on the test
+# group at k=20, so that both outcomes occur
+hostile_fields = given(
+    identity=st.binary(max_size=70) | st.sampled_from([b"bob", "é".encode() * 32]),
+    share=st.binary(max_size=40) | st.integers(1, 23).map(lambda n: bytes([n])),
+    nonce=st.binary(max_size=4) | st.integers(0, 2**20 - 1).map(lambda n: n.to_bytes(3, "big")),
+)
+big_share_example = example(identity=b"x", share=BIG_SHARE.to_bytes(2000, "big"), nonce=bytes(3))
+
+
+class TestHostilePayload:
+    """Whatever payload a hostile peer sends, receive raises nothing but a
+    PairingError, which leaves the peer ABORTED; a payload that passes
+    every check leaves it SAS_READY."""
+
+    def test_oversized_share_in_msg2_aborts_initiator(self, test_params):
+        a, _ = started_initiator(test_params)
+        msg2 = Msg2(test_params.set_id, 20, PairingPayload(Identity("bob"), BIG_SHARE, 0))
+        with pytest.raises(SubgroupCheckFailed, match="^responder share of 16000 bits rejected$"):
+            a.receive(encode_message(msg2))
+        assert a.phase is Phase.ABORTED
+
+    def test_oversized_share_in_opened_commitment_aborts_responder(self, test_params):
+        payload = PairingPayload(Identity("alice"), BIG_SHARE, 0)
+        c, d = commit(encode_payload(payload, 20), random.Random(1))
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        b.receive(encode_message(Msg1(c)))
+        with pytest.raises(SubgroupCheckFailed, match="^initiator share of 16000 bits rejected$"):
+            b.receive(encode_message(Msg3(d)))
+        assert b.phase is Phase.ABORTED
+
+    @staticmethod
+    def check_receive(peer: Peer, frame: bytes):
+        try:
+            peer.receive(frame)
+        except PairingError:
+            assert peer.phase is Phase.ABORTED
+        else:
+            assert peer.phase is Phase.SAS_READY
+
+    @hostile_fields
+    @big_share_example
+    @settings(max_examples=150, deadline=None)
+    def test_hostile_msg2_at_initiator(self, identity, share, nonce):
+        params = PARAM_SETS["test"]
+        a, _ = started_initiator(params)
+        body = params.set_id.to_bytes(4, "big") + (20).to_bytes(2, "big") + raw_payload(identity, share, nonce)
+        self.check_receive(a, bytes([0x02]) + len(body).to_bytes(4, "big") + body)
+
+    @hostile_fields
+    @big_share_example
+    @settings(max_examples=150, deadline=None)
+    def test_hostile_opened_payload_at_responder(self, identity, share, nonce):
+        params = PARAM_SETS["test"]
+        c, d = commit(raw_payload(identity, share, nonce), random.Random(1))
+        b = Peer(Role.RESPONDER, params, "bob", 20, random.Random(2))
+        b.receive(encode_message(Msg1(c)))
+        self.check_receive(b, encode_message(Msg3(d)))
 
 
 class TestPeer:
@@ -500,8 +560,14 @@ class TestPeer:
     def test_k_checked_at_construction(self, test_params):
         with pytest.raises(ValueError):
             Peer(Role.INITIATOR, test_params, "alice", 0)
-        with pytest.raises(ValueError):
-            Peer(Role.RESPONDER, test_params, "bob", 20, nonce=AuthNonce.from_int(1, 8))
+        # a forced nonce must be a k-bit value, checked before any draw
+        rng = random.Random(5)
+        before = rng.getstate()
+        for nonce in (-1, 2**8):
+            with pytest.raises(ValueError):
+                Peer(Role.RESPONDER, test_params, "bob", 8, rng, nonce=nonce)
+        assert rng.getstate() == before
+        assert Peer(Role.RESPONDER, test_params, "bob", 8, nonce=2**8 - 1).own_nonce == 255
 
     def test_receive_before_start_is_wrong_phase(self, test_params):
         _, _, _, frame2, _ = honest_exchange(test_params)

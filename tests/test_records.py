@@ -18,14 +18,13 @@ from saska.adversary import (
 )
 from saska.commitment import Commitment, Decommitment
 from saska.group import PARAM_SETS, DhParams
-from saska.protocol import AuthNonce, Identity, Msg1, Msg2, Msg3, PairingPayload, Sas
-from saska.record import set_field
+from saska.protocol import Identity, Msg1, Msg2, Msg3, PairingPayload, Sas
+from saska.record import Record, set_field
 
 DIGEST = bytes(range(32))
 NONCE = b"\x07" * 32
-PAYLOAD = PairingPayload(Identity("bob"), 4, AuthNonce(b"\x05", 8))
-PAYLOAD_REPR = ("PairingPayload(identity=Identity(label='bob'), public_share=4, "
-                "auth_nonce=AuthNonce(data=b'\\x05', k=8))")
+PAYLOAD = PairingPayload(Identity("bob"), 4, 5)
+PAYLOAD_REPR = "PairingPayload(identity=Identity(label='bob'), public_share=4, auth_nonce=5)"
 
 # (class, keyword arguments in field order, expected repr)
 CASES = [
@@ -33,10 +32,9 @@ CASES = [
     (Commitment, {"digest": DIGEST}, f"Commitment(digest={DIGEST!r})"),
     (Decommitment, {"nonce": NONCE, "message": b"m"}, f"Decommitment(nonce={NONCE!r}, message=b'm')"),
     (Identity, {"label": "bob"}, "Identity(label='bob')"),
-    (AuthNonce, {"data": b"\x05", "k": 8}, "AuthNonce(data=b'\\x05', k=8)"),
     (Sas, {"data": b"\x05", "k": 8}, "Sas(data=b'\\x05', k=8)"),
     (PairingPayload, {"identity": Identity("bob"), "public_share": 4,
-                      "auth_nonce": AuthNonce(b"\x05", 8)}, PAYLOAD_REPR),
+                      "auth_nonce": 5}, PAYLOAD_REPR),
     (Msg1, {"c": Commitment(DIGEST)}, f"Msg1(c=Commitment(digest={DIGEST!r}))"),
     (Msg2, {"param_set_id": 7, "k": 8, "payload": PAYLOAD},
      f"Msg2(param_set_id=7, k=8, payload={PAYLOAD_REPR})"),
@@ -104,10 +102,24 @@ def test_copy_and_pickle_round_trip(cls, fields, text):
         assert type(twin) is cls and twin == record and repr(twin) == text
 
 
+def two_field_record():
+    """A new Record class with the slots data and k, like Sas."""
+
+    class TwoFields(Record):
+        __slots__ = ("data", "k")
+
+        def __init__(self, data, k):
+            set_field(self, "data", data)
+            set_field(self, "k", k)
+
+    return TwoFields
+
+
 def test_same_fields_different_class_are_unequal():
-    assert Sas(b"\x05", 8) != AuthNonce(b"\x05", 8)
-    assert AuthNonce(b"\x05", 8) != Sas(b"\x05", 8)
-    assert len({Sas(b"\x05", 8), AuthNonce(b"\x05", 8)}) == 2
+    left, right = (cls(b"\x05", 8) for cls in (two_field_record(), two_field_record()))
+    assert hash(left) == hash(right)
+    assert left != right and right != left
+    assert len({left, right}) == 2
 
 
 def test_dhparams_derived_fields_outside_value():
