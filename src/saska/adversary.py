@@ -206,7 +206,9 @@ class _Attacker:
 
     def commit_toward_b(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg1 committing to our payload as alice; keeps the opening."""
-        c, self.decommit = commit(encode_payload(self.payload(INITIATOR_ID, nonce), self.k), self.rng)
+        message = encode_payload(self.payload(INITIATOR_ID, nonce), self.k)
+        c, opening_nonce = commit(message, self.rng)
+        self.opening = Msg3(opening_nonce, message)
         return Direction.A_TO_B, encode_message(Msg1(c))
 
     def reply_toward_a(self, nonce: int) -> tuple[Direction, bytes]:
@@ -216,7 +218,7 @@ class _Attacker:
 
     def open_toward_b(self) -> tuple[Direction, bytes]:
         """Msg3 with the opening kept by commit_toward_b."""
-        return Direction.A_TO_B, encode_message(Msg3(self.decommit))
+        return Direction.A_TO_B, encode_message(self.opening)
 
 
 class ImpersonateResponderAttacker(_Attacker):
@@ -233,7 +235,7 @@ class ImpersonateResponderAttacker(_Attacker):
             return [self.reply_toward_a(self.own_reply_nonce)]
         if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
             # A decommitted to us; now impersonate A toward B
-            n_a = self.note_payload(decode_payload(msg.d.message, self.k), "a")
+            n_a = self.note_payload(decode_payload(msg.message, self.k), "a")
             return [self.commit_toward_b(n_a ^ self.own_reply_nonce ^ self.resolve_guess())]
         if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
             # B's real payload; N_B arrives after our commitment is out
@@ -263,7 +265,7 @@ class FullMitmAttacker(_Attacker):
             n_b = self.note_payload(msg.payload, "b")
             return [self.reply_toward_a(n_b ^ self.bridge_nonce ^ self.guess_n_a())]
         if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
-            self.note_payload(decode_payload(msg.d.message, self.k), "a")
+            self.note_payload(decode_payload(msg.message, self.k), "a")
             return [self.open_toward_b()]
         return []
 

@@ -4,7 +4,7 @@ Message flow (initiator A, responder B):
 
     A -> B   Msg1: commitment c over A's encoded payload
     B -> A   Msg2: B's payload in the clear (identity, public share, nonce)
-    A -> B   Msg3: decommitment d revealing A's payload
+    A -> B   Msg3: the opening of c: its nonce and A's encoded payload
 
 Both sides then derive the k-bit authentication string S = N_A xor N_B and
 display it; the session key is computed only after the local operator
@@ -20,14 +20,7 @@ import random
 import secrets
 from enum import Enum, IntEnum
 
-from .commitment import (
-    DIGEST_LEN,
-    NONCE_LEN,
-    Commitment,
-    Decommitment,
-    commit,
-    open_commitment,
-)
+from .commitment import DIGEST_LEN, NONCE_LEN, commit, open_commitment
 from .errors import (
     MalformedMessage,
     PairingError,
@@ -193,8 +186,8 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
 class Msg1(Record):
     __slots__ = ("c",)
 
-    def __init__(self, c: Commitment):
-        set_field(self, "c", c)
+    def __init__(self, c: bytes):
+        set_field(self, "c", c)  # the commitment digest
 
 
 class Msg2(Record):
@@ -207,10 +200,11 @@ class Msg2(Record):
 
 
 class Msg3(Record):
-    __slots__ = ("d",)
+    __slots__ = ("nonce", "message")
 
-    def __init__(self, d: Decommitment):
-        set_field(self, "d", d)
+    def __init__(self, nonce: bytes, message: bytes):
+        set_field(self, "nonce", nonce)
+        set_field(self, "message", message)
 
 
 PairingMessage = Msg1 | Msg2 | Msg3
@@ -230,7 +224,7 @@ def frame_body_length(header: bytes) -> int:
 
 def encode_message(msg: PairingMessage) -> bytes:
     if isinstance(msg, Msg1):
-        tag, body = TAG_COMMIT, msg.c.digest
+        tag, body = TAG_COMMIT, msg.c
     elif isinstance(msg, Msg2):
         tag = TAG_PAYLOAD
         body = (
@@ -239,7 +233,7 @@ def encode_message(msg: PairingMessage) -> bytes:
             + encode_payload(msg.payload, msg.k)
         )
     elif isinstance(msg, Msg3):
-        tag, body = TAG_DECOMMIT, msg.d.nonce + msg.d.message
+        tag, body = TAG_DECOMMIT, msg.nonce + msg.message
     else:
         raise TypeError(f"not a pairing message: {msg!r}")
     if len(body) > MAX_BODY:
@@ -264,7 +258,7 @@ def decode_message(frame: bytes) -> PairingMessage:
     if tag == TAG_COMMIT:
         if body_len != DIGEST_LEN:
             raise MalformedMessage(f"commit body must be {DIGEST_LEN} octets, got {body_len}")
-        return Msg1(Commitment(body))
+        return Msg1(body)
     if tag == TAG_PAYLOAD:
         if body_len < 6:
             raise MalformedMessage("payload body shorter than its fixed prefix")
@@ -276,7 +270,7 @@ def decode_message(frame: bytes) -> PairingMessage:
     if tag == TAG_DECOMMIT:
         if body_len < NONCE_LEN:
             raise MalformedMessage(f"decommit body must hold a {NONCE_LEN}-octet nonce")
-        return Msg3(Decommitment(body[:NONCE_LEN], body[NONCE_LEN:]))
+        return Msg3(body[:NONCE_LEN], body[NONCE_LEN:])
     raise MalformedMessage(f"unknown message tag 0x{tag:02x}")
 
 
@@ -335,8 +329,8 @@ class Peer:
         self.private: int | None = None
         self.own_nonce = nonce
         self.own_payload: PairingPayload | None = None
-        self.commitment: Commitment | None = None      # own (initiator) or received (responder)
-        self.decommitment: Decommitment | None = None  # initiator only
+        self.commitment: bytes | None = None  # digest, own (initiator) or received (responder)
+        self.opening: Msg3 | None = None      # initiator only
         self.remote_payload: PairingPayload | None = None
         self.sas: Sas | None = None
         self.session_key: int | None = None
@@ -369,7 +363,9 @@ class Peer:
         if self.phase is not Phase.CREATED:
             raise WrongPhase(f"start in phase {self.phase.name}")
         self._draw()
-        self.commitment, self.decommitment = commit(encode_payload(self.own_payload, self.k), self.rng)
+        message = encode_payload(self.own_payload, self.k)
+        self.commitment, nonce = commit(message, self.rng)
+        self.opening = Msg3(nonce, message)
         self._advance(Phase.COMMIT_EXCHANGED)
         return [encode_message(Msg1(self.commitment))]
 
@@ -412,7 +408,7 @@ class Peer:
         return [encode_message(Msg2(self.params.set_id, self.k, self.own_payload))]
 
     def _on_payload(self, msg2: PairingMessage) -> list[bytes]:
-        """Take the responder's payload, check it, and release the decommitment.
+        """Take the responder's payload, check it, and release the opening.
 
         The subgroup check runs before Msg3 is produced: a bad share aborts the
         session with the initiator's payload still hidden.
@@ -429,7 +425,7 @@ class Peer:
         self._advance(Phase.PAYLOAD_EXCHANGED)
         self._advance(Phase.DECOMMITTED)
         self._advance(Phase.SAS_READY)
-        return [encode_message(Msg3(self.decommitment))]
+        return [encode_message(self.opening)]
 
     def _on_decommit(self, msg3: PairingMessage) -> list[bytes]:
         """Open the stored commitment and recover the initiator's payload.
@@ -439,7 +435,7 @@ class Peer:
         """
         if not isinstance(msg3, Msg3):
             raise MalformedMessage(f"expected a decommit message, got {type(msg3).__name__}")
-        message = open_commitment(self.commitment, msg3.d)
+        message = open_commitment(self.commitment, msg3.nonce, msg3.message)
         self._accept_remote(decode_payload(message, self.k), "initiator")
         self._advance(Phase.DECOMMITTED)
         self._advance(Phase.SAS_READY)

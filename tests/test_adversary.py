@@ -18,7 +18,6 @@ from saska.adversary import (
     sim_report,
     wilson_interval,
 )
-from saska.commitment import Decommitment
 from saska.errors import KTooLarge
 from saska.group import PARAM_SETS
 from saska.protocol import (
@@ -112,8 +111,8 @@ class TestMitmTrials:
                 if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
                     better = self.payload(
                         "alice", (self.bridge_nonce ^ 1) & ((1 << self.k) - 1))
-                    forged = Decommitment(self.decommit.nonce, encode_payload(better, self.k))
-                    return [(direction, encode_message(Msg3(forged)))]
+                    forged = Msg3(self.opening.nonce, encode_payload(better, self.k))
+                    return [(direction, encode_message(forged))]
                 return super().__call__(frame, direction)
 
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
@@ -475,7 +474,7 @@ class ShareSwap(_Attacker):
         if isinstance(msg, Msg2):
             return [self.reply_toward_a(self.note_payload(msg.payload, "b"))]
         if isinstance(msg, Msg3):
-            self.note_payload(decode_payload(msg.d.message, self.k), "a")
+            self.note_payload(decode_payload(msg.message, self.k), "a")
         return [(direction, frame)]
 
 

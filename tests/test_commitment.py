@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from saska.commitment import (
     DIGEST_LEN,
     DOMAIN_TAG,
-    Commitment,
-    Decommitment,
+    NONCE_LEN,
     commit,
     open_commitment,
 )
@@ -23,15 +22,17 @@ def flip_bit(data: bytes, bit: int) -> bytes:
 
 
 def test_round_trip():
-    c, d = commit(b"attack at dawn", random.Random(1))
-    assert open_commitment(c, d) == b"attack at dawn"
+    c, nonce = commit(b"attack at dawn", random.Random(1))
+    assert open_commitment(c, nonce, b"attack at dawn") == b"attack at dawn"
 
 
 def test_digest_is_32_octets():
-    c, _ = commit(b"ab", random.Random(1))
-    assert len(c.digest) == DIGEST_LEN
-    with pytest.raises(ValueError):
-        Commitment(bytes(31))
+    c, nonce = commit(b"ab", random.Random(1))
+    assert len(c) == DIGEST_LEN and len(nonce) == NONCE_LEN
+    # a digest one octet short or long never opens, whatever it holds
+    for wrong in (c[:-1], c + b"\x00"):
+        with pytest.raises(OpenFailed):
+            open_commitment(wrong, nonce, b"ab")
 
 
 def test_domain_tag_is_8_ascii_octets():
@@ -43,7 +44,7 @@ def test_fresh_nonces_give_distinct_commitments():
     rng = random.Random(2)
     c1, _ = commit(b"same message", rng)
     c2, _ = commit(b"same message", rng)
-    assert c1.digest != c2.digest
+    assert c1 != c2
 
 
 def test_empty_message_rejected():
@@ -64,41 +65,41 @@ def test_rng_failure_wrapped():
 
 class TestTamperRejection:
     def test_every_nonce_bit_flip_fails(self):
-        c, d = commit(b"short", random.Random(3))
-        for bit in range(len(d.nonce) * 8):
-            bad = Decommitment(flip_bit(d.nonce, bit), d.message)
+        c, nonce = commit(b"short", random.Random(3))
+        for bit in range(len(nonce) * 8):
             with pytest.raises(OpenFailed):
-                open_commitment(c, bad)
+                open_commitment(c, flip_bit(nonce, bit), b"short")
 
     def test_every_message_octet_change_fails(self):
-        c, d = commit(b"tamper me", random.Random(4))
-        for i in range(len(d.message)):
-            mutated = bytearray(d.message)
+        message = b"tamper me"
+        c, nonce = commit(message, random.Random(4))
+        for i in range(len(message)):
+            mutated = bytearray(message)
             mutated[i] ^= 0xFF
             with pytest.raises(OpenFailed):
-                open_commitment(c, Decommitment(d.nonce, bytes(mutated)))
+                open_commitment(c, nonce, bytes(mutated))
 
     def test_every_commit_bit_flip_fails(self):
-        c, d = commit(b"x", random.Random(5))
+        c, nonce = commit(b"x", random.Random(5))
         for bit in range(DIGEST_LEN * 8):
             with pytest.raises(OpenFailed):
-                open_commitment(Commitment(flip_bit(c.digest, bit)), d)
+                open_commitment(flip_bit(c, bit), nonce, b"x")
 
     def test_every_message_bit_flip_fails(self):
-        c, d = commit(b"bits", random.Random(6))
-        for bit in range(len(d.message) * 8):
+        c, nonce = commit(b"bits", random.Random(6))
+        for bit in range(len(b"bits") * 8):
             with pytest.raises(OpenFailed):
-                open_commitment(c, Decommitment(d.nonce, flip_bit(d.message, bit)))
+                open_commitment(c, nonce, flip_bit(b"bits", bit))
 
 
 @given(message=st.binary(min_size=1, max_size=4096))
 @settings(max_examples=200)
 def test_round_trip_property(message):
-    c, d = commit(message, random.Random(0))
-    assert open_commitment(c, d) == message
+    c, nonce = commit(message, random.Random(0))
+    assert open_commitment(c, nonce, message) == message
 
 
 def test_nonce_freshness_over_many_commits():
     rng = random.Random(7)
-    digests = {commit(b"repeated", rng)[0].digest for _ in range(10_000)}
+    digests = {commit(b"repeated", rng)[0] for _ in range(10_000)}
     assert len(digests) == 10_000

@@ -168,9 +168,10 @@ class TestWireFormat:
 
     def test_oversize_body_rejected_at_encode(self):
         # encode_message alone bounds outgoing frames: 32 nonce octets + 65,504
-        _, d = commit(b"\x00" * 65504, random.Random(0))
+        message = b"\x00" * 65504
+        _, nonce = commit(message, random.Random(0))
         with pytest.raises(MalformedMessage):
-            encode_message(Msg3(d))
+            encode_message(Msg3(nonce, message))
 
     def test_header_length_mismatch_rejected(self):
         frame = bytes([0x01]) + (32).to_bytes(4, "big") + b"\x00" * 31
@@ -222,6 +223,8 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("tag, body, reason", [
         pytest.param(0x01, b"\x00" * 31, "commit body must be 32 octets", id="commit-31"),
+        # the commit body's length check is its only guard, so one octet over fails too
+        pytest.param(0x01, b"\x00" * 33, "commit body must be 32 octets", id="commit-33"),
         pytest.param(0x02, b"\x00" * 5, "payload body shorter than its fixed prefix", id="payload-5"),
         pytest.param(0x03, b"\x00" * 31, "decommit body must hold a 32-octet nonce", id="decommit-31"),
         # set id 0, k = 8, a whole identity field, then one octet of a length prefix
@@ -265,14 +268,15 @@ class TestWireFormat:
         msg2 = Msg2(data.draw(st.integers(0, 2**32 - 1)), k, payload)
         assert decode_message(encode_message(msg2)) == msg2
 
-        c, d = commit(encode_payload(payload, k), random.Random(0))
+        message = encode_payload(payload, k)
+        c, nonce = commit(message, random.Random(0))
         msg1 = Msg1(c)
         assert decode_message(encode_message(msg1)) == msg1
 
-        msg3 = Msg3(d)
+        msg3 = Msg3(nonce, message)
         decoded = decode_message(encode_message(msg3))
         assert decoded == msg3
-        assert decode_payload(decoded.d.message, k) == payload
+        assert decode_payload(decoded.message, k) == payload
 
 
 class TestHonestRun:
@@ -433,15 +437,29 @@ class TestAttacksAtOpLevel:
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         (frame2,) = b.receive(frame1)
         a.receive(frame2)
-        # adversary commits to its own payload and sends that decommitment
+        # adversary commits to its own payload and sends that opening
         # against A's original commitment
-        forged_payload = PairingPayload(Identity("alice"), 8, 7)
-        _, forged_d = commit(encode_payload(forged_payload, 20), random.Random(9))
+        forged = encode_payload(PairingPayload(Identity("alice"), 8, 7), 20)
+        _, forged_nonce = commit(forged, random.Random(9))
         parsed = []
         monkeypatch.setattr(protocol, "decode_payload", lambda *args: parsed.append(args))
         with pytest.raises(OpenFailed):
-            b.receive(encode_message(Msg3(forged_d)))
+            b.receive(encode_message(Msg3(forged_nonce, forged)))
         assert parsed == []  # the opening failed before the payload was parsed
+        assert b.phase is Phase.ABORTED
+
+    def test_empty_opening_fails_open_not_parse(self, test_params, monkeypatch):
+        a, frame1 = started_initiator(test_params)
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        b.receive(frame1)
+        # a Msg3 body of the genuine nonce alone: well framed, opens nothing
+        frame3 = encode_message(Msg3(a.opening.nonce, b""))
+        assert len(frame3) == 5 + 32
+        parsed = []
+        monkeypatch.setattr(protocol, "decode_payload", lambda *args: parsed.append(args))
+        with pytest.raises(OpenFailed):
+            b.receive(frame3)
+        assert parsed == []
         assert b.phase is Phase.ABORTED
 
     def test_nonce_substitution_changes_sas(self, test_params):
@@ -460,20 +478,20 @@ class TestAttacksAtOpLevel:
 
     def test_initiator_share_outside_subgroup_rejected(self, test_params):
         # a forged commit/decommit pair whose payload carries a non-subgroup share
-        forged_payload = PairingPayload(Identity("alice"), 5, 3)
-        c, d = commit(encode_payload(forged_payload, 20), random.Random(1))
+        forged = encode_payload(PairingPayload(Identity("alice"), 5, 3), 20)
+        c, nonce = commit(forged, random.Random(1))
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))
         with pytest.raises(SubgroupCheckFailed):
-            b.receive(encode_message(Msg3(d)))
+            b.receive(encode_message(Msg3(nonce, forged)))
         assert b.phase is Phase.ABORTED
 
     def test_garbage_inside_opened_commitment_is_malformed(self, test_params):
-        c, d = commit(b"\x00\x70junk", random.Random(1))
+        c, nonce = commit(b"\x00\x70junk", random.Random(1))
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))
         with pytest.raises(MalformedMessage):
-            b.receive(encode_message(Msg3(d)))
+            b.receive(encode_message(Msg3(nonce, b"\x00\x70junk")))
         assert b.phase is Phase.ABORTED
 
 
@@ -509,12 +527,12 @@ class TestHostilePayload:
         assert a.phase is Phase.ABORTED
 
     def test_oversized_share_in_opened_commitment_aborts_responder(self, test_params):
-        payload = PairingPayload(Identity("alice"), BIG_SHARE, 0)
-        c, d = commit(encode_payload(payload, 20), random.Random(1))
+        message = encode_payload(PairingPayload(Identity("alice"), BIG_SHARE, 0), 20)
+        c, nonce = commit(message, random.Random(1))
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))
         with pytest.raises(SubgroupCheckFailed, match="^initiator share of 16000 bits rejected$"):
-            b.receive(encode_message(Msg3(d)))
+            b.receive(encode_message(Msg3(nonce, message)))
         assert b.phase is Phase.ABORTED
 
     @staticmethod
@@ -540,10 +558,11 @@ class TestHostilePayload:
     @settings(max_examples=150, deadline=None)
     def test_hostile_opened_payload_at_responder(self, identity, share, nonce):
         params = PARAM_SETS["test"]
-        c, d = commit(raw_payload(identity, share, nonce), random.Random(1))
+        message = raw_payload(identity, share, nonce)
+        c, opening_nonce = commit(message, random.Random(1))
         b = Peer(Role.RESPONDER, params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))
-        self.check_receive(b, encode_message(Msg3(d)))
+        self.check_receive(b, encode_message(Msg3(opening_nonce, message)))
 
 
 class TestPeer:

@@ -16,7 +16,6 @@ from saska.adversary import (
     StrategyKind,
     TranscriptEvent,
 )
-from saska.commitment import Commitment, Decommitment
 from saska.group import PARAM_SETS, DhParams
 from saska.protocol import Identity, Msg1, Msg2, Msg3, PairingPayload, Sas
 from saska.record import Record, set_field
@@ -29,16 +28,14 @@ PAYLOAD_REPR = "PairingPayload(identity=Identity(label='bob'), public_share=4, a
 # (class, keyword arguments in field order, expected repr)
 CASES = [
     (DhParams, {"p": 23, "q": 11, "g": 2}, "DhParams(p=23, q=11, g=2)"),
-    (Commitment, {"digest": DIGEST}, f"Commitment(digest={DIGEST!r})"),
-    (Decommitment, {"nonce": NONCE, "message": b"m"}, f"Decommitment(nonce={NONCE!r}, message=b'm')"),
     (Identity, {"label": "bob"}, "Identity(label='bob')"),
     (Sas, {"data": b"\x05", "k": 8}, "Sas(data=b'\\x05', k=8)"),
     (PairingPayload, {"identity": Identity("bob"), "public_share": 4,
                       "auth_nonce": 5}, PAYLOAD_REPR),
-    (Msg1, {"c": Commitment(DIGEST)}, f"Msg1(c=Commitment(digest={DIGEST!r}))"),
+    (Msg1, {"c": DIGEST}, f"Msg1(c={DIGEST!r})"),
     (Msg2, {"param_set_id": 7, "k": 8, "payload": PAYLOAD},
      f"Msg2(param_set_id=7, k=8, payload={PAYLOAD_REPR})"),
-    (Msg3, {"d": Decommitment(NONCE, b"m")}, f"Msg3(d=Decommitment(nonce={NONCE!r}, message=b'm'))"),
+    (Msg3, {"nonce": NONCE, "message": b"m"}, f"Msg3(nonce={NONCE!r}, message=b'm')"),
     (TranscriptEvent, {"seq": 1, "direction": Direction.A_TO_B, "frame": b"f",
                        "delivered": ((Direction.B_TO_A, b"g"),)},
      "TranscriptEvent(seq=1, direction=<Direction.A_TO_B: 'a->b'>, frame=b'f', "
