@@ -34,7 +34,6 @@ from .commitment import commit
 from .errors import KTooLarge, PairingError
 from .group import DhParams, gen_private_share, pub_share
 from .protocol import (
-    Identity,
     Msg1,
     Msg2,
     Msg3,
@@ -66,18 +65,6 @@ class Direction(Enum):
     @property
     def reverse(self) -> "Direction":
         return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
-
-
-class TranscriptEvent(Record):
-    """One observed frame plus the deliveries the adversary made of it."""
-
-    __slots__ = ("seq", "direction", "frame", "delivered")
-
-    def __init__(self, seq: int, direction: Direction, frame: bytes, delivered: tuple):
-        set_field(self, "seq", seq)
-        set_field(self, "direction", direction)
-        set_field(self, "frame", frame)
-        set_field(self, "delivered", delivered)  # of (Direction, bytes), in delivery order
 
 
 class StrategyKind(Enum):
@@ -134,7 +121,9 @@ class AttackOutcome(Record):
         set_field(self, "keys_equal", keys_equal)
         set_field(self, "attacker_key_with_a", attacker_key_with_a)
         set_field(self, "attacker_key_with_b", attacker_key_with_b)
-        set_field(self, "transcript", transcript)  # of TranscriptEvent, in send order
+        # of (direction, frame, delivered) in send order, where delivered
+        # holds the (Direction, bytes) deliveries made of the frame
+        set_field(self, "transcript", transcript)
         set_field(self, "aborts", aborts)  # "<side>: <error>" for every rejected frame
 
 
@@ -184,9 +173,6 @@ class _Attacker:
                 guess ^= n
         return guess & ((1 << self.k) - 1)
 
-    def payload(self, label: str, nonce_value: int) -> PairingPayload:
-        return PairingPayload(Identity(label), self.share, nonce_value)
-
     def note_payload(self, payload: PairingPayload, side: str) -> int:
         """Record a payload seen in the clear; returns its nonce."""
         self.seen_nonces.append(payload.auth_nonce)
@@ -206,14 +192,14 @@ class _Attacker:
 
     def commit_toward_b(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg1 committing to our payload as alice; keeps the opening."""
-        message = encode_payload(self.payload(INITIATOR_ID, nonce), self.k)
+        message = encode_payload(PairingPayload(INITIATOR_ID, self.share, nonce), self.k)
         c, opening_nonce = commit(message, self.rng)
         self.opening = Msg3(opening_nonce, message)
         return Direction.A_TO_B, encode_message(Msg1(c))
 
     def reply_toward_a(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg2 carrying our payload as bob."""
-        msg = Msg2(self.params.set_id, self.k, self.payload(RESPONDER_ID, nonce))
+        msg = Msg2(self.params.set_id, self.k, PairingPayload(RESPONDER_ID, self.share, nonce))
         return Direction.B_TO_A, encode_message(msg)
 
     def open_toward_b(self) -> tuple[Direction, bytes]:
@@ -320,7 +306,7 @@ def _run_trial(
     peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng_a, nonce=nonce_a)
     peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng_b, nonce=nonce_b)
     receiver = {Direction.A_TO_B: peer_b, Direction.B_TO_A: peer_a}
-    events: list[TranscriptEvent] = []
+    events: list[tuple[Direction, bytes, tuple]] = []
     in_flight: deque[tuple[Direction, bytes]] = deque()
     aborts: list[str] = []
 
@@ -334,7 +320,7 @@ def _run_trial(
                     if not (isinstance(pair, tuple) and len(pair) == 2
                             and isinstance(pair[0], Direction) and isinstance(pair[1], bytes)):
                         raise TypeError(f"not a (Direction, bytes) delivery: {pair!r}")
-            events.append(TranscriptEvent(len(events) + 1, direction, frame, delivered))
+            events.append((direction, frame, delivered))
             in_flight.extend(delivered)
 
     send(Direction.A_TO_B, peer_a.start())

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import sys
 import threading
 
@@ -35,9 +34,9 @@ from .group import DEFAULT_PARAM_SET, PARAM_SETS, DhParams, load_params_file
 from .protocol import (
     DEFAULT_K,
     MAX_K,
-    Identity,
     Peer,
     Role,
+    check_identity,
     format_sas,
     key_fingerprint,
 )
@@ -85,7 +84,7 @@ def _check_peer_args(args):
         args.connect = _parse_address(args.connect)
     if not 0 < args.timeout <= threading.TIMEOUT_MAX:  # also rejects nan and inf
         raise ValueError(f"--timeout {args.timeout} is not in (0, {threading.TIMEOUT_MAX:g}] seconds")
-    Identity(args.id)
+    check_identity(args.id)
 
 
 def _peer_parser() -> argparse.ArgumentParser:
@@ -156,7 +155,7 @@ def run_peer(args) -> int:
         while peer.sas is None:
             for frame in peer.receive(channel.recv_frame(args.timeout)):
                 channel.send_frame(frame)
-        print(f"{peer.remote_payload.identity.label} : {format_sas(peer.sas)}", flush=True)
+        print(f"{peer.remote_payload.identity} : {format_sas(peer.sas)}", flush=True)
         if _ask_confirmation():
             key = peer.confirm(True)
             print(f"fingerprint: {key_fingerprint(key)}", flush=True)
@@ -188,7 +187,7 @@ def run_sim(args) -> int:
 
     params = args.params
     kind = StrategyKind(args.strategy)
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
 
     rule = GuessRule(args.guess) if args.guess else None
     runs = []  # (strategy, Monte Carlo trials or None for the enumeration)

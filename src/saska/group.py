@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-import secrets
 
 from .errors import (
     BadGenerator,
@@ -60,6 +59,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SAFE_PRIME_STRENGTH = ((2048, 112), (3072, 128), (4096, 152), (6144, 176), (8192, 200))
 _MIN_EXPONENT_BITS = 256
 _MAX_P_BITS = _SAFE_PRIME_STRENGTH[-1][0]  # Miller-Rabin on a larger p takes minutes
+_MAX_P_DIGITS = 2467  # len(str(1 << _MAX_P_BITS)), the widest parameter file line
 # Groups with p <= 2^31 skip the Jacobi test, the verdict cache and the
 # fixed-base table, because below about 2^31 a single pow is cheaper
 # (measured with CPython 3.11).  Subgroup test: pow(y, q, p) takes 0.2 us
@@ -125,7 +125,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    rng = secrets.SystemRandom()
+    rng = random.SystemRandom()
     for _ in range(PRIMALITY_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
@@ -150,10 +150,17 @@ def validate_params(p: int, q: int, g: int) -> DhParams:
         raise ValueError("p, q, g must be positive integers")
     if max(p, q).bit_length() > _MAX_P_BITS:
         raise ValueError(f"p and q must have at most {_MAX_P_BITS} bits")
-    if not is_probable_prime(p):
+    # Pocklington's test for a safe prime p = 2q + 1: once q is prime and
+    # q^2 > p (any q >= 3), p is prime iff 2^(p-1) = 1 mod p and
+    # gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1.  One pow replaces the 64
+    # Miller-Rabin rounds on p.
+    pocklington = p == 2 * q + 1 and q > 2
+    if not pocklington and not is_probable_prime(p):
         raise NotPrime(f"p of {p.bit_length()} bits failed the primality test")
     if not is_probable_prime(q):
         raise NotPrime(f"q of {q.bit_length()} bits failed the primality test")
+    if pocklington and (pow(2, p - 1, p) != 1 or p % 3 == 0):
+        raise NotPrime(f"p of {p.bit_length()} bits failed the primality test")
     if (p - 1) % q != 0:
         raise OrderMismatch(
             f"q of {q.bit_length()} bits does not divide p - 1 (p of {p.bit_length()} bits)")
@@ -324,7 +331,7 @@ def parse_params_text(text: str) -> DhParams:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if len(line) > len(str(1 << _MAX_P_BITS)):  # checked before int() parses it
+        if len(line) > _MAX_P_DIGITS:  # checked before int() parses it
             raise ValueError(f"a line of {len(line)} characters is too long for {_MAX_P_BITS} bits")
         try:
             values.append(int(line, 10))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import secrets
 from enum import Enum, IntEnum
 
 from .commitment import DIGEST_LEN, NONCE_LEN, commit, open_commitment
@@ -50,51 +49,47 @@ HEADER_LEN = 5
 MAX_BODY = 65535
 
 
-class Identity(Record):
-    """Human-readable peer label, 1..64 octets of printable UTF-8: it is shown
-    beside the SAS, a line that ESC, CR, LF or a bidi control could rewrite."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        try:
-            encoded = label.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ValueError(f"identity is not encodable UTF-8: {exc}") from exc
-        if not 1 <= len(encoded) <= MAX_IDENTITY_OCTETS:
-            raise ValueError(f"identity must be 1..{MAX_IDENTITY_OCTETS} octets, got {len(encoded)}")
-        if not label.isprintable():
-            raise ValueError(f"identity {label!r} has a non-printable character")
-        set_field(self, "label", label)
-
-    def encoded(self) -> bytes:
-        return self.label.encode("utf-8")
+def check_identity(label: str) -> str:
+    """A peer label, 1..64 octets of printable UTF-8: it is shown beside the
+    SAS, a line that ESC, CR, LF or a bidi control could rewrite."""
+    try:
+        encoded = label.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"identity is not encodable UTF-8: {exc}") from exc
+    if not 1 <= len(encoded) <= MAX_IDENTITY_OCTETS:
+        raise ValueError(f"identity must be 1..{MAX_IDENTITY_OCTETS} octets, got {len(encoded)}")
+    if not label.isprintable():
+        raise ValueError(f"identity {label!r} has a non-printable character")
+    return label
 
 
-def _check_bits(data: bytes, k: int, what: str) -> int:
-    """The k-bit value of data, which must be ceil(k/8) big-endian octets."""
+def _nonce_value(data: bytes, k: int) -> int:
+    """The k-bit nonce in data, which must be ceil(k/8) big-endian octets."""
     if not 1 <= k <= MAX_K:
-        raise ValueError(f"{what}: k must be in [1, {MAX_K}], got {k}")
+        raise ValueError(f"auth nonce: k must be in [1, {MAX_K}], got {k}")
     if len(data) != (k + 7) // 8:
-        raise ValueError(f"{what}: need {(k + 7) // 8} octets for k={k}, got {len(data)}")
+        raise ValueError(f"auth nonce: need {(k + 7) // 8} octets for k={k}, got {len(data)}")
     value = int.from_bytes(data, "big")
     if value >> k:
-        raise ValueError(f"{what}: padding bits above bit {k} must be zero")
+        raise ValueError(f"auth nonce: padding bits above bit {k} must be zero")
     return value
 
 
 class Sas(Record):
-    """Authentication string S = N_A xor N_B."""
+    """Authentication string S = N_A xor N_B, a k-bit int."""
 
-    __slots__ = ("data", "k")
+    __slots__ = ("value", "k")
 
-    def __init__(self, data: bytes, k: int):
-        _check_bits(data, k, "sas")
-        set_field(self, "data", data)
+    def __init__(self, value: int, k: int):
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"sas: k must be in [1, {MAX_K}], got {k}")
+        if not 0 <= value < 1 << k:
+            raise ValueError(f"sas: value is not a {k}-bit int")
+        set_field(self, "value", value)
         set_field(self, "k", k)
 
     def to_int(self) -> int:
-        return int.from_bytes(self.data, "big")
+        return self.value
 
 
 def gen_auth_nonce(k: int, rng: random.Random) -> int:
@@ -108,13 +103,13 @@ def gen_auth_nonce(k: int, rng: random.Random) -> int:
 
 
 def compute_sas(local: int, remote: int, k: int) -> Sas:
-    return Sas((local ^ remote).to_bytes((k + 7) // 8, "big"), k)
+    return Sas(local ^ remote, k)
 
 
 def format_sas(sas: Sas) -> str:
     """Uppercase hex, ceil(k/4) digits, most-significant nibble first."""
     digits = (sas.k + 3) // 4
-    return format(sas.to_int(), f"0{digits}X")
+    return format(sas.value, f"0{digits}X")
 
 
 def key_fingerprint(key: int) -> str:
@@ -126,11 +121,12 @@ def key_fingerprint(key: int) -> str:
 
 class PairingPayload(Record):
     """The cleartext message m = identity || public share || nonce, where
-    the share and the k-bit nonce are ints."""
+    the identity is a checked label and the share and the k-bit nonce are
+    ints."""
 
     __slots__ = ("identity", "public_share", "auth_nonce")
 
-    def __init__(self, identity: Identity, public_share: int, auth_nonce: int):
+    def __init__(self, identity: str, public_share: int, auth_nonce: int):
         set_field(self, "identity", identity)
         set_field(self, "public_share", public_share)
         set_field(self, "auth_nonce", auth_nonce)
@@ -157,7 +153,7 @@ def encode_payload(payload: PairingPayload, k: int) -> bytes:
     octets; injective, so commitment binding covers the exact
     identity/share/nonce boundaries."""
     return (
-        _field(payload.identity.encoded())
+        _field(payload.identity.encode("utf-8"))
         + _field(int_to_octets(payload.public_share))
         + _field(payload.auth_nonce.to_bytes((k + 7) // 8, "big"))
     )
@@ -171,13 +167,13 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
     if off != len(data):
         raise MalformedMessage(f"{len(data) - off} trailing octets after payload fields")
     try:
-        identity = Identity(ident_raw.decode("utf-8"))
+        identity = check_identity(ident_raw.decode("utf-8"))
     except ValueError as exc:
         raise MalformedMessage(f"bad identity field: {exc}") from exc
     if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):
         raise MalformedMessage("public share is not a minimal big-endian integer")
     try:
-        nonce = _check_bits(nonce_raw, k, "auth nonce")
+        nonce = _nonce_value(nonce_raw, k)
     except ValueError as exc:
         raise MalformedMessage(f"bad nonce field: {exc}") from exc
     return PairingPayload(identity, int.from_bytes(share_raw, "big"), nonce)
@@ -321,9 +317,9 @@ class Peer:
             raise ValueError(f"forced nonce is not a {k}-bit value")
         self.role = role
         self.params = params
-        self.identity = Identity(identity)
+        self.identity = check_identity(identity)
         self.k = k
-        self.rng = rng or secrets.SystemRandom()
+        self.rng = rng or random.SystemRandom()
         self.phase = Phase.CREATED
         self.phase_log = [Phase.CREATED]
         self.private: int | None = None

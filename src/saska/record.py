@@ -12,8 +12,9 @@ equality, hashing, repr or copying.
 Every CLI peer is a fresh process, and with CPython 3.11 on 2 CPUs
 importing dataclasses (it loads inspect) took about 15 ms of its start and
 building the frozen dataclasses about 10 ms more.  Each class keeps its own
-__init__ because a simulator trial builds about 50 records: a generic
-*args/**kwargs __init__ here cut sim-small throughput by a third.
+__init__ because a simulator trial builds 13 records (23 under attack): a
+generic *args/**kwargs __init__ here cut sim-small throughput by a third
+when a trial built about 50.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from saska.adversary import (
 from saska.errors import KTooLarge
 from saska.group import PARAM_SETS
 from saska.protocol import (
-    Identity,
     Msg1,
     Msg2,
     Msg3,
@@ -63,7 +62,12 @@ class TestHonestSession:
 
     def test_transcript_has_three_frames(self, test_params):
         out = run_mitm_trial(HONEST, test_params, 20, 5)
-        assert [e.seq for e in out.transcript] == [1, 2, 3]
+        # each entry a (Direction, bytes, tuple) triple, in send order
+        assert [(type(d), type(f), type(delivered)) for d, f, delivered in out.transcript] == [
+            (Direction, bytes, tuple)] * 3
+        assert [(d, type(decode_message(f))) for d, f, _ in out.transcript] == [
+            (Direction.A_TO_B, Msg1), (Direction.B_TO_A, Msg2), (Direction.A_TO_B, Msg3)]
+        assert all(delivered == ((d, f),) for d, f, delivered in out.transcript)
 
 
 def forced_trial(kind, params, k, guess, nonce_value, seed=0):
@@ -109,8 +113,8 @@ class TestMitmTrials:
             def __call__(self, frame, direction):
                 msg = decode_message(frame)
                 if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
-                    better = self.payload(
-                        "alice", (self.bridge_nonce ^ 1) & ((1 << self.k) - 1))
+                    better = PairingPayload(
+                        "alice", self.share, (self.bridge_nonce ^ 1) & ((1 << self.k) - 1))
                     forged = Msg3(self.opening.nonce, encode_payload(better, self.k))
                     return [(direction, encode_message(forged))]
                 return super().__call__(frame, direction)
@@ -138,7 +142,7 @@ class TestMitmTrials:
         out = _run_trial(test_params, 8, rng_a, rng_b, attacker)
         assert len(out.aborts) == 1 and out.aborts[0].startswith("initiator: ")
         assert out.sas_a is None
-        assert not any(isinstance(decode_message(e.frame), Msg3) for e in out.transcript)
+        assert not any(isinstance(decode_message(f), Msg3) for _, f, _ in out.transcript)
         assert not out.sas_match and not out.keys_equal and not out.success
 
     def test_honest_strategy_through_trial_api(self, test_params):
@@ -152,14 +156,13 @@ class TestDeterminism:
         strategy = AttackStrategy(kind, GuessRule.UNIFORM)
         t1 = run_mitm_trial(strategy, test_params, 8, seed=77).transcript
         t2 = run_mitm_trial(strategy, test_params, 8, seed=77).transcript
-        flatten = lambda t: [(e.seq, e.direction, e.frame, e.delivered) for e in t]
-        assert flatten(t1) == flatten(t2)
+        assert t1 == t2
 
     def test_different_seeds_differ(self, test_params):
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.UNIFORM)
         t1 = run_mitm_trial(strategy, test_params, 8, seed=1).transcript
         t2 = run_mitm_trial(strategy, test_params, 8, seed=2).transcript
-        assert [e.frame for e in t1] != [e.frame for e in t2]
+        assert [f for _, f, _ in t1] != [f for _, f, _ in t2]
 
 
 class TestExhaustive:
@@ -211,24 +214,26 @@ class TestCommitThenGuess:
 
     @staticmethod
     def _first_seq(transcript, pred):
-        for event in transcript:
-            if pred(event):
-                return event.seq
+        """The sequence number, position plus 1, of the first entry that
+        pred(direction, frame, delivered) accepts."""
+        for seq, entry in enumerate(transcript, 1):
+            if pred(*entry):
+                return seq
         return None
 
     def _delivered_commit_seq(self, transcript, direction):
         return self._first_seq(
             transcript,
-            lambda e: any(
+            lambda _d, _f, delivered: any(
                 d is direction and isinstance(decode_message(f), Msg1)
-                for d, f in e.delivered
+                for d, f in delivered
             ),
         )
 
     def _observed_seq(self, transcript, msg_type, direction):
         return self._first_seq(
             transcript,
-            lambda e: e.direction is direction and isinstance(decode_message(e.frame), msg_type),
+            lambda d, f, _: d is direction and isinstance(decode_message(f), msg_type),
         )
 
     @pytest.mark.parametrize("kind", (StrategyKind.IMPERSONATE_INITIATOR, StrategyKind.FULL_MITM))
@@ -249,9 +254,9 @@ class TestCommitThenGuess:
         # and its payload toward A went out before A revealed N_A
         payload_seq = self._first_seq(
             out.transcript,
-            lambda e: any(
+            lambda _d, _f, delivered: any(
                 d is Direction.B_TO_A and isinstance(decode_message(f), Msg2)
-                for d, f in e.delivered
+                for d, f in delivered
             ),
         )
         msg3_seq = self._observed_seq(out.transcript, Msg3, Direction.A_TO_B)
@@ -375,7 +380,7 @@ class TestInterposition:
         assert out.sas_a is None and out.sas_b is None
         assert out.aborts == ()
         assert len(out.transcript) == 1
-        assert out.transcript[0].delivered == ()
+        assert out.transcript[0][2] == ()
 
     def test_replace_and_inject(self, test_params):
         swap = frame_of(b"\x55" * 32)
@@ -387,14 +392,14 @@ class TestInterposition:
             return [(direction, frame)]
 
         out = run_through(adversary, test_params)
-        event = out.transcript[0]
-        assert isinstance(decode_message(event.frame), Msg1)
-        assert event.frame != swap
-        assert event.delivered == ((Direction.A_TO_B, swap), (Direction.B_TO_A, extra))
+        _, frame, delivered = out.transcript[0]
+        assert isinstance(decode_message(frame), Msg1)
+        assert frame != swap
+        assert delivered == ((Direction.A_TO_B, swap), (Direction.B_TO_A, extra))
         # B took the swapped commitment and answered it; A took the injected
         # commit frame where it expected a payload, and aborted
-        assert isinstance(decode_message(out.transcript[1].frame), Msg2)
-        assert out.transcript[1].direction is Direction.B_TO_A
+        assert isinstance(decode_message(out.transcript[1][1]), Msg2)
+        assert out.transcript[1][0] is Direction.B_TO_A
         assert len(out.transcript) == 2
         assert len(out.aborts) == 1 and out.aborts[0].startswith("initiator: MalformedMessage")
 
@@ -423,9 +428,9 @@ class TestInterposition:
             return [(direction, frame)]
 
         out = run_through(adversary, test_params)
-        assert [e.seq for e in out.transcript] == [1, 2, 3]
+        assert len(out.transcript) == 3
         # one call per frame sent, in send order
-        assert observed == [(e.direction, e.frame) for e in out.transcript]
+        assert observed == [(d, f) for d, f, _ in out.transcript]
 
     def test_deterministic_replay_of_decisions(self, test_params):
         def substitute(frame, direction):
@@ -437,9 +442,9 @@ class TestInterposition:
         assert len(out.transcript) == 2
         # replay: feeding each recorded frame back into the callback
         # reproduces the recorded deliveries
-        for event in out.transcript:
-            again = substitute(event.frame, event.direction)
-            assert tuple(again) == event.delivered
+        for direction, frame, delivered in out.transcript:
+            again = substitute(frame, direction)
+            assert tuple(again) == delivered
 
     def test_duplicating_every_frame_terminates(self, test_params):
         def duplicate(frame, direction):
@@ -447,8 +452,8 @@ class TestInterposition:
 
         out = run_through(duplicate, test_params)
         # one callback per frame a peer sends: Msg1, Msg2, Msg3
-        assert [type(decode_message(e.frame)) for e in out.transcript] == [Msg1, Msg2, Msg3]
-        assert all(len(e.delivered) == 2 for e in out.transcript)
+        assert [type(decode_message(f)) for _, f, _ in out.transcript] == [Msg1, Msg2, Msg3]
+        assert all(len(delivered) == 2 for _, _, delivered in out.transcript)
         # the second Msg1 reaches B while it awaits the opening: B aborts,
         # so the Msg3 copies are ignored; A ignores the second Msg2
         assert out.sas_a is not None and out.sas_b is None
@@ -499,7 +504,7 @@ class IdentitySwap(_Attacker):
     def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg2):
-            forged = PairingPayload(Identity("carol"), msg.payload.public_share, msg.payload.auth_nonce)
+            forged = PairingPayload("carol", msg.payload.public_share, msg.payload.auth_nonce)
             return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
         return [(direction, frame)]
 
@@ -517,6 +522,6 @@ def test_known_defect_identity_swap_uncounted(p40_params):
         out = _run_trial(p40_params, 20, rng_a, rng_b, attacker)
         assert out.sas_match and out.keys_equal, seed
         assert out.aborts == (), seed
-        ((_, msg2_to_a),) = out.transcript[1].delivered
-        assert decode_message(msg2_to_a).payload.identity == Identity("carol"), seed
+        ((_, msg2_to_a),) = out.transcript[1][2]
+        assert decode_message(msg2_to_a).payload.identity == "carol", seed
         assert not out.success, seed

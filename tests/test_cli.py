@@ -101,12 +101,14 @@ class TestArgumentErrors:
         ["--listen", "0", "--id", "a", "--timeout", "inf"],
         ["--connect", "127.0.0.1:9", "--id", "b", "--timeout", "-1"],
         ["--connect", "127.0.0.1:9", "--id", "b", "--timeout", "1e300"],
+        ["--listen", "0", "--id", "a" * 65],
     ])
     def test_usage_error(self, args):
         proc = run_cli(args)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("usage: ")
+        assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
         assert proc.stdout == ""
 
     def test_invalid_params_file_from_env(self, tmp_path):
@@ -327,7 +329,7 @@ class TestPeerExitCodes:
         def bad_server():
             chan = listener.accept(5.0)
             chan.recv_frame(5.0)  # discard msg1
-            payload = protocol.PairingPayload(protocol.Identity("mallory"), big_share, 0)
+            payload = protocol.PairingPayload("mallory", big_share, 0)
             chan.send_frame(protocol.encode_message(protocol.Msg2(test_params.set_id, 20, payload)))
             chan.close()
 

@@ -60,6 +60,24 @@ class TestValidateParams:
         with pytest.raises(NotPrime):
             validate_params(23, 10, 2)
 
+    def test_composite_safe_prime_shape_rejected(self):
+        # 4307 = 59 * 73 = 2 * 2153 + 1 with 2153 prime: no factor up to 47,
+        # so only Pocklington's 2^(p-1) = 1 mod p stops this triple
+        assert is_probable_prime(2153) and pow(2, 4306, 4307) == 454
+        with pytest.raises(NotPrime, match="^p of 13 bits failed the primality test$"):
+            validate_params(4307, 2153, 4)
+
+    def test_pocklington_agrees_with_miller_rabin(self):
+        # every p = 2q + 1 with q an odd prime below 3,000; g = 4 = 2^2 is
+        # in the order-q subgroup whenever p is prime
+        for q in filter(is_probable_prime, range(3, 3000)):
+            p = 2 * q + 1
+            try:
+                accepted = validate_params(p, q, 4) == DhParams(p, q, 4)
+            except NotPrime:
+                accepted = False
+            assert accepted == is_probable_prime(p), p
+
     def test_order_mismatch_rejected(self):
         # 7 is prime but does not divide 22
         with pytest.raises(OrderMismatch):
@@ -231,6 +249,16 @@ class TestPrimality:
 
 
 class TestBuiltinSets:
+    def test_safe_prime_p_skips_miller_rabin(self, monkeypatch):
+        # Pocklington's test accepts each built-in p, and so does Miller-Rabin
+        real, tested = group.is_probable_prime, []
+        monkeypatch.setattr(group, "is_probable_prime", lambda n: tested.append(n) or real(n))
+        for params in PARAM_SETS.values():
+            tested.clear()
+            assert validate_params(params.p, params.q, params.g) == params
+            assert tested == [params.q]
+            assert real(params.p)
+
     def test_test_set(self):
         p = PARAM_SETS["test"]
         validate_params(p.p, p.q, p.g)

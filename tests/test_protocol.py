@@ -15,7 +15,6 @@ from saska.errors import (
 from saska.group import PARAM_SETS, gen_private_share, pub_share
 from saska import protocol
 from saska.protocol import (
-    Identity,
     Msg1,
     Msg2,
     Msg3,
@@ -24,6 +23,7 @@ from saska.protocol import (
     Phase,
     Role,
     Sas,
+    check_identity,
     compute_sas,
     decode_message,
     decode_payload,
@@ -70,26 +70,34 @@ def started_initiator(params, k=20, seed=1):
 
 class TestIdentity:
     def test_valid(self):
-        assert Identity("alice").encoded() == b"alice"
+        assert check_identity("alice") == "alice"
+        assert encode_payload(PairingPayload("alice", 8, 1), 8).startswith(b"\x00\x05alice")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Identity("")
+            check_identity("")
 
     def test_64_octets_ok_65_rejected(self):
-        Identity("a" * 64)
+        check_identity("a" * 64)
         with pytest.raises(ValueError):
-            Identity("a" * 65)
+            check_identity("a" * 65)
 
     def test_multibyte_counts_octets(self):
-        Identity("é" * 32)  # 64 octets of UTF-8
+        check_identity("é" * 32)  # 64 octets of UTF-8
         with pytest.raises(ValueError):
-            Identity("é" * 33)
+            check_identity("é" * 33)
 
     @pytest.mark.parametrize("label", ["bob : 00000\x1b[8m", "bob\r", "a\nb", "bob\u202e", "bob\udc80"])
     def test_non_printable_rejected(self, label):
         with pytest.raises(ValueError, match="^identity "):
-            Identity(label)
+            check_identity(label)
+
+    def test_checked_where_a_label_enters(self, test_params):
+        with pytest.raises(ValueError, match="^identity must be 1..64 octets, got 65$"):
+            Peer(Role.INITIATOR, test_params, "a" * 65)
+        raw = encode_payload(PairingPayload("a" * 65, 8, 1), 8)
+        with pytest.raises(MalformedMessage, match="^bad identity field: identity must be"):
+            decode_payload(raw, 8)
 
 
 class TestNonceGeneration:
@@ -107,7 +115,7 @@ class TestNonceGeneration:
         with pytest.raises(MalformedMessage, match="^bad nonce field: auth nonce: k must be"):
             decode_payload(b"\x00\x01x" + b"\x00\x01\x08" + b"\x00\x00", 0)
         with pytest.raises(ValueError, match="^sas: k must be"):
-            Sas(bytes(9), 65)
+            Sas(0, 65)
 
 
 class TestComputeSas:
@@ -118,7 +126,14 @@ class TestComputeSas:
         assert compute_sas(0x12345, 0, 20).to_int() == 0x12345
 
     def test_byte_oracle(self):
-        assert compute_sas(0xAB, 0x3C, 8) == Sas(b"\x97", 8)
+        assert compute_sas(0xAB, 0x3C, 8) == Sas(0x97, 8)
+
+    @pytest.mark.parametrize("k", [1, 8, 20, 64])
+    def test_value_must_be_k_bits(self, k):
+        assert Sas((1 << k) - 1, k).to_int() == (1 << k) - 1
+        for value in (1 << k, -1):
+            with pytest.raises(ValueError, match=f"^sas: value is not a {k}-bit int$"):
+                Sas(value, k)
 
     @given(x=st.integers(0, 2**20 - 1), y=st.integers(0, 2**20 - 1))
     @settings(max_examples=100)
@@ -179,12 +194,12 @@ class TestWireFormat:
             decode_message(frame)
 
     def test_trailing_payload_bytes_rejected(self):
-        payload = PairingPayload(Identity("x"), 8, 1)
+        payload = PairingPayload("x", 8, 1)
         with pytest.raises(MalformedMessage):
             decode_payload(encode_payload(payload, 8) + b"\x00", 8)
 
     def test_non_minimal_share_rejected(self):
-        payload = PairingPayload(Identity("x"), 8, 1)
+        payload = PairingPayload("x", 8, 1)
         raw = bytearray(encode_payload(payload, 8))
         # widen the share field 0x08 -> 0x00 0x08
         assert raw[3:6] == b"\x00\x01\x08"
@@ -193,21 +208,21 @@ class TestWireFormat:
             decode_payload(bytes(raw), 8)
 
     def test_bad_nonce_length_rejected(self):
-        payload = PairingPayload(Identity("x"), 8, 1)
+        payload = PairingPayload("x", 8, 1)
         raw = encode_payload(payload, 8)
         # k=20 expects 3 nonce octets, field has 1
         with pytest.raises(MalformedMessage, match="^bad nonce field: auth nonce: need 3 octets"):
             decode_payload(raw, 20)
 
     def test_nonce_padding_bits_rejected(self):
-        raw = encode_payload(PairingPayload(Identity("x"), 8, 0xFFFFF), 20)
+        raw = encode_payload(PairingPayload("x", 8, 0xFFFFF), 20)
         assert raw.endswith(b"\x00\x03\x0f\xff\xff")
         # the top four bits of a k=20 nonce field must be zero
         with pytest.raises(MalformedMessage, match="^bad nonce field: auth nonce: padding bits"):
             decode_payload(raw[:-3] + b"\xff\xff\xff", 20)
 
     def test_nonce_field_is_ceil_k_octets_big_endian(self):
-        raw = encode_payload(PairingPayload(Identity("x"), 8, 0xBEEF), 20)
+        raw = encode_payload(PairingPayload("x", 8, 0xBEEF), 20)
         assert raw.endswith(b"\x00\x03\x00\xbe\xef")
         nonce = decode_payload(raw, 20).auth_nonce
         assert type(nonce) is int and nonce == 0xBEEF
@@ -247,7 +262,7 @@ class TestWireFormat:
         params = PARAM_SETS[name]
         x = gen_private_share(params, random.Random(1))
         share = pub_share(params, x)
-        payload = PairingPayload(Identity("x"), share, 1)
+        payload = PairingPayload("x", share, 1)
         decoded = decode_payload(encode_payload(payload, 8), 8).public_share
         assert type(x) is int and type(share) is int and type(decoded) is int
         assert decoded == share
@@ -263,7 +278,7 @@ class TestWireFormat:
     @settings(max_examples=150)
     def test_wire_round_trip_all_variants(self, label, share, k, nonce, data):
         nonce %= 2**k
-        payload = PairingPayload(Identity(label), share, nonce)
+        payload = PairingPayload(check_identity(label), share, nonce)
 
         msg2 = Msg2(data.draw(st.integers(0, 2**32 - 1)), k, payload)
         assert decode_message(encode_message(msg2)) == msg2
@@ -320,8 +335,8 @@ class TestHonestRun:
 
     def test_remote_identities_exchanged(self, test_params):
         a, b, *_ = honest_exchange(test_params)
-        assert a.remote_payload.identity.label == "bob"
-        assert b.remote_payload.identity.label == "alice"
+        assert a.remote_payload.identity == "bob"
+        assert b.remote_payload.identity == "alice"
 
     def test_completeness_many_seeds(self, test_params, p40_params):
         for seed in range(30):
@@ -378,7 +393,7 @@ class TestPhaseGuards:
 def bad_share_frame(params, nonce: int) -> bytes:
     """A Msg2 whose public share, 1, lies outside the subgroup."""
     return encode_message(Msg2(params.set_id, 20, PairingPayload(
-        Identity("bob"), 1, nonce)))
+        "bob", 1, nonce)))
 
 
 class TestKeyGating:
@@ -439,7 +454,7 @@ class TestAttacksAtOpLevel:
         a.receive(frame2)
         # adversary commits to its own payload and sends that opening
         # against A's original commitment
-        forged = encode_payload(PairingPayload(Identity("alice"), 8, 7), 20)
+        forged = encode_payload(PairingPayload("alice", 8, 7), 20)
         _, forged_nonce = commit(forged, random.Random(9))
         parsed = []
         monkeypatch.setattr(protocol, "decode_payload", lambda *args: parsed.append(args))
@@ -478,7 +493,7 @@ class TestAttacksAtOpLevel:
 
     def test_initiator_share_outside_subgroup_rejected(self, test_params):
         # a forged commit/decommit pair whose payload carries a non-subgroup share
-        forged = encode_payload(PairingPayload(Identity("alice"), 5, 3), 20)
+        forged = encode_payload(PairingPayload("alice", 5, 3), 20)
         c, nonce = commit(forged, random.Random(1))
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))
@@ -521,13 +536,13 @@ class TestHostilePayload:
 
     def test_oversized_share_in_msg2_aborts_initiator(self, test_params):
         a, _ = started_initiator(test_params)
-        msg2 = Msg2(test_params.set_id, 20, PairingPayload(Identity("bob"), BIG_SHARE, 0))
+        msg2 = Msg2(test_params.set_id, 20, PairingPayload("bob", BIG_SHARE, 0))
         with pytest.raises(SubgroupCheckFailed, match="^responder share of 16000 bits rejected$"):
             a.receive(encode_message(msg2))
         assert a.phase is Phase.ABORTED
 
     def test_oversized_share_in_opened_commitment_aborts_responder(self, test_params):
-        message = encode_payload(PairingPayload(Identity("alice"), BIG_SHARE, 0), 20)
+        message = encode_payload(PairingPayload("alice", BIG_SHARE, 0), 20)
         c, nonce = commit(message, random.Random(1))
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         b.receive(encode_message(Msg1(c)))

@@ -14,40 +14,36 @@ from saska.adversary import (
     GuessRule,
     SimReport,
     StrategyKind,
-    TranscriptEvent,
 )
 from saska.group import PARAM_SETS, DhParams
-from saska.protocol import Identity, Msg1, Msg2, Msg3, PairingPayload, Sas
+from saska.protocol import Msg1, Msg2, Msg3, PairingPayload, Sas
 from saska.record import Record, set_field
 
 DIGEST = bytes(range(32))
 NONCE = b"\x07" * 32
-PAYLOAD = PairingPayload(Identity("bob"), 4, 5)
-PAYLOAD_REPR = "PairingPayload(identity=Identity(label='bob'), public_share=4, auth_nonce=5)"
+PAYLOAD = PairingPayload("bob", 4, 5)
+PAYLOAD_REPR = "PairingPayload(identity='bob', public_share=4, auth_nonce=5)"
 
 # (class, keyword arguments in field order, expected repr)
 CASES = [
     (DhParams, {"p": 23, "q": 11, "g": 2}, "DhParams(p=23, q=11, g=2)"),
-    (Identity, {"label": "bob"}, "Identity(label='bob')"),
-    (Sas, {"data": b"\x05", "k": 8}, "Sas(data=b'\\x05', k=8)"),
-    (PairingPayload, {"identity": Identity("bob"), "public_share": 4,
+    (Sas, {"value": 5, "k": 8}, "Sas(value=5, k=8)"),
+    (PairingPayload, {"identity": "bob", "public_share": 4,
                       "auth_nonce": 5}, PAYLOAD_REPR),
     (Msg1, {"c": DIGEST}, f"Msg1(c={DIGEST!r})"),
     (Msg2, {"param_set_id": 7, "k": 8, "payload": PAYLOAD},
      f"Msg2(param_set_id=7, k=8, payload={PAYLOAD_REPR})"),
     (Msg3, {"nonce": NONCE, "message": b"m"}, f"Msg3(nonce={NONCE!r}, message=b'm')"),
-    (TranscriptEvent, {"seq": 1, "direction": Direction.A_TO_B, "frame": b"f",
-                       "delivered": ((Direction.B_TO_A, b"g"),)},
-     "TranscriptEvent(seq=1, direction=<Direction.A_TO_B: 'a->b'>, frame=b'f', "
-     "delivered=((<Direction.B_TO_A: 'b->a'>, b'g'),))"),
     (AttackStrategy, {"kind": StrategyKind.FULL_MITM, "guess_rule": GuessRule.FIXED, "fixed_guess": 3},
      "AttackStrategy(kind=<StrategyKind.FULL_MITM: 'full-mitm'>, "
      "guess_rule=<GuessRule.FIXED: 'fixed'>, fixed_guess=3)"),
-    (AttackOutcome, {"success": False, "sas_a": Sas(b"\x05", 8), "sas_b": None, "sas_match": False,
+    (AttackOutcome, {"success": False, "sas_a": Sas(5, 8), "sas_b": None, "sas_match": False,
                      "keys_equal": False, "attacker_key_with_a": False, "attacker_key_with_b": False,
-                     "transcript": (), "aborts": ("responder: OpenFailed: x",)},
-     "AttackOutcome(success=False, sas_a=Sas(data=b'\\x05', k=8), sas_b=None, sas_match=False, "
-     "keys_equal=False, attacker_key_with_a=False, attacker_key_with_b=False, transcript=(), "
+                     "transcript": ((Direction.A_TO_B, b"f", ((Direction.B_TO_A, b"g"),)),),
+                     "aborts": ("responder: OpenFailed: x",)},
+     "AttackOutcome(success=False, sas_a=Sas(value=5, k=8), sas_b=None, sas_match=False, "
+     "keys_equal=False, attacker_key_with_a=False, attacker_key_with_b=False, "
+     "transcript=((<Direction.A_TO_B: 'a->b'>, b'f', ((<Direction.B_TO_A: 'b->a'>, b'g'),)),), "
      "aborts=('responder: OpenFailed: x',))"),
     (SimReport, {"mode": "exhaustive", "strategy": "full-mitm", "k": 1, "trials": 2, "successes": 1,
                  "rate": 0.5, "ci_low": 0.5, "ci_high": 0.5, "bound": 0.5, "passed": True},
@@ -100,20 +96,20 @@ def test_copy_and_pickle_round_trip(cls, fields, text):
 
 
 def two_field_record():
-    """A new Record class with the slots data and k, like Sas."""
+    """A new Record class with the slots value and k, like Sas."""
 
     class TwoFields(Record):
-        __slots__ = ("data", "k")
+        __slots__ = ("value", "k")
 
-        def __init__(self, data, k):
-            set_field(self, "data", data)
+        def __init__(self, value, k):
+            set_field(self, "value", value)
             set_field(self, "k", k)
 
     return TwoFields
 
 
 def test_same_fields_different_class_are_unequal():
-    left, right = (cls(b"\x05", 8) for cls in (two_field_record(), two_field_record()))
+    left, right = (cls(5, 8) for cls in (two_field_record(), two_field_record()))
     assert hash(left) == hash(right)
     assert left != right and right != left
     assert len({left, right}) == 2

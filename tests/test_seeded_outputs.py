@@ -42,12 +42,12 @@ def _raw(outcome) -> tuple:
         outcome.aborts,
         tuple(
             (
-                e.seq,
-                e.direction.value,
-                e.frame,
-                tuple((d.value, f) for d, f in e.delivered),
+                seq,
+                direction.value,
+                frame,
+                tuple((d.value, f) for d, f in delivered),
             )
-            for e in outcome.transcript
+            for seq, (direction, frame, delivered) in enumerate(outcome.transcript, 1)
         ),
     )
 

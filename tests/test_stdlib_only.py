@@ -100,9 +100,10 @@ def test_simulator_loads_no_network_code():
 def test_peer_loads_no_simulator_code():
     """A CLI peer starts a fresh interpreter for every pairing, so the
     peer path imports neither the simulator and the statistics modules it
-    uses nor dataclasses, beyond what the bare interpreter already loads;
-    the simulator itself needs no dataclasses either."""
+    uses nor dataclasses, secrets or base64, beyond what the bare
+    interpreter already loads; the simulator itself needs no dataclasses
+    either."""
     bare = loaded_modules("pass")
-    heavy = {"saska.adversary", "fractions", "statistics", "dataclasses"}
+    heavy = {"saska.adversary", "fractions", "statistics", "dataclasses", "secrets", "base64"}
     assert heavy & (loaded_modules("import saska.cli") - bare) == set()
     assert "dataclasses" not in loaded_modules("import saska.adversary") - bare
