@@ -2,11 +2,12 @@
 
 The attacker owns the channel between two honest peers (Dolev-Yao: it can
 overhear, intercept, modify, drop, and inject frames) but cannot break the
-commitment hash.  Every built-in strategy forges frames through three moves
-that carry its own payload m_E = ID || g^e || N_E: commit_toward_b (Msg1 as
-alice), reply_toward_a (Msg2 as bob) and open_toward_b (Msg3); a strategy
-only picks the move and the nonce.  Impersonate-initiator is full-mitm
-whose bridge nonce is its guess of N_A.
+commitment hash.  The _Attacker base routes each honest frame; a strategy
+makes one decision per honest message, each a move carrying the attacker's
+own payload m_E = ID || g^e || N_E: commit_toward_b (Msg1 as alice),
+reply_toward_a (Msg2 as bob) or open_toward_b (Msg3).  The blind guess is
+fixed when first asked for.  Impersonate-initiator is full-mitm whose
+bridge nonce is its guess of N_A.
 
 What the strategies cannot dodge is the commit/reveal ordering: one honest
 k-bit nonce is still hidden at the moment the attacker's own nonce becomes
@@ -144,9 +145,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # --- attacker callbacks -----------------------------------------------------
 
 class _Attacker:
-    """Shared machinery: tracks what it has seen in plaintext, resolves its
-    nonce guess under the configured rule, and forges frames through the
-    three moves below, the only place an attacker builds a frame."""
+    """Routes each honest frame to the strategy's decision on it, tracks the
+    plaintext it sees, fixes its guess when first asked, and forges frames
+    through the three moves below, the only place an attacker builds one."""
 
     def __init__(self, strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random):
         self.strategy = strategy
@@ -158,20 +159,33 @@ class _Attacker:
         self.seen_nonces: list[int] = []   # plaintext nonces, in observation order
         self.seen_share_a: int | None = None
         self.seen_share_b: int | None = None
+        self.guess: int | None = None
+
+    def __call__(self, frame: bytes, direction: Direction) -> list[tuple[Direction, bytes]]:
+        """Only the honest peers' own frames reach here, so Msg1 and Msg3
+        travel a->b and Msg2 b->a, and the message alone picks the decision."""
+        msg = decode_message(frame)
+        if isinstance(msg, Msg1):
+            return [self.on_commit()]
+        if isinstance(msg, Msg2):
+            return [self.on_payload(self.note_payload(msg.payload, "b"))]
+        return [self.on_opening(self.note_payload(decode_payload(msg.message, self.k), "a"))]
 
     def resolve_guess(self) -> int:
-        """Fix the guess of the still-hidden honest nonce.  Called exactly
-        once, at the moment the attacker's own nonce becomes immutable."""
-        rule = self.strategy.guess_rule
-        if rule is GuessRule.FIXED:
-            guess = self.strategy.fixed_guess
-        elif rule is GuessRule.UNIFORM:
-            guess = self.rng.getrandbits(self.k)
-        else:  # ADAPTIVE: fold everything seen in the clear so far
-            guess = 0
-            for n in self.seen_nonces:
-                guess ^= n
-        return guess & ((1 << self.k) - 1)
+        """The guess of the still-hidden honest nonce, fixed under the rule
+        on the first call, when the attacker's own nonce becomes immutable."""
+        if self.guess is None:
+            rule = self.strategy.guess_rule
+            if rule is GuessRule.FIXED:
+                guess = self.strategy.fixed_guess
+            elif rule is GuessRule.UNIFORM:
+                guess = self.rng.getrandbits(self.k)
+            else:  # ADAPTIVE: fold everything seen in the clear so far
+                guess = 0
+                for n in self.seen_nonces:
+                    guess ^= n
+            self.guess = guess & ((1 << self.k) - 1)
+        return self.guess
 
     def note_payload(self, payload: PairingPayload, side: str) -> int:
         """Record a payload seen in the clear; returns its nonce."""
@@ -213,21 +227,18 @@ class ImpersonateResponderAttacker(_Attacker):
     A's commitment, and the commitment toward B before B reveals N_B, so the
     two SAS values align up to one blind guess of N_B."""
 
-    def __call__(self, frame, direction):
-        msg = decode_message(frame)
-        if isinstance(msg, Msg1) and direction is Direction.A_TO_B:
-            # absorb A's commitment and answer it ourselves
-            self.own_reply_nonce = self.rng.getrandbits(self.k)
-            return [self.reply_toward_a(self.own_reply_nonce)]
-        if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
-            # A decommitted to us; now impersonate A toward B
-            n_a = self.note_payload(decode_payload(msg.message, self.k), "a")
-            return [self.commit_toward_b(n_a ^ self.own_reply_nonce ^ self.resolve_guess())]
-        if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
-            # B's real payload; N_B arrives after our commitment is out
-            self.note_payload(msg.payload, "b")
-            return [self.open_toward_b()]
-        return []
+    def on_commit(self):
+        # absorb A's commitment and answer it ourselves
+        self.own_reply_nonce = self.rng.getrandbits(self.k)
+        return self.reply_toward_a(self.own_reply_nonce)
+
+    def on_opening(self, n_a: int):
+        # A decommitted to us; now impersonate A toward B
+        return self.commit_toward_b(n_a ^ self.own_reply_nonce ^ self.resolve_guess())
+
+    def on_payload(self, n_b: int):
+        # B's real payload; N_B arrives after our commitment is out
+        return self.open_toward_b()
 
 
 class FullMitmAttacker(_Attacker):
@@ -236,24 +247,15 @@ class FullMitmAttacker(_Attacker):
     N_B ^ bridge ^ guess(N_A), and open toward B.  N_A is still hidden
     when the answer goes out, so the guess is blind."""
 
-    def bridge(self) -> int:
-        return self.rng.getrandbits(self.k)
+    def on_commit(self):
+        self.bridge_nonce = self.rng.getrandbits(self.k)
+        return self.commit_toward_b(self.bridge_nonce)
 
-    def guess_n_a(self) -> int:
-        return self.resolve_guess()
+    def on_payload(self, n_b: int):
+        return self.reply_toward_a(n_b ^ self.bridge_nonce ^ self.resolve_guess())
 
-    def __call__(self, frame, direction):
-        msg = decode_message(frame)
-        if isinstance(msg, Msg1) and direction is Direction.A_TO_B:
-            self.bridge_nonce = self.bridge()
-            return [self.commit_toward_b(self.bridge_nonce)]
-        if isinstance(msg, Msg2) and direction is Direction.B_TO_A:
-            n_b = self.note_payload(msg.payload, "b")
-            return [self.reply_toward_a(n_b ^ self.bridge_nonce ^ self.guess_n_a())]
-        if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
-            self.note_payload(decode_payload(msg.message, self.k), "a")
-            return [self.open_toward_b()]
-        return []
+    def on_opening(self, n_a: int):
+        return self.open_toward_b()
 
 
 class ImpersonateInitiatorAttacker(FullMitmAttacker):
@@ -261,11 +263,9 @@ class ImpersonateInitiatorAttacker(FullMitmAttacker):
     attack): the XOR cancels, N_B reaches A unchanged, and the SAS values
     are N_A ^ N_B at A and guess ^ N_B at B."""
 
-    def bridge(self) -> int:
-        return self.resolve_guess()
-
-    def guess_n_a(self) -> int:
-        return self.bridge_nonce
+    def on_commit(self):
+        self.bridge_nonce = self.resolve_guess()
+        return self.commit_toward_b(self.bridge_nonce)
 
 
 _ATTACKERS = {
@@ -301,7 +301,10 @@ def _run_trial(
 
     The attacker is called once per frame, at send time, in send order: it
     never sees a frame that has not been sent.  Each peer sends at most two
-    frames in its life, so the queue drains.
+    frames in its life, so the queue drains.  Then each peer showing a
+    string confirms iff the two strings match (a careful user), and a trial
+    succeeds iff the attacker holds a victim's key or, with no attacker,
+    iff both keys are equal; either implies matching strings.
     """
     peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng_a, nonce=nonce_a)
     peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng_b, nonce=nonce_b)
@@ -337,26 +340,15 @@ def _run_trial(
     sas_a, sas_b = peer_a.sas, peer_b.sas
     sas_match = sas_a is not None and sas_b is not None and sas_a == sas_b
 
-    # careful-user oracle: each side accepts iff the two displayed strings match
-    key_a = key_b = None
-    if sas_match:
-        key_a = peer_a.confirm(True)
-        key_b = peer_b.confirm(True)
-    else:
-        for peer in (peer_a, peer_b):
-            if peer.phase is Phase.SAS_READY:
-                peer.confirm(False)
+    key_a = peer_a.confirm(sas_match) if peer_a.phase is Phase.SAS_READY else None
+    key_b = peer_b.confirm(sas_match) if peer_b.phase is Phase.SAS_READY else None
 
     keys_equal = key_a is not None and key_a == key_b
-    atk_a = atk_b = False
-    if attacker is not None:
-        # the attacker's keys cost a full exponentiation each; skip them
-        # when there is no victim key to compare against
-        atk_a = key_a is not None and attacker.key_with_a() == key_a
-        atk_b = key_b is not None and attacker.key_with_b() == key_b
-        success = sas_match and (atk_a or atk_b)
-    else:
-        success = sas_match and keys_equal
+    # the attacker's keys cost a full exponentiation each; skip them when
+    # there is no victim key to compare against
+    atk_a = attacker is not None and key_a is not None and attacker.key_with_a() == key_a
+    atk_b = attacker is not None and key_b is not None and attacker.key_with_b() == key_b
+    success = keys_equal if attacker is None else atk_a or atk_b
 
     return AttackOutcome(
         success=success,

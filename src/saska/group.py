@@ -247,20 +247,16 @@ def _fixed_base_rows(params: DhParams) -> tuple[list[int | None], ...]:
 
 
 def _table_entry(row: list[int | None], d: int, p: int) -> int:
-    """row[d], filling it and its missing prefixes row[d >> 1], row[d >> 2],
-    ... from the nearest filled one: each step squares and, for an odd
-    entry, multiplies by row[1].  Every write stores the one correct value,
-    so concurrent fills agree."""
-    shift = 0
-    while row[d >> shift] is None:
-        shift += 1
-    value = row[d >> shift]
-    while shift:
-        shift -= 1
-        value = value * value % p
-        if d >> shift & 1:
+    """row[d], filled on first use as row[d >> 1] squared, times row[1]
+    when d is odd.  Every write stores the one correct value, so concurrent
+    fills agree."""
+    value = row[d]
+    if value is None:
+        half = _table_entry(row, d >> 1, p)
+        value = half * half % p
+        if d & 1:
             value = value * row[1] % p
-        row[d >> shift] = value
+        row[d] = value
     return value
 
 

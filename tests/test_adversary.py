@@ -14,6 +14,7 @@ from saska.adversary import (
     _run_trial,
     estimate_attack_success,
     exhaustive_attack_success,
+    make_attacker,
     run_mitm_trial,
     sim_report,
     wilson_interval,
@@ -148,6 +149,29 @@ class TestMitmTrials:
     def test_honest_strategy_through_trial_api(self, test_params):
         strategy = AttackStrategy(StrategyKind.HONEST)
         assert run_mitm_trial(strategy, test_params, 8, seed=1).success
+
+    @pytest.mark.parametrize("rule", list(GuessRule))
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_message_fixes_direction(self, test_params, kind, rule):
+        """Only the honest peers' own frames reach the attacker callback, so
+        the message alone fixes the direction it travels in."""
+        expected = {(Msg1, Direction.A_TO_B), (Msg2, Direction.B_TO_A), (Msg3, Direction.A_TO_B)}
+        for seed in range(20):
+            out = run_mitm_trial(AttackStrategy(kind, rule), test_params, 4, seed)
+            for direction, frame, _ in out.transcript:
+                assert (type(decode_message(frame)), direction) in expected, seed
+
+    @pytest.mark.parametrize("rule", list(GuessRule))
+    def test_guess_is_fixed_once(self, test_params, rule):
+        """A second resolve_guess returns the first guess and draws nothing,
+        even after another nonce was seen in the clear."""
+        strategy = AttackStrategy(StrategyKind.FULL_MITM, rule, 5)
+        attacker = make_attacker(strategy, test_params, 8, random.Random(4))
+        first = attacker.resolve_guess()
+        state = attacker.rng.getstate()
+        attacker.note_payload(PairingPayload("bob", attacker.share, 0x3C), "b")
+        assert attacker.resolve_guess() == first
+        assert attacker.rng.getstate() == state
 
 
 class TestDeterminism:

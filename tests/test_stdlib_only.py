@@ -1,10 +1,13 @@
 """The package imports nothing outside the standard library, no module
-of the package or the tests imports a name it never uses, the simulator
-imports no network code, a pairing peer imports no simulator code and no
-dataclasses, and only Peer and the primality test pick the OS generator."""
+of the package or the tests imports a name it never uses, every function,
+method and class of the package is named outside its definition, the
+simulator imports no network code, a pairing peer imports no simulator code
+and no dataclasses, and only Peer and the primality test pick the OS
+generator."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +55,33 @@ def test_no_unused_imports():
     assert SOURCES and tests
     unused = [f"{path.name}: {name}" for path in SOURCES + tests for name in unused_imports(path)]
     assert unused == []
+
+
+def definitions(path: Path) -> list[str]:
+    """The functions, methods and classes that `path` defines, dunders
+    excluded."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def test_no_unreferenced_definitions():
+    """Every definition in the package is named, as a whole word, somewhere
+    besides a definition of that name: in the package, the tests or
+    perfbench/, whose tracer hooks names through strings."""
+    root = Path(__file__).parent.parent
+    text = "\n".join(path.read_text() for folder in ("src/saska", "tests", "perfbench")
+                     for path in sorted((root / folder).glob("*.py")))
+    unreferenced = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in definitions(path)
+        if not re.search(rf"(?<!def )(?<!class )\b{name}\b", text)
+    ]
+    assert unreferenced == []
 
 
 def system_random_uses(path: Path) -> list[str]:
