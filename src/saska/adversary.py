@@ -26,7 +26,7 @@ replaces it, and further pairs inject forged frames.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import deque, namedtuple
 from enum import Enum
 from fractions import Fraction
 from statistics import NormalDist
@@ -42,13 +42,11 @@ from .protocol import (
     Peer,
     Phase,
     Role,
-    Sas,
     decode_message,
     decode_payload,
     encode_message,
     encode_payload,
 )
-from .record import Record, set_field
 
 EXHAUSTIVE_MAX_K = 16
 CONFIDENCE = 0.99  # of the Monte Carlo interval
@@ -81,7 +79,8 @@ class GuessRule(Enum):
     ADAPTIVE = "adaptive"
 
 
-class AttackStrategy(Record):
+class AttackStrategy(namedtuple("AttackStrategy", "kind guess_rule fixed_guess",
+                                defaults=(GuessRule.UNIFORM, 0))):
     """A strategy kind plus the rule for choosing the blind nonce guess.
 
     * fixed: always guess `fixed_guess` (masked to k bits).
@@ -91,12 +90,7 @@ class AttackStrategy(Record):
       cannot raise the hit rate; the simulator demonstrates that.
     """
 
-    __slots__ = ("kind", "guess_rule", "fixed_guess")
-
-    def __init__(self, kind: StrategyKind, guess_rule: GuessRule = GuessRule.UNIFORM, fixed_guess: int = 0):
-        set_field(self, "kind", kind)
-        set_field(self, "guess_rule", guess_rule)
-        set_field(self, "fixed_guess", fixed_guess)
+    __slots__ = ()
 
     @property
     def guessed_side(self) -> str:
@@ -106,26 +100,15 @@ class AttackStrategy(Record):
         return "initiator"
 
 
-class AttackOutcome(Record):
-    """Result of one protocol run under an interposed adversary."""
-
-    __slots__ = ("success", "sas_a", "sas_b", "sas_match", "keys_equal",
-                 "attacker_key_with_a", "attacker_key_with_b", "transcript", "aborts")
-
-    def __init__(self, success: bool, sas_a: Sas | None, sas_b: Sas | None, sas_match: bool,
-                 keys_equal: bool, attacker_key_with_a: bool, attacker_key_with_b: bool,
-                 transcript: tuple, aborts: tuple = ()):
-        set_field(self, "success", success)
-        set_field(self, "sas_a", sas_a)
-        set_field(self, "sas_b", sas_b)
-        set_field(self, "sas_match", sas_match)
-        set_field(self, "keys_equal", keys_equal)
-        set_field(self, "attacker_key_with_a", attacker_key_with_a)
-        set_field(self, "attacker_key_with_b", attacker_key_with_b)
-        # of (direction, frame, delivered) in send order, where delivered
-        # holds the (Direction, bytes) deliveries made of the frame
-        set_field(self, "transcript", transcript)
-        set_field(self, "aborts", aborts)  # "<side>: <error>" for every rejected frame
+# Result of one protocol run under an interposed adversary.  transcript
+# holds (direction, frame, delivered) in send order, where delivered holds
+# the (Direction, bytes) deliveries made of the frame; aborts holds
+# "<side>: <error>" for every rejected frame.
+AttackOutcome = namedtuple(
+    "AttackOutcome",
+    "success sas_a sas_b sas_match keys_equal attacker_key_with_a attacker_key_with_b"
+    " transcript aborts",
+    defaults=((),))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -188,7 +171,7 @@ class _Attacker:
         return self.guess
 
     def note_payload(self, payload: PairingPayload, side: str) -> int:
-        """Record a payload seen in the clear; returns its nonce."""
+        """Note a payload seen in the clear; returns its nonce."""
         self.seen_nonces.append(payload.auth_nonce)
         if side == "a":
             self.seen_share_a = payload.public_share
@@ -423,22 +406,9 @@ def estimate_attack_success(
 
 # --- reporting --------------------------------------------------------------
 
-class SimReport(Record):
-    __slots__ = ("mode", "strategy", "k", "trials", "successes", "rate", "ci_low", "ci_high",
-                 "bound", "passed")
-
-    def __init__(self, mode: str, strategy: str, k: int, trials: int, successes: int,
-                 rate: float, ci_low: float, ci_high: float, bound: float, passed: bool):
-        set_field(self, "mode", mode)  # "exhaustive" | "montecarlo" | "honest"
-        set_field(self, "strategy", strategy)
-        set_field(self, "k", k)
-        set_field(self, "trials", trials)
-        set_field(self, "successes", successes)
-        set_field(self, "rate", rate)
-        set_field(self, "ci_low", ci_low)
-        set_field(self, "ci_high", ci_high)
-        set_field(self, "bound", bound)
-        set_field(self, "passed", passed)
+class SimReport(namedtuple("SimReport", "mode strategy k trials successes rate ci_low ci_high"
+                                        " bound passed")):
+    __slots__ = ()  # mode is "exhaustive" | "montecarlo" | "honest"
 
     def kv_line(self) -> str:
         return (

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+from collections import namedtuple
 
 from .errors import (
     BadGenerator,
@@ -46,7 +47,6 @@ from .errors import (
     RngFailure,
     SubgroupCheckFailed,
 )
-from .record import Record, set_field
 
 PRIMALITY_ROUNDS = 64
 
@@ -79,30 +79,33 @@ def _safe_prime_exponent_limit(p: int, q: int) -> int:
     return min(q, 1 << max(_MIN_EXPONENT_BITS, 2 * strength))
 
 
-class DhParams(Record):
+@functools.lru_cache(maxsize=None)
+def _derived(params: DhParams) -> tuple[bool, int, int]:
+    """(safe_prime, exponent_limit, set_id) of a group triple."""
+    p, q, g = params
+    safe = p == 2 * q + 1
+    h = hashlib.sha256()
+    for n in params:
+        enc = int_to_octets(n)
+        h.update(len(enc).to_bytes(2, "big"))
+        h.update(enc)
+    return (safe, _safe_prime_exponent_limit(p, q) if safe else q,
+            int.from_bytes(h.digest()[:4], "big"))
+
+
+class DhParams(namedtuple("DhParams", "p q g")):
     """Public group triple (p, q, g).  Construct via validate_params().
 
     safe_prime (p == 2q + 1), exponent_limit and set_id, the 32-bit wire
-    id that detects mismatched sets, are derived from the triple; they take
-    no part in equality, hashing or repr.
+    id that detects mismatched sets, are derived from the triple, once per
+    triple and process; they are read-only and take no part in equality,
+    hashing, repr or copying.
     """
 
-    __slots__ = ("p", "q", "g", "safe_prime", "exponent_limit", "set_id")
-    _fields = ("p", "q", "g")
-
-    def __init__(self, p: int, q: int, g: int):
-        set_field(self, "p", p)
-        set_field(self, "q", q)
-        set_field(self, "g", g)
-        safe = p == 2 * q + 1
-        set_field(self, "safe_prime", safe)
-        set_field(self, "exponent_limit", _safe_prime_exponent_limit(p, q) if safe else q)
-        h = hashlib.sha256()
-        for n in (p, q, g):
-            enc = int_to_octets(n)
-            h.update(len(enc).to_bytes(2, "big"))
-            h.update(enc)
-        set_field(self, "set_id", int.from_bytes(h.digest()[:4], "big"))
+    __slots__ = ()
+    safe_prime = property(lambda self: _derived(self)[0])
+    exponent_limit = property(lambda self: _derived(self)[1])
+    set_id = property(lambda self: _derived(self)[2])
 
 
 def int_to_octets(n: int) -> bytes:

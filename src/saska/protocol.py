@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import namedtuple
 from enum import Enum, IntEnum
 
 from .commitment import DIGEST_LEN, NONCE_LEN, commit, open_commitment
@@ -35,7 +36,6 @@ from .group import (
     int_to_octets,
     pub_share,
 )
-from .record import Record, set_field
 
 DEFAULT_K = 20
 MAX_K = 64
@@ -75,18 +75,17 @@ def _nonce_value(data: bytes, k: int) -> int:
     return value
 
 
-class Sas(Record):
+class Sas(namedtuple("Sas", "value k")):
     """Authentication string S = N_A xor N_B, a k-bit int."""
 
-    __slots__ = ("value", "k")
+    __slots__ = ()
 
-    def __init__(self, value: int, k: int):
+    def __new__(cls, value: int, k: int):
         if not 1 <= k <= MAX_K:
             raise ValueError(f"sas: k must be in [1, {MAX_K}], got {k}")
         if not 0 <= value < 1 << k:
             raise ValueError(f"sas: value is not a {k}-bit int")
-        set_field(self, "value", value)
-        set_field(self, "k", k)
+        return super().__new__(cls, value, k)
 
     def to_int(self) -> int:
         return self.value
@@ -119,17 +118,9 @@ def key_fingerprint(key: int) -> str:
 
 # --- payload and wire encoding -------------------------------------------
 
-class PairingPayload(Record):
-    """The cleartext message m = identity || public share || nonce, where
-    the identity is a checked label and the share and the k-bit nonce are
-    ints."""
-
-    __slots__ = ("identity", "public_share", "auth_nonce")
-
-    def __init__(self, identity: str, public_share: int, auth_nonce: int):
-        set_field(self, "identity", identity)
-        set_field(self, "public_share", public_share)
-        set_field(self, "auth_nonce", auth_nonce)
+# The cleartext message m = identity || public share || nonce, where the
+# identity is a checked label and the share and the k-bit nonce are ints.
+PairingPayload = namedtuple("PairingPayload", "identity public_share auth_nonce")
 
 
 def _field(data: bytes) -> bytes:
@@ -179,28 +170,9 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
     return PairingPayload(identity, int.from_bytes(share_raw, "big"), nonce)
 
 
-class Msg1(Record):
-    __slots__ = ("c",)
-
-    def __init__(self, c: bytes):
-        set_field(self, "c", c)  # the commitment digest
-
-
-class Msg2(Record):
-    __slots__ = ("param_set_id", "k", "payload")
-
-    def __init__(self, param_set_id: int, k: int, payload: PairingPayload):
-        set_field(self, "param_set_id", param_set_id)
-        set_field(self, "k", k)
-        set_field(self, "payload", payload)
-
-
-class Msg3(Record):
-    __slots__ = ("nonce", "message")
-
-    def __init__(self, nonce: bytes, message: bytes):
-        set_field(self, "nonce", nonce)
-        set_field(self, "message", message)
+Msg1 = namedtuple("Msg1", "c")  # the commitment digest
+Msg2 = namedtuple("Msg2", "param_set_id k payload")
+Msg3 = namedtuple("Msg3", "nonce message")
 
 
 PairingMessage = Msg1 | Msg2 | Msg3

@@ -1,9 +1,10 @@
-"""Value semantics of every record class: repr, equality by exact type and
-fields, hash of the field tuple, no assignment, keyword construction, and
-copy and pickle round trips."""
+"""Value semantics of every record class, each a named tuple: repr,
+equality by fields, hash of the field tuple, no assignment, keyword
+construction, defaults, and copy and pickle round trips."""
 
 import copy
 import pickle
+from enum import Enum
 
 import pytest
 
@@ -17,7 +18,6 @@ from saska.adversary import (
 )
 from saska.group import PARAM_SETS, DhParams
 from saska.protocol import Msg1, Msg2, Msg3, PairingPayload, Sas
-from saska.record import Record, set_field
 
 DIGEST = bytes(range(32))
 NONCE = b"\x07" * 32
@@ -69,7 +69,34 @@ def test_keyword_construction_equals_positional(cls, fields, text):
 def test_equality_is_by_fields(cls, fields, text):
     record = cls(**fields)
     assert record == cls(**fields) and not record != cls(**fields)
-    assert record != tuple(fields.values())
+    assert record == tuple(fields.values())  # a named tuple equals its plain tuple
+
+
+def changed(value):
+    """A value of the same kind as `value` that does not equal it."""
+    if isinstance(value, Enum):
+        return next(member for member in type(value) if member is not value)
+    if value is None:
+        return Sas(0, 1)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if hasattr(value, "_fields"):  # a record
+        return type(value)(*map(changed, value))
+    return value * 2  # a non-empty str, bytes or tuple
+
+
+FIELD_CASES = [(cls, fields, name) for cls, fields, _ in CASES for name in fields]
+
+
+@pytest.mark.parametrize("cls,fields,name", FIELD_CASES,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name in FIELD_CASES])
+def test_changing_one_field_breaks_equality(cls, fields, name):
+    record = cls(**fields)
+    other = cls(**{**fields, name: changed(fields[name])})
+    assert getattr(other, name) != fields[name]
+    assert other != record and not other == record
 
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
@@ -89,30 +116,22 @@ def test_assignment_raises(cls, fields, text):
 
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
+def test_no_new_attributes(cls, fields, text):
+    with pytest.raises(AttributeError):
+        cls(**fields).extra = 1
+
+
+@pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
 def test_copy_and_pickle_round_trip(cls, fields, text):
     record = cls(**fields)
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and twin == record and repr(twin) == text
 
 
-def two_field_record():
-    """A new Record class with the slots value and k, like Sas."""
-
-    class TwoFields(Record):
-        __slots__ = ("value", "k")
-
-        def __init__(self, value, k):
-            set_field(self, "value", value)
-            set_field(self, "k", k)
-
-    return TwoFields
-
-
-def test_same_fields_different_class_are_unequal():
-    left, right = (cls(5, 8) for cls in (two_field_record(), two_field_record()))
-    assert hash(left) == hash(right)
-    assert left != right and right != left
-    assert len({left, right}) == 2
+def test_defaults():
+    strategy = AttackStrategy(StrategyKind.HONEST)
+    assert strategy == AttackStrategy(StrategyKind.HONEST, GuessRule.UNIFORM, 0)
+    assert AttackOutcome(*[False] * 8).aborts == ()
 
 
 def test_dhparams_derived_fields_outside_value():
@@ -124,11 +143,17 @@ def test_dhparams_derived_fields_outside_value():
     assert DhParams(p=29, q=7, g=7).safe_prime is False
     for params in PARAM_SETS.values():
         derived = (params.safe_prime, params.exponent_limit, params.set_id)
+        for name, value in zip(("safe_prime", "exponent_limit", "set_id"), derived):
+            with pytest.raises(AttributeError):
+                setattr(params, name, value)
+            with pytest.raises(AttributeError):
+                delattr(params, name)
+        assert (params.safe_prime, params.exponent_limit, params.set_id) == derived
         for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
             assert (twin.safe_prime, twin.exponent_limit, twin.set_id) == derived
         assert repr(params) == f"DhParams(p={params.p}, q={params.q}, g={params.g})"
-        # a twin whose set id differs still equals and hashes like the original
+        # equality and hashing see the triple alone
         twin = copy.copy(params)
-        set_field(twin, "set_id", params.set_id ^ 1)
-        assert twin.set_id != params.set_id
         assert twin == params and hash(twin) == hash(params)
+        assert params == (params.p, params.q, params.g)
+        assert hash(params) == hash((params.p, params.q, params.g))

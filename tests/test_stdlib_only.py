@@ -130,10 +130,11 @@ def test_simulator_loads_no_network_code():
 def test_peer_loads_no_simulator_code():
     """A CLI peer starts a fresh interpreter for every pairing, so the
     peer path imports neither the simulator and the statistics modules it
-    uses nor dataclasses, secrets or base64, beyond what the bare
-    interpreter already loads; the simulator itself needs no dataclasses
-    either."""
+    uses nor dataclasses, inspect (which dataclasses loads), secrets or
+    base64, beyond what the bare interpreter already loads; the simulator
+    itself needs no dataclasses either."""
     bare = loaded_modules("pass")
-    heavy = {"saska.adversary", "fractions", "statistics", "dataclasses", "secrets", "base64"}
+    heavy = {"saska.adversary", "fractions", "statistics", "dataclasses", "inspect", "secrets",
+             "base64"}
     assert heavy & (loaded_modules("import saska.cli") - bare) == set()
     assert "dataclasses" not in loaded_modules("import saska.adversary") - bare
