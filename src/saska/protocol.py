@@ -264,13 +264,15 @@ class Peer:
 
     start() and receive(frame) return the frames to send; the caller moves
     them over whatever carries them (a TCP stream, or the simulator's
-    queue).  receive() picks the step for the current phase, so the message
-    order lives here alone.  Phases move strictly forward and every
-    transition is appended to phase_log.  Construction draws nothing: the
-    initiator draws in start(), the responder when the commitment arrives,
-    each from rng, the session's one entropy source (the OS by default).  A
-    seeded rng and a forced nonce, which replaces the auth nonce's draw,
-    exist for the attack simulator and for tests.
+    queue).  receive() looks its step up in _STEPS, the one place that holds
+    the message order.  phase_log is the state; phases move strictly forward
+    because each _STEPS row lists rising phases above the one it rests in,
+    which TestPhaseOrder in tests/test_protocol.py checks from outside.
+    Construction draws nothing: the initiator draws in start(), the
+    responder when the commitment arrives, each from rng, the session's one
+    entropy source (the OS by default).  A seeded rng and a forced nonce,
+    which replaces the auth nonce's draw, exist for the attack simulator
+    and for tests.
     """
 
     def __init__(
@@ -292,7 +294,6 @@ class Peer:
         self.identity = check_identity(identity)
         self.k = k
         self.rng = rng or random.SystemRandom()
-        self.phase = Phase.CREATED
         self.phase_log = [Phase.CREATED]
         self.private: int | None = None
         self.own_nonce = nonce
@@ -303,16 +304,12 @@ class Peer:
         self.sas: Sas | None = None
         self.session_key: int | None = None
 
-    def _advance(self, phase: Phase):
-        if self.phase in (Phase.CONFIRMED, Phase.ABORTED) or phase <= self.phase:
-            raise WrongPhase(f"cannot move {self.phase.name} -> {phase.name}")
-        self.phase = phase
-        self.phase_log.append(phase)
+    @property
+    def phase(self) -> Phase:
+        return self.phase_log[-1]
 
-    def _abort(self):
-        if self.phase != Phase.ABORTED:
-            self.phase = Phase.ABORTED
-            self.phase_log.append(Phase.ABORTED)
+    def _advance(self, *phases: Phase):
+        self.phase_log.extend(phases)
 
     def _draw(self):
         """Private share, then the auth nonce unless one was forced."""
@@ -345,16 +342,18 @@ class Peer:
             return []
         try:
             msg = decode_message(frame)
-            if self.role is Role.RESPONDER:
-                if self.phase is Phase.CREATED:
-                    return self._on_commit(msg)
-                return self._on_decommit(msg)
-            if self.phase is not Phase.COMMIT_EXCHANGED:
-                raise WrongPhase(f"initiator received a frame in phase {self.phase.name}")
-            return self._on_payload(msg)
+            step = _STEPS.get((self.role, self.phase))
+            if step is None:
+                raise WrongPhase(f"{self.role.value} received a frame in phase {self.phase.name}")
+            cls, name, on_message, phases = step
+            if not isinstance(msg, cls):
+                raise MalformedMessage(f"expected a {name} message, got {type(msg).__name__}")
+            replies = on_message(self, msg)
         except PairingError:
-            self._abort()
+            self._advance(Phase.ABORTED)
             raise
+        self._advance(*phases)
+        return replies
 
     def _accept_remote(self, payload: PairingPayload, side: str):
         """Check the remote share, then keep the payload and compute the SAS.
@@ -365,24 +364,18 @@ class Peer:
         self.remote_payload = payload
         self.sas = compute_sas(self.own_nonce, payload.auth_nonce, self.k)
 
-    def _on_commit(self, msg1: PairingMessage) -> list[bytes]:
+    def _on_commit(self, msg1: Msg1) -> list[bytes]:
         """Accept the initiator's commitment and reply with our payload."""
-        if not isinstance(msg1, Msg1):
-            raise MalformedMessage(f"expected a commit message, got {type(msg1).__name__}")
         self._draw()
         self.commitment = msg1.c
-        self._advance(Phase.COMMIT_EXCHANGED)
-        self._advance(Phase.PAYLOAD_EXCHANGED)
         return [encode_message(Msg2(self.params.set_id, self.k, self.own_payload))]
 
-    def _on_payload(self, msg2: PairingMessage) -> list[bytes]:
+    def _on_payload(self, msg2: Msg2) -> list[bytes]:
         """Take the responder's payload, check it, and release the opening.
 
         The subgroup check runs before Msg3 is produced: a bad share aborts the
         session with the initiator's payload still hidden.
         """
-        if not isinstance(msg2, Msg2):
-            raise MalformedMessage(f"expected a payload message, got {type(msg2).__name__}")
         if msg2.param_set_id != self.params.set_id:
             raise MalformedMessage(
                 f"parameter set mismatch: peer 0x{msg2.param_set_id:08x}, ours 0x{self.params.set_id:08x}"
@@ -390,23 +383,16 @@ class Peer:
         if msg2.k != self.k:
             raise MalformedMessage(f"k mismatch: peer {msg2.k}, ours {self.k}")
         self._accept_remote(msg2.payload, "responder")
-        self._advance(Phase.PAYLOAD_EXCHANGED)
-        self._advance(Phase.DECOMMITTED)
-        self._advance(Phase.SAS_READY)
         return [encode_message(self.opening)]
 
-    def _on_decommit(self, msg3: PairingMessage) -> list[bytes]:
+    def _on_decommit(self, msg3: Msg3) -> list[bytes]:
         """Open the stored commitment and recover the initiator's payload.
 
         Opening happens before the payload octets are parsed, so any tampering
         with commit material surfaces as OpenFailed.
         """
-        if not isinstance(msg3, Msg3):
-            raise MalformedMessage(f"expected a decommit message, got {type(msg3).__name__}")
         message = open_commitment(self.commitment, msg3.nonce, msg3.message)
         self._accept_remote(decode_payload(message, self.k), "initiator")
-        self._advance(Phase.DECOMMITTED)
-        self._advance(Phase.SAS_READY)
         return []
 
     def confirm(self, user_accepts: bool) -> int | None:
@@ -417,8 +403,21 @@ class Peer:
         if self.phase is not Phase.SAS_READY:
             raise WrongPhase(f"confirm in phase {self.phase.name}")
         if not user_accepts:
-            self._abort()
+            self._advance(Phase.ABORTED)
             return None
         self.session_key = derive_key(self.params, self.remote_payload.public_share, self.private)
         self._advance(Phase.CONFIRMED)
         return self.session_key
+
+
+# (role, phase it rests in) -> (message class, its name, step, phases the
+# step passes through); below SAS_READY, a frame in a phase missing here
+# is out of order.
+_STEPS = {
+    (Role.RESPONDER, Phase.CREATED): (
+        Msg1, "commit", Peer._on_commit, (Phase.COMMIT_EXCHANGED, Phase.PAYLOAD_EXCHANGED)),
+    (Role.INITIATOR, Phase.COMMIT_EXCHANGED): (
+        Msg2, "payload", Peer._on_payload, (Phase.PAYLOAD_EXCHANGED, Phase.DECOMMITTED, Phase.SAS_READY)),
+    (Role.RESPONDER, Phase.PAYLOAD_EXCHANGED): (
+        Msg3, "decommit", Peer._on_decommit, (Phase.DECOMMITTED, Phase.SAS_READY)),
+}

@@ -198,8 +198,10 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_nonzero_fixed_guess_exact(self, test_params, kind):
-        strategy = AttackStrategy(kind, GuessRule.FIXED, 5)
-        assert exhaustive_attack_success(strategy, test_params, 3) == Fraction(1, 8)
+        # 13 is wider than k = 3: the guess is its low 3 bits, 5
+        for guess in (5, 13):
+            strategy = AttackStrategy(kind, GuessRule.FIXED, guess)
+            assert exhaustive_attack_success(strategy, test_params, 3) == Fraction(1, 8)
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_uniform_rule_frozen_to_fixed(self, test_params, kind):

@@ -182,6 +182,20 @@ class TestSim:
         assert "result=pass" in out
         assert "mode=exhaustive" in out
 
+    def test_guess_value_reaches_the_run(self, capsys, monkeypatch):
+        strategies = []
+        real = adversary.exhaustive_attack_success
+        monkeypatch.setattr(adversary, "exhaustive_attack_success",
+                            lambda strategy, *a, **kw: strategies.append(strategy) or real(strategy, *a, **kw))
+        code = main(["sim", "--strategy", "full-mitm", "--k", "3", "--exhaustive",
+                     "--params", "test", "--seed", "1", "--guess-value", "13"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [s.fixed_guess for s in strategies] == [13]
+        # 13 is wider than k = 3; the attacker keeps its low bits, 5, so
+        # exactly one of the eight trials wins
+        assert "successes=1 " in out and "result=pass" in out
+
     def test_honest_completeness(self, capsys):
         code = main(["sim", "--strategy", "honest", "--trials", "100",
                      "--params", "test", "--seed", "2"])

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -646,3 +647,95 @@ class TestPeer:
         assert b.receive(msg3) == []
         assert b.receive(msg3) == [] and a.receive(msg2) == []
         assert a.sas == b.sas and a.phase is b.phase is Phase.SAS_READY
+
+
+def session_frames(params, k: int, prefix: str) -> dict:
+    """Msg1, Msg2 and Msg3 of one honest session, the initiator seeded 1
+    and the responder 2."""
+    a = Peer(Role.INITIATOR, params, "alice", k, random.Random(1))
+    b = Peer(Role.RESPONDER, params, "bob", k, random.Random(2))
+    (msg1,) = a.start()
+    (msg2,) = b.receive(msg1)
+    (msg3,) = a.receive(msg2)
+    return {prefix + "msg1": msg1, prefix + "msg2": msg2, prefix + "msg3": msg3}
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_frames(params_name: str) -> dict:
+    """The genuine frames at k=20, the same session at k=16 and on the
+    other group, and a forged commitment to a share of 1 with its opening,
+    which opens nothing but that commitment."""
+    params = PARAM_SETS[params_name]
+    other = PARAM_SETS["p40" if params_name == "test" else "test"]
+    forged = encode_payload(PairingPayload("alice", 1, 7), 20)
+    c, nonce = commit(forged, random.Random(9))
+    return {
+        **session_frames(params, 20, ""),
+        **session_frames(params, 16, "wrong-k-"),
+        **session_frames(other, 20, "wrong-set-"),
+        "forged-msg1": encode_message(Msg1(c)),
+        "forged-msg3": encode_message(Msg3(nonce, forged)),
+    }
+
+
+FRAME_NAMES = sorted(fuzz_frames("test"))
+HONEST_STEP = st.sampled_from([("start",), ("frame", "msg1", None), ("frame", "msg2", None),
+                               ("frame", "msg3", None), ("confirm", True), ("confirm", False)])
+HOSTILE_FRAME = st.one_of(
+    # any named frame, whole or cut short
+    st.tuples(st.just("frame"), st.sampled_from(FRAME_NAMES), st.none() | st.integers(0, 60)),
+    st.tuples(st.just("garbage"), st.binary(max_size=12)),
+)
+
+
+@st.composite
+def fuzz_actions(draw):
+    """Honest steps in any order with up to two hostile frames among them,
+    so that runs often get as far as SAS_READY and past it."""
+    actions = draw(st.lists(HONEST_STEP, max_size=8))
+    for hostile in draw(st.lists(HOSTILE_FRAME, max_size=2)):
+        actions.insert(draw(st.integers(0, len(actions))), hostile)
+    return actions
+
+
+class TestPhaseOrder:
+    """Whatever a role is fed, in whatever order, only a PairingError
+    escapes and phase_log only moves forward: it starts at CREATED, rises
+    strictly, ends at CONFIRMED or ABORTED if it holds either, and the
+    session key exists exactly when CONFIRMED is in it."""
+
+    @staticmethod
+    def act(peer: Peer, frames: dict, action: tuple):
+        kind, *args = action
+        if kind == "start":
+            peer.start()
+        elif kind == "confirm":
+            peer.confirm(args[0])
+        elif kind == "frame":
+            name, cut = args
+            peer.receive(frames[name][:cut])
+        else:
+            peer.receive(args[0])
+
+    @given(params_name=st.sampled_from(["test", "p40"]), role=st.sampled_from(Role), actions=fuzz_actions())
+    @example(params_name="test", role=Role.RESPONDER,
+             actions=[("frame", "msg1", None), ("frame", "msg3", None), ("confirm", True), ("confirm", True)])
+    @example(params_name="p40", role=Role.INITIATOR,
+             actions=[("start",), ("frame", "msg2", None), ("confirm", True), ("confirm", False)])
+    @settings(max_examples=300, deadline=None)
+    def test_phases_only_move_forward(self, params_name, role, actions):
+        params = PARAM_SETS[params_name]
+        frames = fuzz_frames(params_name)
+        # seeded as in session_frames, so the genuine frames are this peer's session
+        seed = 1 if role is Role.INITIATOR else 2
+        peer = Peer(role, params, "alice" if role is Role.INITIATOR else "bob", 20, random.Random(seed))
+        for action in actions:
+            try:
+                self.act(peer, frames, action)
+            except PairingError:
+                pass
+            log = peer.phase_log
+            assert log[0] is Phase.CREATED
+            assert all(a < b for a, b in zip(log, log[1:])), log
+            assert Phase.CONFIRMED not in log[:-1] and Phase.ABORTED not in log[:-1], log
+            assert (peer.session_key is not None) == (Phase.CONFIRMED in log)
