@@ -260,27 +260,27 @@ _ATTACKERS = {
 
 # --- trial driver -----------------------------------------------------------
 
-def _child_rngs(seed, attacker: bool = True) -> tuple[random.Random, random.Random, random.Random | None]:
-    """A's, B's and the attacker's generators, seeded in that order from
-    `seed`.  Without an attacker the third is None: nothing would draw
-    from it, and A's and B's seeds come first either way."""
-    master = random.Random(seed)
-    rng_a = random.Random(master.getrandbits(64))
-    rng_b = random.Random(master.getrandbits(64))
-    return rng_a, rng_b, random.Random(master.getrandbits(64)) if attacker else None
+def _child_rngs(seed, attacker: bool = True) -> tuple[random.Random, random.Random | None]:
+    """The honest peers' generator and the attacker's.  A and B both draw
+    from one generator seeded with `seed`; its first 64 bits, drawn in
+    every trial so that the peers' draws are the same under every
+    strategy, seed the attacker's own, so no strategy can read or shift a
+    victim's draws.  Without an attacker the second is None."""
+    honest = random.Random(seed)
+    attacker_seed = honest.getrandbits(64)
+    return honest, random.Random(attacker_seed) if attacker else None
 
 
 def _run_trial(
     params: DhParams,
     k: int,
-    rng_a: random.Random,
-    rng_b: random.Random,
+    rng: random.Random,
     attacker: _Attacker | None,
     nonce_a: int | None = None,
     nonce_b: int | None = None,
 ) -> AttackOutcome:
-    """Run two peers with every frame passing through `attacker` (None is
-    the identity adversary).
+    """Run two peers, both drawing from `rng`, with every frame passing
+    through `attacker` (None is the identity adversary).
 
     The attacker is called once per frame, at send time, in send order: it
     never sees a frame that has not been sent.  Each peer sends at most two
@@ -289,8 +289,8 @@ def _run_trial(
     succeeds iff the attacker holds a victim's key or, with no attacker,
     iff both keys are equal; either implies matching strings.
     """
-    peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng_a, nonce=nonce_a)
-    peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng_b, nonce=nonce_b)
+    peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng, nonce=nonce_a)
+    peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng, nonce=nonce_b)
     receiver = {Direction.A_TO_B: peer_b, Direction.B_TO_A: peer_a}
     events: list[tuple[Direction, bytes, tuple]] = []
     in_flight: deque[tuple[Direction, bytes]] = deque()
@@ -356,10 +356,10 @@ def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None
                    nonce: int | None = None) -> AttackOutcome:
     """One full protocol execution with the strategy's attacker interposed;
     `nonce`, if given, is the honest nonce on `strategy.guessed_side`."""
-    rng_a, rng_b, rng_e = _child_rngs(seed, strategy.kind is not StrategyKind.HONEST)
+    rng, rng_e = _child_rngs(seed, strategy.kind is not StrategyKind.HONEST)
     attacker = make_attacker(strategy, params, k, rng_e)
     nonces = (nonce, None) if strategy.guessed_side == "initiator" else (None, nonce)
-    return _run_trial(params, k, rng_a, rng_b, attacker, *nonces)
+    return _run_trial(params, k, rng, attacker, *nonces)
 
 
 def check_run(strategy: AttackStrategy, k: int, trials: int | None = None) -> None:
@@ -379,9 +379,12 @@ def exhaustive_attack_success(
     """Exact attack success fraction by enumerating all 2^k values of the
     honest nonce the attacker must guess, holding everything else fixed.
 
-    Every trial reuses one seed, so the attacker makes the same guess in
-    all 2^k trials under any rule, as long as its random draws do not
-    depend on nonce values (true of every built-in attacker).
+    Every trial reuses one seed, so everything but the enumerated nonce is
+    the same in all 2^k trials: the honest peers draw from their shared
+    generator in a fixed order (A in start, B when a commitment reaches
+    it), and the attacker draws from its own, so it makes the same guess
+    under any rule as long as its draws do not depend on nonce values
+    (true of every built-in attacker).
     """
     check_run(strategy, k)
     seed = 0 if seed is None else seed

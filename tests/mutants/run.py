@@ -121,6 +121,16 @@ MUTANTS = [
      "self.guess = guess & ((1 << self.k) - 1)",
      "self.guess = guess",
      "a fixed guess wider than k bits is used unmasked"),
+    ("protocol.py",
+     """        if not 1 <= k <= MAX_K:
+            raise MalformedMessage(f"k = {k} outside [1, {MAX_K}]")
+""",
+     "",
+     "a Msg2 at a k outside [1, 64] is refused only by its nonce field"),
+    ("adversary.py",
+     "return honest, random.Random(attacker_seed) if attacker else None",
+     "return honest, honest if attacker else None",
+     "the attacker draws from the victims' generator"),
 ]
 
 

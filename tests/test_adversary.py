@@ -121,9 +121,9 @@ class TestMitmTrials:
                 return super().__call__(frame, direction)
 
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
-        rng_a, rng_b, rng_e = _child_rngs(9)
+        rng, rng_e = _child_rngs(9)
         attacker = RebindingMitm(strategy, test_params, 4, rng_e)
-        out = _run_trial(test_params, 4, rng_a, rng_b, attacker)
+        out = _run_trial(test_params, 4, rng, attacker)
         assert not out.success
         assert any("OpenFailed" in note for note in out.aborts)
 
@@ -138,9 +138,9 @@ class TestMitmTrials:
                 return [(direction, frame)]
 
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
-        rng_a, rng_b, rng_e = _child_rngs(3)
+        rng, rng_e = _child_rngs(3)
         attacker = GarbageToInitiator(strategy, test_params, 8, rng_e)
-        out = _run_trial(test_params, 8, rng_a, rng_b, attacker)
+        out = _run_trial(test_params, 8, rng, attacker)
         assert len(out.aborts) == 1 and out.aborts[0].startswith("initiator: ")
         assert out.sas_a is None
         assert not any(isinstance(decode_message(f), Msg3) for _, f, _ in out.transcript)
@@ -181,6 +181,24 @@ class TestDeterminism:
         t1 = run_mitm_trial(strategy, test_params, 8, seed=77).transcript
         t2 = run_mitm_trial(strategy, test_params, 8, seed=77).transcript
         assert t1 == t2
+
+    def test_honest_draws_same_under_every_strategy(self, p40_params):
+        """The attacker draws from a generator of its own, so A's Msg1 and
+        B's own Msg2 are the same bytes whatever the strategy."""
+        sent = set()
+        for kind in StrategyKind:
+            out = run_mitm_trial(AttackStrategy(kind, GuessRule.UNIFORM), p40_params, 20, seed=31)
+            (msg2,) = [frame for direction, frame, _ in out.transcript
+                       if direction is Direction.B_TO_A]
+            sent.add((out.transcript[0][1], msg2))
+        assert len(sent) == 1
+
+    def test_attacker_has_its_own_generator(self):
+        rng, rng_e = _child_rngs(31)
+        assert rng_e is not rng
+        # the honest stream is the same with and without an attacker
+        honest, none = _child_rngs(31, attacker=False)
+        assert none is None and honest.getstate() == rng.getstate()
 
     def test_different_seeds_differ(self, test_params):
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.UNIFORM)
@@ -390,7 +408,7 @@ class Scripted(_Attacker):
 
 def run_through(decide, params, k=20):
     """One honest initiator and responder, every frame passing `decide`."""
-    return _run_trial(params, k, random.Random(1), random.Random(2), Scripted(decide, params, k))
+    return _run_trial(params, k, random.Random(1), Scripted(decide, params, k))
 
 
 class TestInterposition:
@@ -516,9 +534,9 @@ def test_known_defect_share_swap_wins(p40_params):
     binds both payloads into the SAS, flip this test to assert that the
     share-swap fails."""
     for seed in range(20):
-        rng_a, rng_b, rng_e = _child_rngs(seed)
+        rng, rng_e = _child_rngs(seed)
         attacker = ShareSwap(AttackStrategy(StrategyKind.FULL_MITM), p40_params, 20, rng_e)
-        out = _run_trial(p40_params, 20, rng_a, rng_b, attacker)
+        out = _run_trial(p40_params, 20, rng, attacker)
         assert out.success and out.sas_match and out.attacker_key_with_a, seed
         assert out.aborts == (), seed
 
@@ -543,9 +561,9 @@ def test_known_defect_identity_swap_uncounted(p40_params):
     item 2 flips `success` to True; item 1 then flips `sas_match` to
     False."""
     for seed in range(20):
-        rng_a, rng_b, rng_e = _child_rngs(seed)
+        rng, rng_e = _child_rngs(seed)
         attacker = IdentitySwap(AttackStrategy(StrategyKind.FULL_MITM), p40_params, 20, rng_e)
-        out = _run_trial(p40_params, 20, rng_a, rng_b, attacker)
+        out = _run_trial(p40_params, 20, rng, attacker)
         assert out.sas_match and out.keys_equal, seed
         assert out.aborts == (), seed
         ((_, msg2_to_a),) = out.transcript[1][2]

@@ -238,6 +238,18 @@ class TestWireFormat:
             a.receive(frame2.replace(b"\x00\x03bob", b"\x00\x03bo\x1b"))
         assert a.phase is Phase.ABORTED
 
+    def test_msg2_k_outside_range_rejected_before_its_payload(self, test_params):
+        # a payload valid in all but k: the k-range check names the fault,
+        # not the nonce field that decode_payload would reject next
+        a, frame1 = started_initiator(test_params)
+        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
+        (frame2,) = b.receive(frame1)
+        msg2 = decode_message(frame2)
+        with pytest.raises(MalformedMessage) as info:
+            a.receive(encode_message(Msg2(msg2.param_set_id, 70, msg2.payload)))
+        assert str(info.value) == "k = 70 outside [1, 64]"
+        assert a.phase is Phase.ABORTED
+
     @pytest.mark.parametrize("tag, body, reason", [
         pytest.param(0x01, b"\x00" * 31, "commit body must be 32 octets", id="commit-31"),
         # the commit body's length check is its only guard, so one octet over fails too
