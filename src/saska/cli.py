@@ -48,18 +48,11 @@ EXIT_TAMPER = 3
 EXIT_REJECTED = 4
 EXIT_TIMEOUT = 5
 
-PARAMS_ENV_VAR = "SASKA_PARAMS"
 DEFAULT_TIMEOUT = 30.0  # seconds per awaited message (--timeout)
 
 
-def _resolve_params(spec: str | None) -> DhParams:
-    """--params takes a built-in set name or a parameter file path; with no
-    flag, the file named by $SASKA_PARAMS wins, then the default set."""
-    if spec is None:
-        env = os.environ.get(PARAMS_ENV_VAR)
-        if env:
-            return load_params_file(env)
-        return PARAM_SETS[DEFAULT_PARAM_SET]
+def _resolve_params(spec: str) -> DhParams:
+    """--params, a built-in set name or a parameter file path, alone picks the group."""
     if spec in PARAM_SETS:
         return PARAM_SETS[spec]
     if os.path.exists(spec):
@@ -100,8 +93,8 @@ def _peer_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, metavar="LABEL", help="identity shown to the peer")
     p.add_argument("--k", type=int, default=DEFAULT_K, metavar="BITS",
                    help="authentication string length in bits (default %(default)s)")
-    p.add_argument("--params", metavar="NAME|FILE", default=None,
-                   help=f"parameter set name or file (default {DEFAULT_PARAM_SET}; env {PARAMS_ENV_VAR})")
+    p.add_argument("--params", metavar="NAME|FILE", default=DEFAULT_PARAM_SET,
+                   help="parameter set name or file (default %(default)s)")
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, metavar="SECONDS",
                    help="per-message wait (default %(default)s)")
     return p
@@ -125,7 +118,8 @@ def _sim_parser() -> argparse.ArgumentParser:
                    help="attacker guess rule (default: fixed for --exhaustive, uniform otherwise)")
     p.add_argument("--guess-value", type=int, default=0, metavar="N",
                    help="the guess used by the fixed rule")
-    p.add_argument("--params", metavar="NAME|FILE", default=None)
+    p.add_argument("--params", metavar="NAME|FILE", default=DEFAULT_PARAM_SET,
+                   help="parameter set name or file (default %(default)s)")
     return p
 
 

@@ -60,6 +60,7 @@ _SAFE_PRIME_STRENGTH = ((2048, 112), (3072, 128), (4096, 152), (6144, 176), (819
 _MIN_EXPONENT_BITS = 256
 _MAX_P_BITS = _SAFE_PRIME_STRENGTH[-1][0]  # Miller-Rabin on a larger p takes minutes
 _MAX_P_DIGITS = 2467  # len(str(1 << _MAX_P_BITS)), the widest parameter file line
+_MAX_FILE_CHARS = 1 << 16  # the most of a parameter file read, so an endless one (/dev/zero) ends
 # Groups with p <= 2^31 skip the Jacobi test, the verdict cache and the
 # fixed-base table, because below about 2^31 a single pow is cheaper
 # (measured with CPython 3.11).  Subgroup test: pow(y, q, p) takes 0.2 us
@@ -343,4 +344,7 @@ def parse_params_text(text: str) -> DhParams:
 
 def load_params_file(path: str) -> DhParams:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_params_text(fh.read())
+        text = fh.read(_MAX_FILE_CHARS + 1)
+    if len(text) > _MAX_FILE_CHARS:
+        raise ValueError(f"parameter file is longer than {_MAX_FILE_CHARS} characters")
+    return parse_params_text(text)

@@ -131,6 +131,10 @@ MUTANTS = [
      "return honest, random.Random(attacker_seed) if attacker else None",
      "return honest, honest if attacker else None",
      "the attacker draws from the victims' generator"),
+    ("group.py",
+     "if len(text) > _MAX_FILE_CHARS:",
+     "if False:",
+     "a parameter file longer than 65,536 characters is parsed"),
 ]
 
 

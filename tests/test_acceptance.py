@@ -178,7 +178,6 @@ def cli_pairing(*extra_args):
     whether both exited 0 with equal 5-digit SAS values and equal
     fingerprints, the report detail, and the wall time."""
     env = dict(os.environ)
-    env.pop("SASKA_PARAMS", None)
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
 
     start = time.monotonic()

@@ -48,29 +48,37 @@ class TestResolveParams:
     def test_named_set(self):
         assert cli._resolve_params("test") == PARAM_SETS["test"]
 
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(cli.PARAMS_ENV_VAR, raising=False)
-        assert cli._resolve_params(None) == PARAM_SETS["p40"]
+    def test_default(self):
+        assert cli._peer_parser().parse_args(["--listen", "0", "--id", "a"]).params == "p40"
+        assert cli._sim_parser().parse_args(["--strategy", "honest"]).params == "p40"
 
     def test_file(self, tmp_path):
         path = tmp_path / "g.params"
         path.write_text("23\n11\n2\n")
         assert cli._resolve_params(str(path)) == DhParams(23, 11, 2)
 
-    def test_env_var(self, tmp_path, monkeypatch):
-        path = tmp_path / "g.params"
-        path.write_text("23\n11\n2\n")
-        monkeypatch.setenv(cli.PARAMS_ENV_VAR, str(path))
-        assert cli._resolve_params(None) == DhParams(23, 11, 2)
-
     def test_garbage(self):
         with pytest.raises(ValueError):
             cli._resolve_params("no-such-set-or-file")
 
+    def test_environment_does_not_pick_the_group(self, tmp_path):
+        path = tmp_path / "bad.params"
+        path.write_text("29\n7\n5\n")  # refused if anything loaded it
+        proc = run_cli(["sim", "--strategy", "honest", "--trials", "1", "--k", "4"],
+                       SASKA_PARAMS=str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "successes=1" in proc.stdout
+
+    @pytest.mark.parametrize("mode", [[], ["sim"]], ids=["peer", "sim"])
+    def test_help_names_the_default(self, mode):
+        # argparse expands %(default)s only when it prints the help
+        proc = run_cli([*mode, "--help"], COLUMNS="80")
+        assert proc.returncode == 0, proc.stderr
+        assert "(default p40)" in proc.stdout
+
 
 def cli_env(**overrides) -> dict:
     env = dict(os.environ)
-    env.pop(cli.PARAMS_ENV_VAR, None)
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.update(overrides)
     return env
@@ -111,10 +119,10 @@ class TestArgumentErrors:
         assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
         assert proc.stdout == ""
 
-    def test_invalid_params_file_from_env(self, tmp_path):
+    def test_invalid_params_file(self, tmp_path):
         path = tmp_path / "bad.params"
         path.write_text("29\n7\n5\n")  # 5 is not in the order-7 subgroup
-        proc = run_cli(["--listen", "0", "--id", "a"], **{cli.PARAMS_ENV_VAR: str(path)})
+        proc = run_cli(["--listen", "0", "--id", "a", "--params", str(path)])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "g of 3 bits: g^q mod p != 1" in proc.stderr
@@ -140,6 +148,24 @@ class TestArgumentErrors:
         assert out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0]) < 200
+
+    def test_params_file_past_the_length_limit_refused_unparsed(self, tmp_path, monkeypatch, capsys):
+        """A valid test-group file padded past 65,536 characters with
+        comment lines is refused before it is parsed or validated."""
+        text = "23\n11\n2\n" + ("#" * 63 + "\n") * 1024
+        assert group.parse_params_text(text) == DhParams(23, 11, 2)
+        path = tmp_path / "long.params"
+        path.write_text(text)
+        calls = []
+        monkeypatch.setattr(group, "is_probable_prime", calls.append)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--listen", "0", "--id", "a", "--params", str(path)])
+        assert excinfo.value.code == 2
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0]) < 200, errors
 
     @pytest.mark.parametrize("text", [
         pytest.param(f"{3 ** 5000}\n11\n2\n", id="p-not-prime"),

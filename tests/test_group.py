@@ -476,6 +476,15 @@ class TestParamsFile:
         path.write_text("23\n11\n2\n")
         assert load_params_file(str(path)) == DhParams(23, 11, 2)
 
+    def test_file_longer_than_the_limit_refused(self, tmp_path):
+        path = tmp_path / "group.params"
+        text = "23\n11\n2\n"
+        path.write_text(text + "#" * (group._MAX_FILE_CHARS - len(text)))
+        assert load_params_file(str(path)) == DhParams(23, 11, 2)
+        path.write_text(text + "#" * (group._MAX_FILE_CHARS + 1 - len(text)))
+        with pytest.raises(ValueError, match="^parameter file is longer than 65536 characters$"):
+            load_params_file(str(path))
+
 
 def test_int_to_octets_minimal():
     assert int_to_octets(0) == b"\x00"

@@ -190,6 +190,13 @@ class TestWireFormat:
         with pytest.raises(MalformedMessage):
             encode_message(Msg3(nonce, message))
 
+    def test_field_longer_than_65535_octets_rejected_at_encode(self):
+        with pytest.raises(MalformedMessage, match="^field of 65536 octets exceeds 65535$"):
+            encode_payload(PairingPayload("x" * 65536, 1, 0), 8)
+        # the widest field still encodes, behind a length prefix of 0xFFFF
+        raw = encode_payload(PairingPayload("x" * 65535, 1, 0), 8)
+        assert raw[:2] == b"\xff\xff" and len(raw) == 2 + 65535 + 3 + 3
+
     def test_header_length_mismatch_rejected(self):
         frame = bytes([0x01]) + (32).to_bytes(4, "big") + b"\x00" * 31
         with pytest.raises(MalformedMessage):
