@@ -61,10 +61,6 @@ class Direction(Enum):
     A_TO_B = "a->b"
     B_TO_A = "b->a"
 
-    @property
-    def reverse(self) -> "Direction":
-        return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
-
 
 class StrategyKind(Enum):
     HONEST = "honest"
@@ -291,7 +287,6 @@ def _run_trial(
     """
     peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng, nonce=nonce_a)
     peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng, nonce=nonce_b)
-    receiver = {Direction.A_TO_B: peer_b, Direction.B_TO_A: peer_a}
     events: list[tuple[Direction, bytes, tuple]] = []
     in_flight: deque[tuple[Direction, bytes]] = deque()
     aborts: list[str] = []
@@ -312,13 +307,17 @@ def _run_trial(
     send(Direction.A_TO_B, peer_a.start())
     while in_flight:
         direction, frame = in_flight.popleft()
-        peer = receiver[direction]
+        # an identity test: a dict keyed by an Enum pays its hash in Python
+        if direction is Direction.A_TO_B:
+            peer, back = peer_b, Direction.B_TO_A
+        else:
+            peer, back = peer_a, Direction.A_TO_B
         try:
             replies = peer.receive(frame)
         except PairingError as exc:
             aborts.append(f"{peer.role.value}: {type(exc).__name__}: {exc}")
             continue
-        send(direction.reverse, replies)
+        send(back, replies)
 
     sas_a, sas_b = peer_a.sas, peer_b.sas
     sas_match = sas_a is not None and sas_b is not None and sas_a == sas_b
@@ -333,17 +332,8 @@ def _run_trial(
     atk_b = attacker is not None and key_b is not None and attacker.key_with_b() == key_b
     success = keys_equal if attacker is None else atk_a or atk_b
 
-    return AttackOutcome(
-        success=success,
-        sas_a=sas_a,
-        sas_b=sas_b,
-        sas_match=sas_match,
-        keys_equal=keys_equal,
-        attacker_key_with_a=atk_a,
-        attacker_key_with_b=atk_b,
-        transcript=tuple(events),
-        aborts=tuple(aborts),
-    )
+    return AttackOutcome(success, sas_a, sas_b, sas_match, keys_equal, atk_a, atk_b,
+                         tuple(events), tuple(aborts))
 
 
 def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random | None):

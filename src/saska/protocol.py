@@ -129,12 +129,12 @@ def _field(data: bytes) -> bytes:
     return len(data).to_bytes(2, "big") + data
 
 
-def _read_field(body: bytes, off: int) -> tuple[bytes, int]:
-    if off + 2 > len(body):
+def _read_field(body: bytes, off: int, end: int) -> tuple[bytes, int]:
+    if off + 2 > end:
         raise MalformedMessage("truncated field length")
-    n = int.from_bytes(body[off:off + 2], "big")
+    n = body[off] << 8 | body[off + 1]
     off += 2
-    if off + n > len(body):
+    if off + n > end:
         raise MalformedMessage("field data runs past end of body")
     return body[off:off + n], off + n
 
@@ -152,11 +152,12 @@ def encode_payload(payload: PairingPayload, k: int) -> bytes:
 
 def decode_payload(data: bytes, k: int) -> PairingPayload:
     """Parse payload fields, validating against the session bit length k."""
-    ident_raw, off = _read_field(data, 0)
-    share_raw, off = _read_field(data, off)
-    nonce_raw, off = _read_field(data, off)
-    if off != len(data):
-        raise MalformedMessage(f"{len(data) - off} trailing octets after payload fields")
+    end = len(data)
+    ident_raw, off = _read_field(data, 0, end)
+    share_raw, off = _read_field(data, off, end)
+    nonce_raw, off = _read_field(data, off, end)
+    if off != end:
+        raise MalformedMessage(f"{end - off} trailing octets after payload fields")
     try:
         identity = check_identity(ident_raw.decode("utf-8"))
     except ValueError as exc:
@@ -264,10 +265,11 @@ class Peer:
 
     start() and receive(frame) return the frames to send; the caller moves
     them over whatever carries them (a TCP stream, or the simulator's
-    queue).  receive() looks its step up in _STEPS, the one place that holds
-    the message order.  phase_log is the state; phases move strictly forward
-    because each _STEPS row lists rising phases above the one it rests in,
-    which TestPhaseOrder in tests/test_protocol.py checks from outside.
+    queue).  receive() looks its step up in its role's table in _STEPS, the
+    one place that holds the message order.  phase_log is the state; phases
+    move strictly forward because each _STEPS row lists rising phases above
+    the one it rests in, which TestPhaseOrder in tests/test_protocol.py
+    checks from outside.
     Construction draws nothing: the initiator draws in start(), the
     responder when the commitment arrives, each from rng, the session's one
     entropy source (the OS by default).  A seeded rng and a forced nonce,
@@ -290,6 +292,7 @@ class Peer:
         if nonce is not None and not 0 <= nonce < 1 << k:
             raise ValueError(f"forced nonce is not a {k}-bit value")
         self.role = role
+        self._steps = _STEPS[role]
         self.params = params
         self.identity = check_identity(identity)
         self.k = k
@@ -307,9 +310,6 @@ class Peer:
     @property
     def phase(self) -> Phase:
         return self.phase_log[-1]
-
-    def _advance(self, *phases: Phase):
-        self.phase_log.extend(phases)
 
     def _draw(self):
         """Private share, then the auth nonce unless one was forced."""
@@ -331,28 +331,29 @@ class Peer:
         message = encode_payload(self.own_payload, self.k)
         self.commitment, nonce = commit(message, self.rng)
         self.opening = Msg3(nonce, message)
-        self._advance(Phase.COMMIT_EXCHANGED)
+        self.phase_log.append(Phase.COMMIT_EXCHANGED)
         return [encode_message(Msg1(self.commitment))]
 
     def receive(self, frame: bytes) -> list[bytes]:
         """Take one frame; return the replies.  A frame that fails a check
         aborts the peer and its error propagates; frames after an abort or
         once the SAS is ready are ignored."""
-        if self.phase >= Phase.SAS_READY:
+        phase = self.phase_log[-1]
+        if phase >= Phase.SAS_READY:
             return []
         try:
             msg = decode_message(frame)
-            step = _STEPS.get((self.role, self.phase))
+            step = self._steps.get(phase)
             if step is None:
-                raise WrongPhase(f"{self.role.value} received a frame in phase {self.phase.name}")
+                raise WrongPhase(f"{self.role.value} received a frame in phase {phase.name}")
             cls, name, on_message, phases = step
             if not isinstance(msg, cls):
                 raise MalformedMessage(f"expected a {name} message, got {type(msg).__name__}")
             replies = on_message(self, msg)
         except PairingError:
-            self._advance(Phase.ABORTED)
+            self.phase_log.append(Phase.ABORTED)
             raise
-        self._advance(*phases)
+        self.phase_log.extend(phases)
         return replies
 
     def _accept_remote(self, payload: PairingPayload, side: str):
@@ -403,21 +404,26 @@ class Peer:
         if self.phase is not Phase.SAS_READY:
             raise WrongPhase(f"confirm in phase {self.phase.name}")
         if not user_accepts:
-            self._advance(Phase.ABORTED)
+            self.phase_log.append(Phase.ABORTED)
             return None
         self.session_key = derive_key(self.params, self.remote_payload.public_share, self.private)
-        self._advance(Phase.CONFIRMED)
+        self.phase_log.append(Phase.CONFIRMED)
         return self.session_key
 
 
-# (role, phase it rests in) -> (message class, its name, step, phases the
+# role -> phase it rests in -> (message class, its name, step, phases the
 # step passes through); below SAS_READY, a frame in a phase missing here
-# is out of order.
+# is out of order.  Keyed by role first, so that a frame costs one lookup
+# by an IntEnum, which hashes in C (an Enum such as Role hashes in Python).
 _STEPS = {
-    (Role.RESPONDER, Phase.CREATED): (
-        Msg1, "commit", Peer._on_commit, (Phase.COMMIT_EXCHANGED, Phase.PAYLOAD_EXCHANGED)),
-    (Role.INITIATOR, Phase.COMMIT_EXCHANGED): (
-        Msg2, "payload", Peer._on_payload, (Phase.PAYLOAD_EXCHANGED, Phase.DECOMMITTED, Phase.SAS_READY)),
-    (Role.RESPONDER, Phase.PAYLOAD_EXCHANGED): (
-        Msg3, "decommit", Peer._on_decommit, (Phase.DECOMMITTED, Phase.SAS_READY)),
+    Role.INITIATOR: {
+        Phase.COMMIT_EXCHANGED: (
+            Msg2, "payload", Peer._on_payload, (Phase.PAYLOAD_EXCHANGED, Phase.DECOMMITTED, Phase.SAS_READY)),
+    },
+    Role.RESPONDER: {
+        Phase.CREATED: (
+            Msg1, "commit", Peer._on_commit, (Phase.COMMIT_EXCHANGED, Phase.PAYLOAD_EXCHANGED)),
+        Phase.PAYLOAD_EXCHANGED: (
+            Msg3, "decommit", Peer._on_decommit, (Phase.DECOMMITTED, Phase.SAS_READY)),
+    },
 }

@@ -46,13 +46,13 @@ MUTANTS = [
      "the identity element passes the subgroup check"),
     ("protocol.py",
      """        if not user_accepts:
-            self._advance(Phase.ABORTED)
+            self.phase_log.append(Phase.ABORTED)
             return None
         self.session_key = derive_key(self.params, self.remote_payload.public_share, self.private)
 """,
      """        self.session_key = derive_key(self.params, self.remote_payload.public_share, self.private)
         if not user_accepts:
-            self._advance(Phase.ABORTED)
+            self.phase_log.append(Phase.ABORTED)
             return None
 """,
      "the key is derived before the operator's answer is checked"),
@@ -90,8 +90,8 @@ MUTANTS = [
      "if False:",
      "an identity with a control character passes"),
     ("protocol.py",
-     "if self.phase >= Phase.SAS_READY:",
-     "if self.phase > Phase.SAS_READY:",
+     "if phase >= Phase.SAS_READY:",
+     "if phase > Phase.SAS_READY:",
      "a frame after SAS_READY is processed, not ignored"),
     ("protocol.py",
      "if self.phase is not Phase.SAS_READY:",
@@ -106,8 +106,8 @@ MUTANTS = [
      "if False:",
      "the initiator starts twice"),
     ("protocol.py",
-     "step = _STEPS.get((self.role, self.phase))",
-     "step = _STEPS.get((self.role, self.phase), _STEPS[Role.INITIATOR, Phase.COMMIT_EXCHANGED])",
+     "step = self._steps.get(phase)",
+     "step = self._steps.get(phase, _STEPS[Role.INITIATOR][Phase.COMMIT_EXCHANGED])",
      "a phase with no step runs the initiator's payload step: no phase check"),
     ("protocol.py",
      "if not isinstance(msg, cls):",
@@ -117,6 +117,14 @@ MUTANTS = [
      "Msg1, \"commit\", Peer._on_commit, (Phase.COMMIT_EXCHANGED, Phase.PAYLOAD_EXCHANGED)",
      "Msg1, \"commit\", Peer._on_commit, (Phase.PAYLOAD_EXCHANGED, Phase.COMMIT_EXCHANGED)",
      "the responder's commit step lists its phases in reverse"),
+    ("protocol.py",
+     "if off + n > end:",
+     "if False:",
+     "a field whose data runs past the body is refused only by a later check"),
+    ("protocol.py",
+     "if len(header) < HEADER_LEN:",
+     "if False:",
+     "a frame shorter than its header is refused only by the body-length match"),
     ("adversary.py",
      "self.guess = guess & ((1 << self.k) - 1)",
      "self.guess = guess",

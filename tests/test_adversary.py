@@ -61,6 +61,13 @@ class TestHonestSession:
         out = run_mitm_trial(HONEST, PARAM_SETS["modp2048"], 20, seed)
         assert out.success and out.sas_match and out.keys_equal
 
+    @pytest.mark.parametrize("name", ["test", "p40"])
+    def test_k64_session_pairs(self, name):
+        # MAX_K itself: the widest SAS, nonce and Msg2 k field
+        out = run_mitm_trial(HONEST, PARAM_SETS[name], 64, 6)
+        assert out.success and out.sas_match and out.keys_equal and out.aborts == ()
+        assert out.sas_a.k == 64
+
     def test_transcript_has_three_frames(self, test_params):
         out = run_mitm_trial(HONEST, test_params, 20, 5)
         # each entry a (Direction, bytes, tuple) triple, in send order

@@ -32,6 +32,7 @@ from saska.protocol import (
     encode_payload,
     format_sas,
     gen_auth_nonce,
+    frame_body_length,
     key_fingerprint,
 )
 
@@ -190,6 +191,26 @@ class TestWireFormat:
         with pytest.raises(MalformedMessage):
             encode_message(Msg3(nonce, message))
 
+    def test_body_of_65535_octets_is_the_largest_frame(self):
+        # both bounds sit at MAX_BODY: the header check and encode_message
+        assert frame_body_length(bytes([0x03]) + (65535).to_bytes(4, "big")) == 65535
+        with pytest.raises(MalformedMessage) as info:
+            frame_body_length(bytes([0x03]) + (65536).to_bytes(4, "big"))
+        assert str(info.value) == "declared body length 65536 exceeds 65535"
+        message = b"\x00" * (65535 - 32)
+        _, nonce = commit(message, random.Random(0))
+        frame = encode_message(Msg3(nonce, message))
+        assert len(frame) == 5 + 65535 and decode_message(frame) == Msg3(nonce, message)
+        with pytest.raises(MalformedMessage) as info:
+            encode_message(Msg3(nonce, message + b"\x00"))
+        assert str(info.value) == "body of 65536 octets exceeds 65535"
+
+    def test_msg2_at_k_64_round_trips(self):
+        msg2 = Msg2(0x12345678, 64, PairingPayload("bob", 8, 2**64 - 1))
+        frame = encode_message(msg2)
+        assert frame.endswith(b"\x00\x08" + b"\xff" * 8)
+        assert decode_message(frame) == msg2
+
     def test_field_longer_than_65535_octets_rejected_at_encode(self):
         with pytest.raises(MalformedMessage, match="^field of 65536 octets exceeds 65535$"):
             encode_payload(PairingPayload("x" * 65536, 1, 0), 8)
@@ -271,6 +292,22 @@ class TestWireFormat:
         frame = bytes([tag]) + len(body).to_bytes(4, "big") + body
         with pytest.raises(MalformedMessage, match=reason):
             decode_message(frame)
+
+    @pytest.mark.parametrize("frame, text", [
+        pytest.param(b"\x01\x00", "frame of 2 octets is shorter than the header", id="header-cut"),
+        # set id 0, k = 8, then an identity field that declares 5 octets and holds 2
+        pytest.param(bytes([0x02]) + (10).to_bytes(4, "big") + bytes(4) + b"\x00\x08\x00\x05ab",
+                     "field data runs past end of body", id="field-data-cut"),
+    ])
+    def test_backed_up_guard_names_its_fault(self, frame, text):
+        # a later check refuses each frame too, but with another text
+        with pytest.raises(MalformedMessage) as info:
+            decode_message(frame)
+        assert str(info.value) == text
+        if frame[0] == 0x02:
+            with pytest.raises(MalformedMessage) as info:
+                decode_payload(frame[11:], 8)
+            assert str(info.value) == text
 
     def test_bad_utf8_identity_rejected(self):
         raw = b"\x00\x02\xff\xfe" + b"\x00\x01\x08" + b"\x00\x01\x01"
