@@ -41,7 +41,7 @@ COUNTED = {
 
 COUNT = """
 import json, random, sys
-import saska.adversary, saska.cli, saska.group
+import saska.group
 import tracing
 from saska.adversary import AttackStrategy, StrategyKind, run_mitm_trial
 from saska.group import PARAM_SETS
@@ -66,7 +66,7 @@ for group, k in groups.items():
         calls.update(jacobi=0, seed=0)
         for seed in seeds:
             run_mitm_trial(AttackStrategy(StrategyKind(name)), PARAM_SETS[group], k, seed)
-        row = {key: tracer.totals.get(span, [0])[0] for key, span in counted.items()}
+        row = {key: tracer.totals[span][0] for key, span in counted.items()}
         row.update(jacobi=calls["jacobi"], seed=calls["seed"])
         table[f"{group} {name}"] = row
 print(json.dumps(table))

@@ -293,21 +293,20 @@ class TestWireFormat:
         with pytest.raises(MalformedMessage, match=reason):
             decode_message(frame)
 
-    @pytest.mark.parametrize("frame, text", [
-        pytest.param(b"\x01\x00", "frame of 2 octets is shorter than the header", id="header-cut"),
+    @pytest.mark.parametrize("decode, data, text", [
+        pytest.param(decode_message, b"\x01\x00", "frame of 2 octets is shorter than the header",
+                     id="header-cut"),
         # set id 0, k = 8, then an identity field that declares 5 octets and holds 2
-        pytest.param(bytes([0x02]) + (10).to_bytes(4, "big") + bytes(4) + b"\x00\x08\x00\x05ab",
+        pytest.param(decode_message, bytes([0x02]) + (10).to_bytes(4, "big") + bytes(4) + b"\x00\x08\x00\x05ab",
                      "field data runs past end of body", id="field-data-cut"),
+        pytest.param(functools.partial(decode_payload, k=8), b"\x00\x05ab",
+                     "field data runs past end of body", id="payload-field-data-cut"),
     ])
-    def test_backed_up_guard_names_its_fault(self, frame, text):
-        # a later check refuses each frame too, but with another text
+    def test_backed_up_guard_names_its_fault(self, decode, data, text):
+        # a later check refuses each input too, but with another text
         with pytest.raises(MalformedMessage) as info:
-            decode_message(frame)
+            decode(data)
         assert str(info.value) == text
-        if frame[0] == 0x02:
-            with pytest.raises(MalformedMessage) as info:
-                decode_payload(frame[11:], 8)
-            assert str(info.value) == text
 
     def test_bad_utf8_identity_rejected(self):
         raw = b"\x00\x02\xff\xfe" + b"\x00\x01\x08" + b"\x00\x01\x01"
