@@ -7,7 +7,7 @@ makes one decision per honest message, each a move carrying the attacker's
 own payload m_E = ID || g^e || N_E: commit_toward_b (Msg1 as alice),
 reply_toward_a (Msg2 as bob) or open_toward_b (Msg3).  The blind guess is
 fixed when first asked for.  Impersonate-initiator is full-mitm whose
-bridge nonce is its guess of N_A.
+blind nonce is its guess of N_A.
 
 What the strategies cannot dodge is the commit/reveal ordering: one honest
 k-bit nonce is still hidden at the moment the attacker's own nonce becomes
@@ -88,13 +88,6 @@ class AttackStrategy(namedtuple("AttackStrategy", "kind guess_rule fixed_guess",
 
     __slots__ = ()
 
-    @property
-    def guessed_side(self) -> str:
-        """Which honest nonce the attacker is forced to guess."""
-        if self.kind is StrategyKind.IMPERSONATE_RESPONDER:
-            return "responder"
-        return "initiator"
-
 
 # Result of one protocol run under an interposed adversary.  transcript
 # holds (direction, frame, delivered) in send order, where delivered holds
@@ -124,9 +117,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # --- attacker callbacks -----------------------------------------------------
 
 class _Attacker:
-    """Routes each honest frame to the strategy's decision on it, tracks the
-    plaintext it sees, fixes its guess when first asked, and forges frames
-    through the three moves below, the only place an attacker builds one."""
+    """Routes each honest frame to the strategy's decision on it, keeps the
+    payload each frame carried, fixes its guess when first asked, and forges
+    frames through the three moves below, the only place an attacker builds
+    one.  Every decision reads the state declared in __init__."""
 
     def __init__(self, strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random):
         self.strategy = strategy
@@ -135,9 +129,10 @@ class _Attacker:
         self.rng = rng
         self.exponent = gen_private_share(params, rng)
         self.share = pub_share(params, self.exponent)
-        self.seen_nonces: list[int] = []   # plaintext nonces, in observation order
-        self.seen_share_a: int | None = None
-        self.seen_share_b: int | None = None
+        self.payload_a: PairingPayload | None = None  # from A's opening
+        self.payload_b: PairingPayload | None = None  # from B's Msg2
+        self.blind: int | None = None  # our nonce, fixed when A's commitment arrives
+        self.opening: Msg3 | None = None
         self.guess: int | None = None
 
     def __call__(self, frame: bytes, direction: Direction) -> list[tuple[Direction, bytes]]:
@@ -147,8 +142,10 @@ class _Attacker:
         if isinstance(msg, Msg1):
             return [self.on_commit()]
         if isinstance(msg, Msg2):
-            return [self.on_payload(self.note_payload(msg.payload, "b"))]
-        return [self.on_opening(self.note_payload(decode_payload(msg.message, self.k), "a"))]
+            self.payload_b = msg.payload
+            return [self.on_payload(msg.payload.auth_nonce)]
+        self.payload_a = decode_payload(msg.message, self.k)
+        return [self.on_opening(self.payload_a.auth_nonce)]
 
     def resolve_guess(self) -> int:
         """The guess of the still-hidden honest nonce, fixed under the rule
@@ -159,29 +156,20 @@ class _Attacker:
                 guess = self.strategy.fixed_guess
             elif rule is GuessRule.UNIFORM:
                 guess = self.rng.getrandbits(self.k)
-            else:  # ADAPTIVE: fold everything seen in the clear so far
+            else:  # ADAPTIVE: fold every nonce seen in the clear so far
                 guess = 0
-                for n in self.seen_nonces:
-                    guess ^= n
+                for seen in (self.payload_a, self.payload_b):
+                    guess ^= 0 if seen is None else seen.auth_nonce
             self.guess = guess & ((1 << self.k) - 1)
         return self.guess
 
-    def note_payload(self, payload: PairingPayload, side: str) -> int:
-        """Note a payload seen in the clear; returns its nonce."""
-        self.seen_nonces.append(payload.auth_nonce)
-        if side == "a":
-            self.seen_share_a = payload.public_share
-        else:
-            self.seen_share_b = payload.public_share
-        return payload.auth_nonce
-
     def key_with_a(self) -> int | None:
-        share = self.seen_share_a
-        return None if share is None else pow(share, self.exponent, self.params.p)
+        seen = self.payload_a
+        return None if seen is None else pow(seen.public_share, self.exponent, self.params.p)
 
     def key_with_b(self) -> int | None:
-        share = self.seen_share_b
-        return None if share is None else pow(share, self.exponent, self.params.p)
+        seen = self.payload_b
+        return None if seen is None else pow(seen.public_share, self.exponent, self.params.p)
 
     def commit_toward_b(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg1 committing to our payload as alice; keeps the opening."""
@@ -208,12 +196,12 @@ class ImpersonateResponderAttacker(_Attacker):
 
     def on_commit(self):
         # absorb A's commitment and answer it ourselves
-        self.own_reply_nonce = self.rng.getrandbits(self.k)
-        return self.reply_toward_a(self.own_reply_nonce)
+        self.blind = self.rng.getrandbits(self.k)
+        return self.reply_toward_a(self.blind)
 
     def on_opening(self, n_a: int):
         # A decommitted to us; now impersonate A toward B
-        return self.commit_toward_b(n_a ^ self.own_reply_nonce ^ self.resolve_guess())
+        return self.commit_toward_b(n_a ^ self.blind ^ self.resolve_guess())
 
     def on_payload(self, n_b: int):
         # B's real payload; N_B arrives after our commitment is out
@@ -222,29 +210,29 @@ class ImpersonateResponderAttacker(_Attacker):
 
 class FullMitmAttacker(_Attacker):
     """Bridge two concurrent sessions, substituting the attacker's payload
-    in both: commit toward B to a bridge nonce, answer A with
-    N_B ^ bridge ^ guess(N_A), and open toward B.  N_A is still hidden
+    in both: commit toward B to a blind nonce, answer A with
+    N_B ^ blind ^ guess(N_A), and open toward B.  N_A is still hidden
     when the answer goes out, so the guess is blind."""
 
     def on_commit(self):
-        self.bridge_nonce = self.rng.getrandbits(self.k)
-        return self.commit_toward_b(self.bridge_nonce)
+        self.blind = self.rng.getrandbits(self.k)
+        return self.commit_toward_b(self.blind)
 
     def on_payload(self, n_b: int):
-        return self.reply_toward_a(n_b ^ self.bridge_nonce ^ self.resolve_guess())
+        return self.reply_toward_a(n_b ^ self.blind ^ self.resolve_guess())
 
     def on_opening(self, n_a: int):
         return self.open_toward_b()
 
 
 class ImpersonateInitiatorAttacker(FullMitmAttacker):
-    """Full-mitm whose bridge nonce is its guess of N_A (commit-first
+    """Full-mitm whose blind nonce is its guess of N_A (commit-first
     attack): the XOR cancels, N_B reaches A unchanged, and the SAS values
     are N_A ^ N_B at A and guess ^ N_B at B."""
 
     def on_commit(self):
-        self.bridge_nonce = self.resolve_guess()
-        return self.commit_toward_b(self.bridge_nonce)
+        self.blind = self.resolve_guess()
+        return self.commit_toward_b(self.blind)
 
 
 _ATTACKERS = {
@@ -344,12 +332,14 @@ def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: rando
 
 def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None,
                    nonce: int | None = None) -> AttackOutcome:
-    """One full protocol execution with the strategy's attacker interposed;
-    `nonce`, if given, is the honest nonce on `strategy.guessed_side`."""
+    """One full protocol execution with the strategy's attacker interposed.
+    `nonce`, if given, forces the honest nonce the attacker must guess:
+    B's under impersonate-responder, A's otherwise."""
     rng, rng_e = _child_rngs(seed, strategy.kind is not StrategyKind.HONEST)
     attacker = make_attacker(strategy, params, k, rng_e)
-    nonces = (nonce, None) if strategy.guessed_side == "initiator" else (None, nonce)
-    return _run_trial(params, k, rng, attacker, *nonces)
+    if strategy.kind is StrategyKind.IMPERSONATE_RESPONDER:
+        return _run_trial(params, k, rng, attacker, None, nonce)
+    return _run_trial(params, k, rng, attacker, nonce)
 
 
 def check_run(strategy: AttackStrategy, k: int, trials: int | None = None) -> None:

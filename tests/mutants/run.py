@@ -139,6 +139,20 @@ MUTANTS = [
      "return honest, random.Random(attacker_seed) if attacker else None",
      "return honest, honest if attacker else None",
      "the attacker draws from the victims' generator"),
+    # a wrong attacker key scores zero and still passes the one-sided
+    # Monte Carlo gate, so the attacker's own accounting is pinned too
+    ("adversary.py",
+     "seen = self.payload_a",
+     "seen = self.payload_b",
+     "the attacker's key with A is computed from B's payload"),
+    ("adversary.py",
+     "seen = self.payload_b",
+     "seen = self.payload_a",
+     "the attacker's key with B is computed from A's payload"),
+    ("adversary.py",
+     "for seen in (self.payload_a, self.payload_b):",
+     "for seen in (self.payload_a,):",
+     "the adaptive guess folds A's nonce but not B's"),
     ("group.py",
      "if len(text) > _MAX_FILE_CHARS:",
      "if False:",

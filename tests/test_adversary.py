@@ -12,6 +12,7 @@ from saska.adversary import (
     StrategyKind,
     _child_rngs,
     _run_trial,
+    check_run,
     estimate_attack_success,
     exhaustive_attack_success,
     make_attacker,
@@ -108,6 +109,16 @@ class TestMitmTrials:
                 assert out.sas_match
                 assert out.attacker_key_with_a or out.attacker_key_with_b
 
+    @pytest.mark.parametrize("name", ["test", "p40"])
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_k64_correct_guess_wins(self, kind, name):
+        # MAX_K itself on the attack path: the attacker's forged payloads
+        # carry 64-bit nonces, and a right guess still wins outright
+        guess = 0xF00D_CAFE_DEAD_BEEF  # bit 63 set
+        out = forced_trial(kind, PARAM_SETS[name], 64, guess=guess, nonce_value=guess)
+        assert out.success and out.sas_match and out.aborts == ()
+        assert out.sas_a.k == 64
+
     def test_attacker_shares_keys_with_both_on_win(self, test_params):
         out = forced_trial(StrategyKind.FULL_MITM, test_params, 4, guess=7, nonce_value=7)
         assert out.attacker_key_with_a and out.attacker_key_with_b
@@ -122,7 +133,7 @@ class TestMitmTrials:
                 msg = decode_message(frame)
                 if isinstance(msg, Msg3) and direction is Direction.A_TO_B:
                     better = PairingPayload(
-                        "alice", self.share, (self.bridge_nonce ^ 1) & ((1 << self.k) - 1))
+                        "alice", self.share, (self.blind ^ 1) & ((1 << self.k) - 1))
                     forged = Msg3(self.opening.nonce, encode_payload(better, self.k))
                     return [(direction, encode_message(forged))]
                 return super().__call__(frame, direction)
@@ -176,7 +187,7 @@ class TestMitmTrials:
         attacker = make_attacker(strategy, test_params, 8, random.Random(4))
         first = attacker.resolve_guess()
         state = attacker.rng.getstate()
-        attacker.note_payload(PairingPayload("bob", attacker.share, 0x3C), "b")
+        attacker.payload_b = PairingPayload("bob", attacker.share, 0x3C)
         assert attacker.resolve_guess() == first
         assert attacker.rng.getstate() == state
 
@@ -253,6 +264,14 @@ class TestExhaustive:
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
         with pytest.raises(KTooLarge):
             exhaustive_attack_success(strategy, test_params, 17)
+
+    def test_enumeration_bound_is_inclusive(self):
+        # checked without running the 2^16 trials k = 16 would take
+        strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
+        assert check_run(strategy, 16) is None
+        with pytest.raises(KTooLarge) as excinfo:
+            check_run(strategy, 17)
+        assert str(excinfo.value) == "k = 17 exceeds the enumeration bound 16"
 
     def test_honest_is_always_complete(self, test_params):
         strategy = AttackStrategy(StrategyKind.HONEST)
@@ -528,16 +547,16 @@ class ShareSwap(_Attacker):
     def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg2):
-            return [self.reply_toward_a(self.note_payload(msg.payload, "b"))]
+            return [self.reply_toward_a(msg.payload.auth_nonce)]
         if isinstance(msg, Msg3):
-            self.note_payload(decode_payload(msg.message, self.k), "a")
+            self.payload_a = decode_payload(msg.message, self.k)
         return [(direction, frame)]
 
 
 def test_known_defect_share_swap_wins(p40_params):
     """KNOWN DEFECT, pinned so that it cannot go unnoticed: the SAS binds
     both nonces but not the responder's public share, so swapping that
-    share in Msg2 wins every trial with no guess.  When ROADMAP item 1(b)
+    share in Msg2 wins every trial with no guess.  When ROADMAP item 1
     binds both payloads into the SAS, flip this test to assert that the
     share-swap fails."""
     for seed in range(20):

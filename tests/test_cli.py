@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import random
 import secrets
@@ -186,6 +187,30 @@ class TestArgumentErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0]) < 200, errors
 
+    @pytest.mark.parametrize("args", [
+        ["--listen", "65535"],
+        ["--connect", "127.0.0.1:65535"],
+        ["--listen", "0", "--timeout", str(threading.TIMEOUT_MAX)],
+    ], ids=["listen-65535", "connect-65535", "timeout-max"])
+    def test_upper_bounds_accepted(self, args):
+        # the argument checks alone: no socket is opened
+        parsed = cli._peer_parser().parse_args([*args, "--id", "a"])
+        cli._check_peer_args(parsed)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--listen", "65536"], "--listen 65536 is not a port in 0..65535"),
+        (["--connect", "127.0.0.1:65536"],
+         "--connect '127.0.0.1:65536' is not HOST:PORT with a port in 1..65535"),
+        (["--listen", "0", "--timeout", str(math.nextafter(threading.TIMEOUT_MAX, math.inf))],
+         f"--timeout {math.nextafter(threading.TIMEOUT_MAX, math.inf)} is not in"
+         f" (0, {threading.TIMEOUT_MAX:g}] seconds"),
+    ], ids=["listen-65536", "connect-65536", "timeout-past-max"])
+    def test_one_past_upper_bounds_refused(self, args, message):
+        parsed = cli._peer_parser().parse_args([*args, "--id", "a"])
+        with pytest.raises(ValueError) as excinfo:
+            cli._check_peer_args(parsed)
+        assert str(excinfo.value) == message
+
     def test_checked_before_connecting(self):
         listener = StreamListener(0)
         try:
@@ -272,6 +297,14 @@ class TestSim:
         assert ("choose from 'full-mitm', 'honest', 'impersonate-initiator', "
                 "'impersonate-responder'") in proc.stderr
         assert proc.stdout == ""
+
+    def test_k64_montecarlo_run(self, capsys):
+        # MAX_K itself passes the --k check and the whole simulator path
+        code = main(["sim", "--strategy", "full-mitm", "--k", "64", "--trials", "1000",
+                     "--params", "test", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert " k=64 trials=1000 successes=0 " in out and "result=pass" in out
 
     def test_exhaustive_k_too_large(self, capsys):
         code = main(["sim", "--strategy", "full-mitm", "--k", "20",

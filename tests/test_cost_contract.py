@@ -3,13 +3,16 @@
 A ±15% benchmark bound cannot see one more Jacobi run, one more generator
 seeding or one more decode in a trial of about 60 µs, and a verdict cache
 that stops hitting costs about that much.  Counts are exact where times
-are noisy, so this pins them for each strategy on the `test` and `p40`
-groups over a fixed list of seeds.  A change that saves or adds a call
-changes the table below in the same diff, with its reason.
+are noisy, so this pins them for each strategy on the `test`, `p40` and
+`modp2048` groups over a fixed list of seeds.  A change that saves or adds
+a call changes the table below in the same diff, with its reason.
 
 The counts come from perfbench/tracing.py's Tracer totals, installed in a
-fresh interpreter, as tests/test_bench_hooks.py does; Jacobi runs and
-`random.Random` seedings are counted by wrappers made in that interpreter.
+fresh interpreter, as tests/test_bench_hooks.py does; Jacobi runs, builtin
+`pow` calls, `random.Random` seedings and `getrandbits` calls are counted by
+wrappers made in that interpreter.  `pow` is counted by binding a wrapper to
+that name in the two modules that call it, `saska.group` and
+`saska.adversary`: a module global shadows the builtin.
 The subgroup-verdict cache is cleared before each strategy, so a count does
 not depend on what ran before it.
 """
@@ -24,8 +27,8 @@ ROOT = Path(__file__).parent.parent
 
 STRATEGIES = ("honest", "impersonate-initiator", "impersonate-responder", "full-mitm")
 SEEDS = range(8)
-# group -> k: the benchmark's k on `test`, the CLI's default on `p40`
-GROUPS = {"test": 8, "p40": 20}
+# group -> k: the benchmark's k on `test`, the CLI's default elsewhere
+GROUPS = {"test": 8, "p40": 20, "modp2048": 20}
 COUNTED = {
     "encode_message": "protocol.encode_message",
     "encode_payload": "protocol.encode_payload",
@@ -40,15 +43,15 @@ COUNTED = {
 }
 
 COUNT = """
-import json, random, sys
-import saska.group
+import builtins, json, random, sys
+import saska.adversary, saska.group
 import tracing
 from saska.adversary import AttackStrategy, StrategyKind, run_mitm_trial
 from saska.group import PARAM_SETS
 
 groups, strategies, seeds, counted = json.loads(sys.argv[1])
 tracer = tracing.install(tracing.Tracer())
-calls = {"jacobi": 0, "seed": 0}
+calls = dict.fromkeys(("jacobi", "pow", "seed", "getrandbits"), 0)
 
 def counting(name, fn):
     def wrapper(*args, **kwargs):
@@ -57,41 +60,54 @@ def counting(name, fn):
     return wrapper
 
 saska.group.jacobi = counting("jacobi", saska.group.jacobi)
+saska.group.pow = saska.adversary.pow = counting("pow", builtins.pow)
 random.Random.seed = counting("seed", random.Random.seed)
+random.Random.getrandbits = counting("getrandbits", random.Random.getrandbits)
 table = {}
 for group, k in groups.items():
     for name in strategies:
         saska.group._member_verdict.cache_clear()
         tracer.reset()
-        calls.update(jacobi=0, seed=0)
+        calls.update(dict.fromkeys(calls, 0))
         for seed in seeds:
             run_mitm_trial(AttackStrategy(StrategyKind(name)), PARAM_SETS[group], k, seed)
         row = {key: tracer.totals[span][0] for key, span in counted.items()}
-        row.update(jacobi=calls["jacobi"], seed=calls["seed"])
+        row.update(calls)
         table[f"{group} {name}"] = row
 print(json.dumps(table))
 """
 
 
-COLUMNS = (*COUNTED, "jacobi", "seed")
+COLUMNS = (*COUNTED, "jacobi", "pow", "seed", "getrandbits")
 # calls in the len(SEEDS) trials of each strategy, in COLUMNS order.  Per
 # trial: 3 frames each encoded and decoded once by an honest trial, and 6 by
 # an attack trial, whose attacker decodes every honest frame and forges its
-# own; 1 generator seeded per honest trial and 2 per attack trial; on p40,
-# 2 Jacobi runs for an honest trial's 4 subgroup checks and 1 for an attack
-# trial's 2, which both check the attacker's one share.  Only trials whose
-# strings match derive keys: all honest ones, and one impersonate-responder
-# trial on `test` at k = 8.
+# own; 1 generator seeded per honest trial and 2 per attack trial; above
+# 2^31 (p40, modp2048), 2 Jacobi runs for an honest trial's 4 subgroup
+# checks and 1 for an attack trial's 2, which both check the attacker's one
+# share.  Only trials whose strings match derive keys: all honest ones, and
+# one impersonate-responder trial on `test` at k = 8.  On `test` every g^x,
+# subgroup check and key is a pow; above 2^31 only the keys are (derive_key,
+# and the attacker's key_with_a/b once a victim holds a key), since g^x
+# comes from the fixed-base table and the subgroup check from Jacobi.
+# getrandbits: the 64 bits drawn in every trial to seed the attacker's
+# generator, each exponent (randrange draws
+# again on a value past its bound, so this varies by seed), each nonce and
+# each commitment's opening nonce.
 EXPECTED = {
-    #                              enc enp dec dep cmt opn pub sub key rng jac sed
-    "test honest":                (24, 16, 24, 16,  8,  8, 16, 32, 16,  8,  0,  8),
-    "test impersonate-initiator": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 16),
-    "test impersonate-responder": (48, 32, 48, 32, 16,  8, 24, 18,  2,  8,  0, 16),
-    "test full-mitm":             (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 16),
-    "p40 honest":                 (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16,  8),
-    "p40 impersonate-initiator":  (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8, 16),
-    "p40 impersonate-responder":  (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8, 16),
-    "p40 full-mitm":              (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8, 16),
+    #                                  enc enp dec dep cmt opn pub sub key rng jac pow sed bits
+    "test honest":                    (24, 16, 24, 16,  8,  8, 16, 32, 16,  8,  0, 64,  8, 62),
+    "test impersonate-initiator":     (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 90),
+    "test impersonate-responder":     (48, 32, 48, 32, 16,  8, 24, 18,  2,  8,  0, 46, 16, 98),
+    "test full-mitm":                 (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 98),
+    "p40 honest":                     (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 55),
+    "p40 impersonate-initiator":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 84),
+    "p40 impersonate-responder":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92),
+    "p40 full-mitm":                  (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92),
+    "modp2048 honest":                (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 48),
+    "modp2048 impersonate-initiator": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 72),
+    "modp2048 impersonate-responder": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80),
+    "modp2048 full-mitm":             (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80),
 }
 
 
