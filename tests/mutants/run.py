@@ -69,6 +69,16 @@ MUTANTS = [
         self._accept_remote(payload, "initiator")
 """,
      "the responder parses the opened payload before the opening is checked"),
+    # the raise line makes the anchor unique: decode_message's Msg2 check
+    # has the same condition
+    ("protocol.py",
+     """        if not 1 <= k <= MAX_K:
+            raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+""",
+     """        if False:
+            raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+""",
+     "a Peer is built at a k outside [1, 64]"),
     ("protocol.py",
      "if msg2.k != self.k:",
      "if False:",
@@ -134,7 +144,7 @@ MUTANTS = [
             raise MalformedMessage(f"k = {k} outside [1, {MAX_K}]")
 """,
      "",
-     "a Msg2 at a k outside [1, 64] is refused only by its nonce field"),
+     "a Msg2 at a k outside [1, 64], well formed at that k, is refused only by the initiator's k match"),
     ("adversary.py",
      "return honest, random.Random(attacker_seed) if attacker else None",
      "return honest, honest if attacker else None",

@@ -84,12 +84,16 @@ class TestValidateParams:
             validate_params(23, 7, 2)
 
     def test_generator_out_of_range_rejected(self):
-        with pytest.raises(BadGenerator):
-            validate_params(23, 11, 24)
+        # g = p is refused by the range check, not by g^q mod p != 1 next
+        for g in (23, 24):
+            with pytest.raises(BadGenerator, match=r"^g of 5 bits: generator must lie in \(1, p\)$"):
+                validate_params(23, 11, g)
 
     def test_nonpositive_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            validate_params(0, 11, 2)
+        # q = 0 and g = 0 are refused here, not by the primality or range checks next
+        for p, q, g in [(0, 11, 2), (23, 0, 2), (23, 11, 0)]:
+            with pytest.raises(ValueError, match="^p, q, g must be positive integers$"):
+                validate_params(p, q, g)
 
 
 class TestModExp:

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import pytest
@@ -108,18 +109,6 @@ class TestNonceGeneration:
         assert type(nonce) is int
         assert 0 <= nonce < 2**20
 
-    def test_k_range_enforced(self):
-        with pytest.raises(ValueError):
-            gen_auth_nonce(0, random.Random(0))
-        with pytest.raises(ValueError):
-            gen_auth_nonce(65, random.Random(0))
-        # the wire check and the SAS record check k themselves too
-        with pytest.raises(MalformedMessage, match="^bad nonce field: auth nonce: k must be"):
-            decode_payload(b"\x00\x01x" + b"\x00\x01\x08" + b"\x00\x00", 0)
-        for k in (0, 65):
-            with pytest.raises(ValueError, match="^sas: k must be"):
-                Sas(0, k)
-
 
 class TestComputeSas:
     def test_self_xor_is_zero(self):
@@ -134,9 +123,18 @@ class TestComputeSas:
     @pytest.mark.parametrize("k", [1, 8, 20, 64])
     def test_value_must_be_k_bits(self, k):
         assert Sas((1 << k) - 1, k).to_int() == (1 << k) - 1
-        for value in (1 << k, -1):
-            with pytest.raises(ValueError, match=f"^sas: value is not a {k}-bit int$"):
-                Sas(value, k)
+
+    @pytest.mark.parametrize("name", ["test", "p40"])
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64])
+    def test_session_sas_is_the_k_bit_xor_of_the_nonces(self, k, name):
+        # Sas checks nothing itself: the k that Peer checks and the nonces
+        # it draws or decodes keep the string in range
+        a, b, *_ = honest_exchange(PARAM_SETS[name], k=k)
+        assert a.sas == b.sas
+        assert a.sas.k == k
+        assert a.sas.value == a.own_nonce ^ b.own_nonce
+        assert a.sas.value < 1 << k
+        assert len(format_sas(a.sas)) == math.ceil(k / 4)
 
     @given(x=st.integers(0, 2**20 - 1), y=st.integers(0, 2**20 - 1))
     @settings(max_examples=100)
@@ -236,6 +234,9 @@ class TestWireFormat:
         raw[3:6] = b"\x00\x02\x00\x08"
         with pytest.raises(MalformedMessage):
             decode_payload(bytes(raw), 8)
+        # one 0x00 octet is the minimal encoding of the share 0
+        raw[3:7] = b"\x00\x01\x00"
+        assert decode_payload(bytes(raw), 8).public_share == 0
 
     def test_bad_nonce_length_rejected(self):
         payload = PairingPayload("x", 8, 1)
@@ -283,6 +284,8 @@ class TestWireFormat:
         # the commit body's length check is its only guard, so one octet over fails too
         pytest.param(0x01, b"\x00" * 33, "commit body must be 32 octets", id="commit-33"),
         pytest.param(0x02, b"\x00" * 5, "payload body shorter than its fixed prefix", id="payload-5"),
+        # the fixed prefix alone (set id 0, k = 8) passes it, and the first field is cut
+        pytest.param(0x02, bytes(4) + b"\x00\x08", "truncated field length", id="payload-6"),
         pytest.param(0x03, b"\x00" * 31, "decommit body must hold a 32-octet nonce", id="decommit-31"),
         # set id 0, k = 8, a whole identity field, then one octet of a length prefix
         pytest.param(0x02, bytes(4) + b"\x00\x08" + b"\x00\x01x" + b"\x00",
@@ -649,11 +652,15 @@ class TestPeer:
         assert rng.getstate() == before
 
     def test_k_checked_at_construction(self, test_params):
-        with pytest.raises(ValueError):
-            Peer(Role.INITIATOR, test_params, "alice", 0)
-        # a forced nonce must be a k-bit value, checked before any draw
+        # the one check of an API caller's k, which nothing after it repeats
         rng = random.Random(5)
         before = rng.getstate()
+        for role in Role:
+            for k in (0, 65):
+                with pytest.raises(ValueError) as info:
+                    Peer(role, test_params, "alice", k, rng)
+                assert str(info.value) == f"k must be in [1, 64], got {k}"
+        # a forced nonce must be a k-bit value, checked before any draw
         for nonce in (-1, 2**8):
             with pytest.raises(ValueError):
                 Peer(Role.RESPONDER, test_params, "bob", 8, rng, nonce=nonce)
