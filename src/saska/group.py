@@ -343,7 +343,7 @@ def parse_params_text(text: str) -> DhParams:
 
 
 def load_params_file(path: str) -> DhParams:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read(_MAX_FILE_CHARS + 1)
     if len(text) > _MAX_FILE_CHARS:
         raise ValueError(f"parameter file is longer than {_MAX_FILE_CHARS} characters")

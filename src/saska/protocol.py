@@ -63,16 +63,6 @@ def check_identity(label: str) -> str:
     return label
 
 
-def _nonce_value(data: bytes, k: int) -> int:
-    """The k-bit nonce in data, ceil(k/8) big-endian octets; the caller has checked k."""
-    if len(data) != (k + 7) // 8:
-        raise ValueError(f"auth nonce: need {(k + 7) // 8} octets for k={k}, got {len(data)}")
-    value = int.from_bytes(data, "big")
-    if value >> k:
-        raise ValueError(f"auth nonce: padding bits above bit {k} must be zero")
-    return value
-
-
 class Sas(namedtuple("Sas", "value k")):
     """Authentication string S = N_A xor N_B, a k-bit int."""
 
@@ -140,7 +130,7 @@ def encode_payload(payload: PairingPayload, k: int) -> bytes:
 
 
 def decode_payload(data: bytes, k: int) -> PairingPayload:
-    """Parse payload fields, validating against the session bit length k."""
+    """Parse payload fields at the session bit length k, which the caller has checked."""
     end = len(data)
     ident_raw, off = _read_field(data, 0, end)
     share_raw, off = _read_field(data, off, end)
@@ -153,10 +143,12 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
         raise MalformedMessage(f"bad identity field: {exc}") from exc
     if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):
         raise MalformedMessage("public share is not a minimal big-endian integer")
-    try:
-        nonce = _nonce_value(nonce_raw, k)
-    except ValueError as exc:
-        raise MalformedMessage(f"bad nonce field: {exc}") from exc
+    if len(nonce_raw) != (k + 7) // 8:
+        raise MalformedMessage(
+            f"bad nonce field: auth nonce: need {(k + 7) // 8} octets for k={k}, got {len(nonce_raw)}")
+    nonce = int.from_bytes(nonce_raw, "big")
+    if nonce >> k:
+        raise MalformedMessage(f"bad nonce field: auth nonce: padding bits above bit {k} must be zero")
     return PairingPayload(identity, int.from_bytes(share_raw, "big"), nonce)
 
 

@@ -1,20 +1,29 @@
 """Mutation check of the guards the security argument rests on.
 
-Each mutant below breaks one guard by a single text replacement.  For each,
-the tree (src, tests, perfbench, pyproject.toml) is copied to a temporary
-directory, the mutant applied there, and the tier-1 suite run with -x and
-without criterion 2's slow Monte Carlo band.  A mutant is killed when a test
-fails or the run times out; a mutant whose suite passes survived, and the
-script exits 1.  The unmutated copy is run first and must pass, so that a
-broken tree cannot pass for a killed mutant.  Standard library only:
+Most mutants are generated: guard_mutants() walks the ast of src/saska and,
+for each `if` whose first statement is a `raise`, turns its condition into
+False, spliced at the node's offsets so that two guards with the same text
+each get their own mutant.  HAND_MUTANTS holds what that cannot express,
+each a text replacement whose old text occurs once: an order of steps, a
+guard broken only in part or a check that does not raise, and the
+attacker's own accounting.
+
+Each mutant is applied in a copy of the tree (src, tests, perfbench,
+pyproject.toml).  Its module's own tests/test_<module>.py runs first, and
+only if that passes the tier-1 suite, with -x, without criterion 2's slow
+Monte Carlo band and without tests/test_mutants.py, which checks this
+catalogue against the source each mutant changes.  A mutant is killed when
+a run fails or times out; a survivor makes the script exit 1.  The
+unmutated copy must first pass each of those runs, so that a kill is never
+a broken tree or an artefact of test order.  Standard library only:
 
     python tests/mutants/run.py
 
-A change that adds a guard adds its mutant here.  Mutation testing after
-DeMillo, Lipton and Sayward, "Hints on Test Data Selection" (IEEE Computer,
-1978).
+Mutation testing after DeMillo, Lipton and Sayward, "Hints on Test Data
+Selection" (IEEE Computer, 1978).
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -24,25 +33,18 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent.parent
+SRC = ROOT / "src" / "saska"
 COPIED = ["src", "tests", "perfbench", "pyproject.toml"]
 SKIPPED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--ignore", "tests/test_mutants.py",
           "--deselect", "tests/test_acceptance.py::test_criterion_2_monte_carlo_band"]
+SUITE = "tests"
 TIMEOUT_S = 600
 
-# (file under src/saska, old text, new text, the guard it breaks)
-MUTANTS = [
-    ("protocol.py",
-     "if not in_subgroup(self.params, payload.public_share):",
-     "if False:",
-     "a peer takes a remote share outside the subgroup"),
-    ("group.py",
-     "if not in_subgroup(params, peer_share):",
-     "if False:",
-     "derive_key takes a share outside the subgroup"),
-    ("group.py",
-     "if not 1 < value < params.p:",
-     "if not 0 < value < params.p:",
+# (file under src/saska, old text, new text, what the mutant breaks)
+HAND_MUTANTS = [
+    ("group.py", "if not 1 < value < params.p:", "if not 0 < value < params.p:",
      "the identity element passes the subgroup check"),
     ("protocol.py",
      """        if not user_accepts:
@@ -69,113 +71,100 @@ MUTANTS = [
         self._accept_remote(payload, "initiator")
 """,
      "the responder parses the opened payload before the opening is checked"),
-    # the raise line makes the anchor unique: decode_message's Msg2 check
-    # has the same condition
-    ("protocol.py",
-     """        if not 1 <= k <= MAX_K:
-            raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-""",
-     """        if False:
-            raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-""",
-     "a Peer is built at a k outside [1, 64]"),
-    ("protocol.py",
-     "if msg2.k != self.k:",
-     "if False:",
-     "the initiator takes a Msg2 at another k"),
-    ("protocol.py",
-     "if msg2.param_set_id != self.params.set_id:",
-     "if False:",
-     "the initiator takes a Msg2 on another parameter set"),
-    ("protocol.py",
-     "if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):",
-     "if not share_raw:",
+    ("protocol.py", "if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):", "if not share_raw:",
      "a public share with leading zero octets decodes"),
-    ("protocol.py",
-     "if value >> k:",
-     "if False:",
-     "a nonce with padding bits set above bit k decodes"),
-    ("protocol.py",
-     "if not label.isprintable():",
-     "if False:",
-     "an identity with a control character passes"),
-    ("protocol.py",
-     "if phase >= Phase.SAS_READY:",
-     "if phase > Phase.SAS_READY:",
+    ("protocol.py", "if phase >= Phase.SAS_READY:", "if phase > Phase.SAS_READY:",
      "a frame after SAS_READY is processed, not ignored"),
-    ("protocol.py",
-     "if self.phase is not Phase.SAS_READY:",
-     "if False:",
-     "confirm runs outside SAS_READY"),
     ("protocol.py",
      "if self.phase is not Phase.SAS_READY:",
      "if self.phase not in (Phase.SAS_READY, Phase.CONFIRMED):",
      "a second confirm(True) logs CONFIRMED twice"),
     ("protocol.py",
-     "if self.phase is not Phase.CREATED:",
-     "if False:",
-     "the initiator starts twice"),
-    ("protocol.py",
      "step = self._steps.get(phase)",
      "step = self._steps.get(phase, _STEPS[Role.INITIATOR][Phase.COMMIT_EXCHANGED])",
      "a phase with no step runs the initiator's payload step: no phase check"),
     ("protocol.py",
-     "if not isinstance(msg, cls):",
-     "if False:",
-     "a step runs on a message of the wrong class"),
-    ("protocol.py",
      "Msg1, \"commit\", Peer._on_commit, (Phase.COMMIT_EXCHANGED, Phase.PAYLOAD_EXCHANGED)",
      "Msg1, \"commit\", Peer._on_commit, (Phase.PAYLOAD_EXCHANGED, Phase.COMMIT_EXCHANGED)",
      "the responder's commit step lists its phases in reverse"),
-    ("protocol.py",
-     "if off + n > end:",
-     "if False:",
-     "a field whose data runs past the body is refused only by a later check"),
-    ("protocol.py",
-     "if len(header) < HEADER_LEN:",
-     "if False:",
-     "a frame shorter than its header is refused only by the body-length match"),
-    ("adversary.py",
-     "self.guess = guess & ((1 << self.k) - 1)",
-     "self.guess = guess",
+    ("adversary.py", "self.guess = guess & ((1 << self.k) - 1)", "self.guess = guess",
      "a fixed guess wider than k bits is used unmasked"),
-    ("protocol.py",
-     """        if not 1 <= k <= MAX_K:
-            raise MalformedMessage(f"k = {k} outside [1, {MAX_K}]")
-""",
-     "",
-     "a Msg2 at a k outside [1, 64], well formed at that k, is refused only by the initiator's k match"),
     ("adversary.py",
      "return honest, random.Random(attacker_seed) if attacker else None",
      "return honest, honest if attacker else None",
      "the attacker draws from the victims' generator"),
     # a wrong attacker key scores zero and still passes the one-sided
     # Monte Carlo gate, so the attacker's own accounting is pinned too
-    ("adversary.py",
-     "seen = self.payload_a",
-     "seen = self.payload_b",
+    ("adversary.py", "seen = self.payload_a", "seen = self.payload_b",
      "the attacker's key with A is computed from B's payload"),
-    ("adversary.py",
-     "seen = self.payload_b",
-     "seen = self.payload_a",
+    ("adversary.py", "seen = self.payload_b", "seen = self.payload_a",
      "the attacker's key with B is computed from A's payload"),
-    ("adversary.py",
-     "for seen in (self.payload_a, self.payload_b):",
-     "for seen in (self.payload_a,):",
+    ("adversary.py", "for seen in (self.payload_a, self.payload_b):", "for seen in (self.payload_a,):",
      "the adaptive guess folds A's nonce but not B's"),
-    ("group.py",
-     "if len(text) > _MAX_FILE_CHARS:",
-     "if False:",
-     "a parameter file longer than 65,536 characters is parsed"),
 ]
 
 
-def run_suite(tree: Path) -> tuple[str, float]:
+def stale_anchors() -> list[str]:
+    """Each hand mutant whose old text does not occur exactly once in its file."""
+    return [f"{name}: the old text of mutant '{reason}' occurs {count} times, not once"
+            for name, old, _, reason in HAND_MUTANTS
+            if (count := (SRC / name).read_text().count(old)) != 1]
+
+
+def _guards(node: ast.AST, where: str):
+    """(enclosing function, if node) for each `if` under node whose first
+    statement is a raise, in source order."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _guards(child, f"{where}.{child.name}" if where else child.name)
+            continue
+        if isinstance(child, ast.If) and isinstance(child.body[0], ast.Raise):
+            yield where, child
+        yield from _guards(child, where)
+
+
+def guard_mutants() -> list[tuple[str, int, str, str, str]]:
+    """(file under src/saska, line, enclosing function, condition with its
+    whitespace collapsed, the file's source with that condition False) for
+    each `if ...: raise` guard."""
+    mutants = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_bytes()
+        starts = [0]  # ast offsets are in UTF-8 octets from the line's start
+        for line in source.splitlines(keepends=True):
+            starts.append(starts[-1] + len(line))
+        for where, node in _guards(ast.parse(source), ""):
+            test = node.test
+            begin = starts[test.lineno - 1] + test.col_offset
+            end = starts[test.end_lineno - 1] + test.end_col_offset
+            condition = " ".join(source[begin:end].decode().split())
+            mutated = (source[:begin] + b"False" + source[end:]).decode()
+            mutants.append((path.name, test.lineno, where, condition, mutated))
+    return mutants
+
+
+def all_mutants() -> list[tuple[str, str, str]]:
+    """(file under src/saska, what the mutant breaks, mutated source), the
+    hand-written ones first."""
+    hand = [(name, reason, (SRC / name).read_text().replace(old, new))
+            for name, old, new, reason in HAND_MUTANTS]
+    made = [(name, f"{name}:{line} {where}: {condition} -> False", source)
+            for name, line, where, condition, source in guard_mutants()]
+    return hand + made
+
+
+def stages(name: str) -> list[str]:
+    """The pytest targets a mutant of src/saska/<name> runs, in order."""
+    own = f"tests/test_{Path(name).stem}.py"
+    return [own, SUITE] if (ROOT / own).exists() else [SUITE]
+
+
+def run_suite(tree: Path, target: str) -> tuple[str, float]:
     """'passed', 'failed' or 'timed out', and the seconds the run took."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     began = time.monotonic()
     try:
-        proc = subprocess.run(PYTEST, cwd=tree, env=env, capture_output=True, text=True,
+        proc = subprocess.run([*PYTEST, target], cwd=tree, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timed out", time.monotonic() - began
@@ -196,32 +185,37 @@ def copy_tree(dest: Path):
 
 
 def main() -> int:
-    for name, old, _, reason in MUTANTS:
-        count = (ROOT / "src" / "saska" / name).read_text().count(old)
-        if count != 1:
-            sys.exit(f"{name}: the old text of mutant '{reason}' occurs {count} times, not once")
+    stale = stale_anchors()
+    if stale:
+        sys.exit("\n".join(stale))
+    mutants = all_mutants()
     with tempfile.TemporaryDirectory(prefix="saska-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         copy_tree(tree)
-        outcome, seconds = run_suite(tree)
-        print(f"unmutated tree: {outcome} in {seconds:.1f} s", flush=True)
-        if outcome != "passed":
-            return 1
+        for target in sorted({target for name, _, _ in mutants for target in stages(name)}):
+            outcome, seconds = run_suite(tree, target)
+            print(f"unmutated tree, {target}: {outcome} in {seconds:.1f} s", flush=True)
+            if outcome != "passed":
+                return 1
         survivors = []
-        for number, (name, old, new, reason) in enumerate(MUTANTS, 1):
+        for number, (name, label, source) in enumerate(mutants, 1):
             path = tree / "src" / "saska" / name
             original = path.read_text()
-            path.write_text(original.replace(old, new))
+            path.write_text(source)
+            total = 0.0
             try:
-                outcome, seconds = run_suite(tree)
+                for target in stages(name):
+                    outcome, seconds = run_suite(tree, target)
+                    total += seconds
+                    if outcome != "passed":
+                        break
             finally:
                 path.write_text(original)
-            verdict = "SURVIVED" if outcome == "passed" else "killed"
-            print(f"{number:2d}/{len(MUTANTS)} {verdict:8s} ({outcome}, {seconds:.1f} s) {name}: {reason}",
-                  flush=True)
+            verdict = "SURVIVED" if outcome == "passed" else f"killed ({outcome} in {target})"
+            print(f"{number:2d}/{len(mutants)} {verdict}, {total:.1f} s: {label}", flush=True)
             if outcome == "passed":
-                survivors.append(reason)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+                survivors.append(label)
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
     return 1 if survivors else 0
 
 

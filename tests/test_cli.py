@@ -187,6 +187,27 @@ class TestArgumentErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0]) < 200, errors
 
+    @pytest.mark.parametrize("mode", [["--listen", "0", "--id", "a"], ["sim", "--strategy", "honest"]],
+                             ids=["peer", "sim"])
+    @pytest.mark.parametrize("data,message", [
+        (b"23\xff\n11\n2\n", "line 1 is not a decimal integer"),
+        # a comment is ignored whatever its octets, so the next check speaks
+        (b"# Gr\xfc\xdfe\n23\n11\n2\n", "--k must be in [1, 64], got 0"),
+    ], ids=["octet-in-number", "octet-in-comment"])
+    def test_non_utf8_params_file(self, tmp_path, capsys, mode, data, message):
+        """A file that is not UTF-8 gets the same one-line errors as any
+        other: no codec message, which would quote the octet."""
+        path = tmp_path / "latin1.params"
+        path.write_bytes(data)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*mode, "--k", "0", "--params", str(path)])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"{'saska sim' if mode[0] == 'sim' else 'saska'}: error: {message}"]
+        assert "0x" not in err
+
     @pytest.mark.parametrize("args", [
         ["--listen", "65535"],
         ["--connect", "127.0.0.1:65535"],
