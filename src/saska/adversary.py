@@ -32,7 +32,7 @@ from fractions import Fraction
 from statistics import NormalDist
 
 from .commitment import commit
-from .errors import KTooLarge, PairingError
+from .errors import PairingError
 from .group import DhParams, gen_private_share, pub_share
 from .protocol import (
     Msg1,
@@ -346,7 +346,7 @@ def check_run(strategy: AttackStrategy, k: int, trials: int | None = None) -> No
     """Refuse a run before its first trial; `trials` None is the enumeration."""
     if trials is None:
         if k > EXHAUSTIVE_MAX_K:
-            raise KTooLarge(f"k = {k} exceeds the enumeration bound {EXHAUSTIVE_MAX_K}")
+            raise ValueError(f"k = {k} exceeds the enumeration bound {EXHAUSTIVE_MAX_K}")
     elif strategy.kind is not StrategyKind.HONEST and trials < 1000:
         raise ValueError(f"need at least 1000 trials for a meaningful rate, got {trials}")
     elif trials < 1:

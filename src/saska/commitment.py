@@ -14,7 +14,7 @@ import hashlib
 import hmac
 import random
 
-from .errors import EmptyMessage, OpenFailed, RngFailure
+from .errors import OpenFailed, RngFailure
 
 # Fixed 8-octet ASCII domain separation tag; both peers use it implicitly,
 # preventing digests from being replayed across protocols.
@@ -29,9 +29,7 @@ def _digest(nonce: bytes, message: bytes) -> bytes:
 
 
 def commit(message: bytes, rng: random.Random) -> tuple[bytes, bytes]:
-    """The digest and the nonce that opens it, for a non-empty octet string."""
-    if not message:
-        raise EmptyMessage("cannot commit to an empty message")
+    """The digest and the nonce that opens it, for an octet string."""
     try:
         nonce = rng.getrandbits(NONCE_LEN * 8).to_bytes(NONCE_LEN, "big")
     except Exception as exc:

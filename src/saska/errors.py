@@ -2,7 +2,8 @@
 
 
 class PairingError(Exception):
-    """Base class for every error raised by this package."""
+    """Base of the faults a pairing can meet (group parameters, messages,
+    transport, entropy); a bad argument raises ValueError instead."""
 
 
 class ParameterError(PairingError):
@@ -29,10 +30,6 @@ class RngFailure(PairingError):
     """The injected random source failed to produce output."""
 
 
-class EmptyMessage(PairingError):
-    """Tried to commit to an empty octet string."""
-
-
 class OpenFailed(PairingError):
     """Commitment digest mismatch: c, nonce, or message was tampered with."""
 
@@ -43,10 +40,6 @@ class MalformedMessage(PairingError):
 
 class WrongPhase(PairingError):
     """A protocol operation was invoked out of order."""
-
-
-class KTooLarge(PairingError):
-    """Exhaustive enumeration requested above the supported bit length."""
 
 
 class ChannelClosed(PairingError):

@@ -42,6 +42,7 @@ from collections import namedtuple
 
 from .errors import (
     BadGenerator,
+    MalformedMessage,
     NotPrime,
     OrderMismatch,
     RngFailure,
@@ -85,13 +86,9 @@ def _derived(params: DhParams) -> tuple[bool, int, int]:
     """(safe_prime, exponent_limit, set_id) of a group triple."""
     p, q, g = params
     safe = p == 2 * q + 1
-    h = hashlib.sha256()
-    for n in params:
-        enc = int_to_octets(n)
-        h.update(len(enc).to_bytes(2, "big"))
-        h.update(enc)
+    digest = hashlib.sha256(b"".join(_field(int_to_octets(n)) for n in params)).digest()
     return (safe, _safe_prime_exponent_limit(p, q) if safe else q,
-            int.from_bytes(h.digest()[:4], "big"))
+            int.from_bytes(digest[:4], "big"))
 
 
 class DhParams(namedtuple("DhParams", "p q g")):
@@ -112,6 +109,13 @@ class DhParams(namedtuple("DhParams", "p q g")):
 def int_to_octets(n: int) -> bytes:
     """Minimal big-endian encoding; at least one octet."""
     return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+
+
+def _field(data: bytes) -> bytes:
+    """The field encoding: a 2-octet big-endian length, then the octets."""
+    if len(data) > 0xFFFF:
+        raise MalformedMessage(f"field of {len(data)} octets exceeds 65535")
+    return len(data).to_bytes(2, "big") + data
 
 
 def is_probable_prime(n: int) -> bool:

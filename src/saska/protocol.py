@@ -30,6 +30,7 @@ from .errors import (
 )
 from .group import (
     DhParams,
+    _field,
     derive_key,
     gen_private_share,
     in_subgroup,
@@ -100,12 +101,6 @@ def key_fingerprint(key: int) -> str:
 # The cleartext message m = identity || public share || nonce, where the
 # identity is a checked label and the share and the k-bit nonce are ints.
 PairingPayload = namedtuple("PairingPayload", "identity public_share auth_nonce")
-
-
-def _field(data: bytes) -> bytes:
-    if len(data) > 0xFFFF:
-        raise MalformedMessage(f"field of {len(data)} octets exceeds 65535")
-    return len(data).to_bytes(2, "big") + data
 
 
 def _read_field(body: bytes, off: int, end: int) -> tuple[bytes, int]:

@@ -20,7 +20,6 @@ from saska.adversary import (
     sim_report,
     wilson_interval,
 )
-from saska.errors import KTooLarge
 from saska.group import PARAM_SETS
 from saska.protocol import (
     Msg1,
@@ -191,6 +190,21 @@ class TestMitmTrials:
         assert attacker.resolve_guess() == first
         assert attacker.rng.getstate() == state
 
+    @pytest.mark.parametrize("kind, folded", [
+        (StrategyKind.FULL_MITM, 0xC3),
+        (StrategyKind.IMPERSONATE_RESPONDER, 0x5A),
+        (StrategyKind.IMPERSONATE_INITIATOR, 0),
+    ])
+    def test_adaptive_guess_folds_the_nonces_seen(self, test_params, kind, folded):
+        """The adaptive guess is the XOR of the nonces recorded when it is
+        fixed: B's alone (0xC3) when full-mitm answers A, A's alone (0x5A)
+        when impersonate-responder commits toward B, and none when
+        impersonate-initiator commits first."""
+        rng, rng_e = _child_rngs(1)
+        attacker = make_attacker(AttackStrategy(kind, GuessRule.ADAPTIVE), test_params, 8, rng_e)
+        _run_trial(test_params, 8, rng, attacker, 0x5A, 0xC3)
+        assert attacker.guess == folded
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ATTACK_KINDS + (StrategyKind.HONEST,))
@@ -262,14 +276,14 @@ class TestExhaustive:
 
     def test_k_too_large(self, test_params):
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ValueError, match="^k = 17 exceeds the enumeration bound 16$"):
             exhaustive_attack_success(strategy, test_params, 17)
 
     def test_enumeration_bound_is_inclusive(self):
         # checked without running the 2^16 trials k = 16 would take
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.FIXED, 0)
         assert check_run(strategy, 16) is None
-        with pytest.raises(KTooLarge) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             check_run(strategy, 17)
         assert str(excinfo.value) == "k = 17 exceeds the enumeration bound 16"
 
@@ -350,6 +364,13 @@ class TestEstimate:
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.UNIFORM)
         with pytest.raises(ValueError):
             estimate_attack_success(strategy, test_params, 8, 999, seed=1)
+
+    def test_honest_trials_floor(self):
+        strategy = AttackStrategy(StrategyKind.HONEST)
+        with pytest.raises(ValueError) as excinfo:
+            check_run(strategy, 8, 0)
+        assert str(excinfo.value) == "trials must be positive"
+        assert check_run(strategy, 8, 1) is None
 
     def test_same_seed_same_estimate(self, test_params):
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.UNIFORM)

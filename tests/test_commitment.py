@@ -11,7 +11,7 @@ from saska.commitment import (
     commit,
     open_commitment,
 )
-from saska.errors import EmptyMessage, OpenFailed, RngFailure
+from saska.errors import OpenFailed, RngFailure
 from saska.protocol import gen_auth_nonce
 
 
@@ -45,11 +45,6 @@ def test_fresh_nonces_give_distinct_commitments():
     c1, _ = commit(b"same message", rng)
     c2, _ = commit(b"same message", rng)
     assert c1 != c2
-
-
-def test_empty_message_rejected():
-    with pytest.raises(EmptyMessage):
-        commit(b"", random.Random(1))
 
 
 def test_rng_failure_wrapped():

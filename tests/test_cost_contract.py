@@ -9,10 +9,13 @@ a call changes the table below in the same diff, with its reason.
 
 The counts come from perfbench/tracing.py's Tracer totals, installed in a
 fresh interpreter, as tests/test_bench_hooks.py does; Jacobi runs, builtin
-`pow` calls, `random.Random` seedings and `getrandbits` calls are counted by
-wrappers made in that interpreter.  `pow` is counted by binding a wrapper to
-that name in the two modules that call it, `saska.group` and
-`saska.adversary`: a module global shadows the builtin.
+`pow` calls, `random.Random` seedings, `getrandbits` calls, `hashlib.sha256`
+calls and `hmac.new` calls are counted by wrappers made in that interpreter.
+`pow` is counted by binding a wrapper to that name in the two modules that
+call it, `saska.group` and `saska.adversary`: a module global shadows the
+builtin.  Each group's set id, one SHA-256 cached per group and process, is
+read before counting.  Table multiplies happen inline in `pub_share`, so
+nothing outside `src/` can count them.
 The subgroup-verdict cache is cleared before each strategy, so a count does
 not depend on what ran before it.
 """
@@ -43,7 +46,7 @@ COUNTED = {
 }
 
 COUNT = """
-import builtins, json, random, sys
+import builtins, hashlib, hmac, json, random, sys
 import saska.adversary, saska.group
 import tracing
 from saska.adversary import AttackStrategy, StrategyKind, run_mitm_trial
@@ -51,7 +54,9 @@ from saska.group import PARAM_SETS
 
 groups, strategies, seeds, counted = json.loads(sys.argv[1])
 tracer = tracing.install(tracing.Tracer())
-calls = dict.fromkeys(("jacobi", "pow", "seed", "getrandbits"), 0)
+calls = dict.fromkeys(("jacobi", "pow", "seed", "getrandbits", "sha256", "hmac"), 0)
+for group in groups:
+    PARAM_SETS[group].set_id
 
 def counting(name, fn):
     def wrapper(*args, **kwargs):
@@ -63,6 +68,8 @@ saska.group.jacobi = counting("jacobi", saska.group.jacobi)
 saska.group.pow = saska.adversary.pow = counting("pow", builtins.pow)
 random.Random.seed = counting("seed", random.Random.seed)
 random.Random.getrandbits = counting("getrandbits", random.Random.getrandbits)
+hashlib.sha256 = counting("sha256", hashlib.sha256)
+hmac.new = counting("hmac", hmac.new)
 table = {}
 for group, k in groups.items():
     for name in strategies:
@@ -78,7 +85,7 @@ print(json.dumps(table))
 """
 
 
-COLUMNS = (*COUNTED, "jacobi", "pow", "seed", "getrandbits")
+COLUMNS = (*COUNTED, "jacobi", "pow", "seed", "getrandbits", "sha256", "hmac")
 # calls in the len(SEEDS) trials of each strategy, in COLUMNS order.  Per
 # trial: 3 frames each encoded and decoded once by an honest trial, and 6 by
 # an attack trial, whose attacker decodes every honest frame and forges its
@@ -93,21 +100,22 @@ COLUMNS = (*COUNTED, "jacobi", "pow", "seed", "getrandbits")
 # getrandbits: the 64 bits drawn in every trial to seed the attacker's
 # generator, each exponent (randrange draws
 # again on a value past its bound, so this varies by seed), each nonce and
-# each commitment's opening nonce.
+# each commitment's opening nonce.  SHA-256: one per commitment made and one
+# per opening checked; no HMAC yet.
 EXPECTED = {
-    #                                  enc enp dec dep cmt opn pub sub key rng jac pow sed bits
-    "test honest":                    (24, 16, 24, 16,  8,  8, 16, 32, 16,  8,  0, 64,  8, 62),
-    "test impersonate-initiator":     (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 90),
-    "test impersonate-responder":     (48, 32, 48, 32, 16,  8, 24, 18,  2,  8,  0, 46, 16, 98),
-    "test full-mitm":                 (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 98),
-    "p40 honest":                     (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 55),
-    "p40 impersonate-initiator":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 84),
-    "p40 impersonate-responder":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92),
-    "p40 full-mitm":                  (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92),
-    "modp2048 honest":                (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 48),
-    "modp2048 impersonate-initiator": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 72),
-    "modp2048 impersonate-responder": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80),
-    "modp2048 full-mitm":             (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80),
+    #                                  enc enp dec dep cmt opn pub sub key rng jac pow sed bits sha hmc
+    "test honest":                    (24, 16, 24, 16,  8,  8, 16, 32, 16,  8,  0, 64,  8, 62,  16,  0),
+    "test impersonate-initiator":     (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 90,  24,  0),
+    "test impersonate-responder":     (48, 32, 48, 32, 16,  8, 24, 18,  2,  8,  0, 46, 16, 98,  24,  0),
+    "test full-mitm":                 (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 98,  24,  0),
+    "p40 honest":                     (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 55,  16,  0),
+    "p40 impersonate-initiator":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 84,  24,  0),
+    "p40 impersonate-responder":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92,  24,  0),
+    "p40 full-mitm":                  (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92,  24,  0),
+    "modp2048 honest":                (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 48,  16,  0),
+    "modp2048 impersonate-initiator": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 72,  24,  0),
+    "modp2048 impersonate-responder": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80,  24,  0),
+    "modp2048 full-mitm":             (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80,  24,  0),
 }
 
 

@@ -10,10 +10,18 @@ from hypothesis import strategies as st
 
 from saska import group, protocol
 from saska.adversary import AttackStrategy, StrategyKind, run_mitm_trial
-from saska.errors import BadGenerator, NotPrime, OrderMismatch, RngFailure, SubgroupCheckFailed
+from saska.errors import (
+    BadGenerator,
+    MalformedMessage,
+    NotPrime,
+    OrderMismatch,
+    RngFailure,
+    SubgroupCheckFailed,
+)
 from saska.group import (
     PARAM_SETS,
     DhParams,
+    _field,
     _fixed_base_rows,
     _table_entry,
     derive_key,
@@ -495,6 +503,14 @@ def test_int_to_octets_minimal():
     assert int_to_octets(1) == b"\x01"
     assert int_to_octets(255) == b"\xff"
     assert int_to_octets(256) == b"\x01\x00"
+
+
+def test_field_is_a_two_octet_length_then_the_octets():
+    assert _field(b"") == b"\x00\x00"
+    assert _field(b"ab") == b"\x00\x02ab"
+    assert _field(bytes(65535))[:2] == b"\xff\xff"
+    with pytest.raises(MalformedMessage, match="^field of 65536 octets exceeds 65535$"):
+        _field(bytes(65536))
 
 
 def edge_exponents(params):
