@@ -15,8 +15,13 @@ keep the pow test and full-range exponents.
 
 A peer checks each share it receives, and derive_key checks the same share
 again.  Once p exceeds 2^31, the repeated check is answered from a small
-bounded per-process cache of membership verdicts, Jacobi or pow, keyed on
+bounded per-process store of membership verdicts, Jacobi or pow, keyed on
 the group and the value; it holds only public shares and their verdicts.
+in_subgroup records each verdict it computes, and pub_share records each
+g^x it makes from the table as a member when g passes the test.  That is
+exact: (y/p) and y^q mod p are multiplicative in y, so every power of such
+a g passes too, and the range check 1 < y < p, which runs first on every
+call, refuses the identity.
 
 Every group with p above 2^31 computes g^x for x in [0, exponent_limit)
 from a fixed-base table (Brickell, Gordon, McCurley & Wilson, EUROCRYPT
@@ -38,7 +43,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 
 from .errors import (
     BadGenerator,
@@ -62,7 +67,7 @@ _MIN_EXPONENT_BITS = 256
 _MAX_P_BITS = _SAFE_PRIME_STRENGTH[-1][0]  # Miller-Rabin on a larger p takes minutes
 _MAX_P_DIGITS = 2467  # len(str(1 << _MAX_P_BITS)), the widest parameter file line
 _MAX_FILE_CHARS = 1 << 16  # the most of a parameter file read, so an endless one (/dev/zero) ends
-# Groups with p <= 2^31 skip the Jacobi test, the verdict cache and the
+# Groups with p <= 2^31 skip the Jacobi test, the verdict store and the
 # fixed-base table, because below about 2^31 a single pow is cheaper
 # (measured with CPython 3.11).  Subgroup test: pow(y, q, p) takes 0.2 us
 # against 0.8 us for the Jacobi loop at p = 23, and 9 us against 4 us at 32
@@ -82,13 +87,15 @@ def _safe_prime_exponent_limit(p: int, q: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _derived(params: DhParams) -> tuple[bool, int, int]:
-    """(safe_prime, exponent_limit, set_id) of a group triple."""
+def _derived(params: DhParams) -> tuple[bool, int, int, bool]:
+    """(safe_prime, exponent_limit, set_id, whether pub_share records its
+    shares as members: p > 2^31 and g passes the membership test) of a
+    group triple."""
     p, q, g = params
     safe = p == 2 * q + 1
     digest = hashlib.sha256(b"".join(_field(int_to_octets(n)) for n in params)).digest()
     return (safe, _safe_prime_exponent_limit(p, q) if safe else q,
-            int.from_bytes(digest[:4], "big"))
+            int.from_bytes(digest[:4], "big"), p > _SMALL_P_MAX and _member_test(p, q, safe, g))
 
 
 class DhParams(namedtuple("DhParams", "p q g")):
@@ -198,30 +205,38 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _member_test(p: int, q: int, safe: bool, value: int) -> bool:
+    """value^q = 1 mod p; by Euler's criterion, (value/p) = 1 if p = 2q + 1."""
+    return jacobi(value, p) == 1 if safe else pow(value, q, p) == 1
+
+
 def in_subgroup(params: DhParams, value: int) -> bool:
     """Membership test for the order-q subgroup, excluding the identity."""
     if not 1 < value < params.p:
         return False
-    if params.p > _SMALL_P_MAX:
-        return _member_verdict(params, value)
-    return pow(value, params.q, params.p) == 1
+    if params.p <= _SMALL_P_MAX:
+        return pow(value, params.q, params.p) == 1
+    verdict = _verdicts.get((params, value))
+    if verdict is None:
+        verdict = _member_test(params.p, params.q, params.safe_prime, value)
+        _record_verdict(params, value, verdict)
+    return verdict
 
 
-# A peer checks each share it receives, and derive_key checks the same share
-# again.  A simulator trial sees at most 2 distinct shares, each checked
-# twice, and a CLI pairing one share checked twice, so a few entries hold
-# every repeat.
+# Verdicts above 2^31, (group, value) -> bool, oldest first.  A simulator
+# trial makes up to 3 shares (A's, B's and the attacker's), each recorded by
+# pub_share and checked twice, and a CLI pairing checks the one share it
+# receives twice, so a few entries hold every repeat.
 _VERDICT_CACHE_SIZE = 8
+_verdicts: OrderedDict[tuple[DhParams, int], bool] = OrderedDict()
 
 
-@functools.lru_cache(maxsize=_VERDICT_CACHE_SIZE)
-def _member_verdict(params: DhParams, value: int) -> bool:
-    """in_subgroup for 1 < value < p on a group with p above 2^31.  A repeat
-    of a recent (group, value) pair, both public, is answered from the
-    cache."""
-    if params.safe_prime:
-        return jacobi(value, params.p) == 1
-    return pow(value, params.q, params.p) == 1
+def _record_verdict(params: DhParams, value: int, verdict: bool) -> None:
+    """Store a verdict, dropping the oldest once the store is full.  Two
+    threads may each drop one; every verdict kept stays exact."""
+    if len(_verdicts) >= _VERDICT_CACHE_SIZE:
+        _verdicts.popitem(last=False)
+    _verdicts[params, value] = verdict
 
 
 def gen_private_share(params: DhParams, rng: random.Random) -> int:
@@ -270,7 +285,8 @@ def _table_entry(row: list[int | None], d: int, p: int) -> int:
 
 def pub_share(params: DhParams, x: int) -> int:
     """The public share g^x mod p for the exponent x; from the fixed-base
-    table above 2^31 (see the module docstring)."""
+    table above 2^31, recorded there as a subgroup member when g is one
+    (see the module docstring)."""
     p = params.p
     if p <= _SMALL_P_MAX or not 0 <= x < params.exponent_limit:
         return pow(params.g, x, p)
@@ -279,6 +295,8 @@ def pub_share(params: DhParams, x: int) -> int:
     for row, d in zip(rows, x.to_bytes(len(rows), "little")):
         if d:
             value = value * (row[d] or _table_entry(row, d, p)) % p
+    if _derived(params)[3]:
+        _record_verdict(params, value, True)
     return value
 
 

@@ -10,13 +10,16 @@ a call changes the table below in the same diff, with its reason.
 The counts come from perfbench/tracing.py's Tracer totals, installed in a
 fresh interpreter, as tests/test_bench_hooks.py does; Jacobi runs, builtin
 `pow` calls, `random.Random` seedings, `getrandbits` calls, `hashlib.sha256`
-calls and `hmac.new` calls are counted by wrappers made in that interpreter.
+calls and HMACs (`hmac.new` and `hmac.digest`, which calls neither
+`hmac.new` nor `hashlib.sha256`) are counted by wrappers made in that
+interpreter.
 `pow` is counted by binding a wrapper to that name in the two modules that
 call it, `saska.group` and `saska.adversary`: a module global shadows the
 builtin.  Each group's set id, one SHA-256 cached per group and process, is
-read before counting.  Table multiplies happen inline in `pub_share`, so
-nothing outside `src/` can count them.
-The subgroup-verdict cache is cleared before each strategy, so a count does
+read before counting; that also computes g's own subgroup verdict, one
+Jacobi run cached beside it.  Table multiplies happen inline in
+`pub_share`, so nothing outside `src/` can count them.
+The subgroup-verdict store is cleared before each strategy, so a count does
 not depend on what ran before it.
 """
 
@@ -70,10 +73,11 @@ random.Random.seed = counting("seed", random.Random.seed)
 random.Random.getrandbits = counting("getrandbits", random.Random.getrandbits)
 hashlib.sha256 = counting("sha256", hashlib.sha256)
 hmac.new = counting("hmac", hmac.new)
+hmac.digest = counting("hmac", hmac.digest)
 table = {}
 for group, k in groups.items():
     for name in strategies:
-        saska.group._member_verdict.cache_clear()
+        saska.group._verdicts.clear()
         tracer.reset()
         calls.update(dict.fromkeys(calls, 0))
         for seed in seeds:
@@ -90,32 +94,34 @@ COLUMNS = (*COUNTED, "jacobi", "pow", "seed", "getrandbits", "sha256", "hmac")
 # trial: 3 frames each encoded and decoded once by an honest trial, and 6 by
 # an attack trial, whose attacker decodes every honest frame and forges its
 # own; 1 generator seeded per honest trial and 2 per attack trial; above
-# 2^31 (p40, modp2048), 2 Jacobi runs for an honest trial's 4 subgroup
-# checks and 1 for an attack trial's 2, which both check the attacker's one
-# share.  Only trials whose strings match derive keys: all honest ones, and
+# 2^31 (p40, modp2048), no Jacobi run for an honest trial's 4 subgroup
+# checks or an attack trial's 2, which both check the attacker's one share,
+# because pub_share records every share it makes as a member.  Only trials
+# whose strings match derive keys: all honest ones, and
 # one impersonate-responder trial on `test` at k = 8.  On `test` every g^x,
 # subgroup check and key is a pow; above 2^31 only the keys are (derive_key,
 # and the attacker's key_with_a/b once a victim holds a key), since g^x
-# comes from the fixed-base table and the subgroup check from Jacobi.
+# comes from the fixed-base table and the subgroup check from the verdict
+# pub_share recorded.
 # getrandbits: the 64 bits drawn in every trial to seed the attacker's
 # generator, each exponent (randrange draws
 # again on a value past its bound, so this varies by seed), each nonce and
 # each commitment's opening nonce.  SHA-256: one per commitment made and one
-# per opening checked; no HMAC yet.
+# per opening checked; no HMAC yet, by `hmac.new` or `hmac.digest`.
 EXPECTED = {
     #                                  enc enp dec dep cmt opn pub sub key rng jac pow sed bits sha hmc
     "test honest":                    (24, 16, 24, 16,  8,  8, 16, 32, 16,  8,  0, 64,  8, 62,  16,  0),
     "test impersonate-initiator":     (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 90,  24,  0),
     "test impersonate-responder":     (48, 32, 48, 32, 16,  8, 24, 18,  2,  8,  0, 46, 16, 98,  24,  0),
     "test full-mitm":                 (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0, 40, 16, 98,  24,  0),
-    "p40 honest":                     (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 55,  16,  0),
-    "p40 impersonate-initiator":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 84,  24,  0),
-    "p40 impersonate-responder":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92,  24,  0),
-    "p40 full-mitm":                  (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 92,  24,  0),
-    "modp2048 honest":                (24, 16, 24, 16,  8,  8, 16, 32, 16,  8, 16, 16,  8, 48,  16,  0),
-    "modp2048 impersonate-initiator": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 72,  24,  0),
-    "modp2048 impersonate-responder": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80,  24,  0),
-    "modp2048 full-mitm":             (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  8,  0, 16, 80,  24,  0),
+    "p40 honest":                     (24, 16, 24, 16,  8,  8, 16, 32, 16,  8,  0, 16,  8, 55,  16,  0),
+    "p40 impersonate-initiator":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0,  0, 16, 84,  24,  0),
+    "p40 impersonate-responder":      (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0,  0, 16, 92,  24,  0),
+    "p40 full-mitm":                  (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0,  0, 16, 92,  24,  0),
+    "modp2048 honest":                (24, 16, 24, 16,  8,  8, 16, 32, 16,  8,  0, 16,  8, 48,  16,  0),
+    "modp2048 impersonate-initiator": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0,  0, 16, 72,  24,  0),
+    "modp2048 impersonate-responder": (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0,  0, 16, 80,  24,  0),
+    "modp2048 full-mitm":             (48, 32, 48, 32, 16,  8, 24, 16,  0,  8,  0,  0, 16, 80,  24,  0),
 }
 
 

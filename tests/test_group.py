@@ -382,20 +382,13 @@ class TestInSubgroup:
 
 
 class TestVerdictCache:
-    """Above 2^31 each (group, share) verdict is computed once per process
-    and then answered from a small bounded cache."""
+    """Above 2^31 each (group, share) verdict is computed at most once per
+    process and then answered from a small bounded store, which pub_share
+    fills with the shares it makes from a generator in the subgroup."""
 
-    @pytest.mark.parametrize("kind, checks, jacobi_runs", [
-        (StrategyKind.HONEST, 4, 2),
-        (StrategyKind.IMPERSONATE_INITIATOR, 2, 1),
-        (StrategyKind.IMPERSONATE_RESPONDER, 2, 1),
-        (StrategyKind.FULL_MITM, 2, 1),
-    ])
-    def test_every_check_runs_and_each_verdict_once(self, monkeypatch, kind, checks, jacobi_runs):
-        """Each peer checks the share it receives and derive_key checks it
-        again (honest: 2 shares, 4 checks; attack: the attacker's share,
-        checked by A and B), but the Jacobi loop runs once per share."""
-        counts = {}
+    @staticmethod
+    def count_jacobi(monkeypatch, counts):
+        """Count calls of group.jacobi and of in_subgroup wherever it is bound."""
 
         def spy(module, name):
             original = getattr(module, name)
@@ -410,11 +403,55 @@ class TestVerdictCache:
 
         spy(group, "in_subgroup")
         spy(group, "jacobi")
+
+    @pytest.mark.parametrize("kind, checks", [
+        (StrategyKind.HONEST, 4),
+        (StrategyKind.IMPERSONATE_INITIATOR, 2),
+        (StrategyKind.IMPERSONATE_RESPONDER, 2),
+        (StrategyKind.FULL_MITM, 2),
+    ])
+    def test_every_check_runs_and_no_share_is_tested_again(self, monkeypatch, kind, checks):
+        """Each peer checks the share it receives and derive_key checks it
+        again (honest: 2 shares, 4 checks; attack: the attacker's share,
+        checked by A and B), but every share was made by pub_share in this
+        process, so the Jacobi loop never runs."""
+        params = PARAM_SETS["p40"]
+        params.set_id  # g's own verdict, once per group and process
+        counts = {}
+        self.count_jacobi(monkeypatch, counts)
         for seed in range(3):
-            group._member_verdict.cache_clear()
+            group._verdicts.clear()
             counts.update(in_subgroup=0, jacobi=0)
-            run_mitm_trial(AttackStrategy(kind), PARAM_SETS["p40"], 20, seed)
-            assert counts == {"in_subgroup": checks, "jacobi": jacobi_runs}, seed
+            run_mitm_trial(AttackStrategy(kind), params, 20, seed)
+            assert counts == {"in_subgroup": checks, "jacobi": 0}, seed
+
+    def test_share_made_elsewhere_is_tested_once(self, monkeypatch):
+        """A share computed with pow, as a remote peer's is, runs the Jacobi
+        loop on its first check only."""
+        params = PARAM_SETS["p40"]
+        params.set_id
+        counts = {}
+        self.count_jacobi(monkeypatch, counts)
+        group._verdicts.clear()
+        counts.update(in_subgroup=0, jacobi=0)
+        share = pow(params.g, 123456789, params.p)
+        assert group.in_subgroup(params, share)
+        assert derive_key(params, share, 5) == pow(share, 5, params.p)
+        assert counts == {"in_subgroup": 2, "jacobi": 1}
+
+    def test_only_table_shares_from_a_member_generator_are_recorded(self):
+        """Nothing is recorded on the pow path (p <= 2^31, or an exponent at
+        or above exponent_limit) or for a g outside the subgroup."""
+        p40 = PARAM_SETS["p40"]
+        outside = DhParams(p40.p, p40.q, p40.p - p40.g)
+        group._verdicts.clear()
+        pub_share(PARAM_SETS["test"], 3)
+        pub_share(SAFE31, 3)
+        pub_share(p40, p40.exponent_limit + 1)
+        pub_share(outside, 3)
+        assert not group._verdicts
+        share = pub_share(p40, 3)
+        assert dict(group._verdicts) == {(p40, share): True}
 
     @pytest.mark.parametrize("first, second", [("p40", "modp2048"), ("safe32", "schnorr32")])
     def test_verdict_belongs_to_its_group(self, first, second):
@@ -423,28 +460,64 @@ class TestVerdictCache:
         values = [v for v in expected[first] if expected[first][v] != expected[second][v]]
         assert values
         for order in ((first, second), (second, first)):
-            group._member_verdict.cache_clear()
+            group._verdicts.clear()
             for value in values:
                 for name in order:
                     assert in_subgroup(GROUPS[name], value) == expected[name][value]
 
     def test_rejected_share_rejected_again(self):
         params = PARAM_SETS["p40"]
-        group._member_verdict.cache_clear()
+        group._verdicts.clear()
         non_residue = params.p - params.g
         priv = 5
         for _ in range(2):
             with pytest.raises(SubgroupCheckFailed):
                 derive_key(params, non_residue, priv)
 
-    def test_cache_stays_bounded(self):
+    def test_store_stays_bounded_and_keeps_the_newest(self):
         params = PARAM_SETS["p40"]
-        group._member_verdict.cache_clear()
+        group._verdicts.clear()
         for value in range(2, 402):
             assert in_subgroup(params, value) == reference_in_subgroup(params, value)
-        info = group._member_verdict.cache_info()
-        assert info.maxsize == group._VERDICT_CACHE_SIZE
-        assert 0 < info.currsize <= info.maxsize
+        assert len(group._verdicts) == group._VERDICT_CACHE_SIZE
+        shares = [pub_share(params, x) for x in range(1, 21)]
+        assert list(group._verdicts) == [(params, y) for y in shares[-group._VERDICT_CACHE_SIZE:]]
+
+
+# unvalidated triples whose g, the negation of a generator, is a non-residue
+# outside the subgroup: only its even powers are members
+OUTSIDE = {"p40-outside": DhParams(PARAM_SETS["p40"].p, PARAM_SETS["p40"].q,
+                                   PARAM_SETS["p40"].p - PARAM_SETS["p40"].g),
+           "safe32-outside": DhParams(SAFE32.p, SAFE32.q, SAFE32.p - SAFE32.g)}
+
+
+class TestShareVerdict:
+    """in_subgroup on a share pub_share made agrees with the pow reference,
+    whether the store was cleared before pub_share (it answers from the
+    recorded verdict), left warm, or cleared after it (in_subgroup tests the
+    share itself)."""
+
+    @staticmethod
+    def check(params, data):
+        x = data.draw(st.integers(min_value=0, max_value=params.exponent_limit - 1))
+        when = data.draw(st.sampled_from(["cleared", "warm", "cleared after"]))
+        if when == "cleared":
+            group._verdicts.clear()
+        share = pub_share(params, x)
+        if when == "cleared after":
+            group._verdicts.clear()
+        assert in_subgroup(params, share) == reference_in_subgroup(params, share)
+
+    @pytest.mark.parametrize("name", sorted(set(GROUPS) - {"modp2048"} | set(OUTSIDE)))
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pow_reference(self, name, data):
+        self.check({**GROUPS, **OUTSIDE}[name], data)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_pow_reference_modp2048(self, data):
+        self.check(PARAM_SETS["modp2048"], data)
 
 
 class TestParamsFile:
