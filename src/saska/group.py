@@ -225,8 +225,9 @@ def in_subgroup(params: DhParams, value: int) -> bool:
 
 # Verdicts above 2^31, (group, value) -> bool, oldest first.  A simulator
 # trial makes up to 3 shares (A's, B's and the attacker's), each recorded by
-# pub_share and checked twice, and a CLI pairing checks the one share it
-# receives twice, so a few entries hold every repeat.
+# pub_share, and a peer checks the share it receives twice; a CLI peer
+# records its own share and the remote one.  So a few entries hold every
+# share of a trial until its last check.
 _VERDICT_CACHE_SIZE = 8
 _verdicts: OrderedDict[tuple[DhParams, int], bool] = OrderedDict()
 
