@@ -40,8 +40,8 @@ from .protocol import (
     Msg3,
     PairingPayload,
     Peer,
-    Phase,
     Role,
+    _SAS_READY,
     decode_message,
     decode_payload,
     encode_message,
@@ -60,6 +60,10 @@ RESPONDER_ID = "bob"
 class Direction(Enum):
     A_TO_B = "a->b"
     B_TO_A = "b->a"
+
+
+# read on every frame, bound once as in saska.protocol
+_A_TO_B, _B_TO_A = Direction.A_TO_B, Direction.B_TO_A
 
 
 class StrategyKind(Enum):
@@ -176,16 +180,16 @@ class _Attacker:
         message = encode_payload(PairingPayload(INITIATOR_ID, self.share, nonce), self.k)
         c, opening_nonce = commit(message, self.rng)
         self.opening = Msg3(opening_nonce, message)
-        return Direction.A_TO_B, encode_message(Msg1(c))
+        return _A_TO_B, encode_message(Msg1(c))
 
     def reply_toward_a(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg2 carrying our payload as bob."""
         msg = Msg2(self.params.set_id, self.k, PairingPayload(RESPONDER_ID, self.share, nonce))
-        return Direction.B_TO_A, encode_message(msg)
+        return _B_TO_A, encode_message(msg)
 
     def open_toward_b(self) -> tuple[Direction, bytes]:
         """Msg3 with the opening kept by commit_toward_b."""
-        return Direction.A_TO_B, encode_message(self.opening)
+        return _A_TO_B, encode_message(self.opening)
 
 
 class ImpersonateResponderAttacker(_Attacker):
@@ -235,10 +239,10 @@ class ImpersonateInitiatorAttacker(FullMitmAttacker):
         return self.commit_toward_b(self.blind)
 
 
-_ATTACKERS = {
-    StrategyKind.IMPERSONATE_INITIATOR: ImpersonateInitiatorAttacker,
-    StrategyKind.IMPERSONATE_RESPONDER: ImpersonateResponderAttacker,
-    StrategyKind.FULL_MITM: FullMitmAttacker,
+_ATTACKERS = {  # by the kind's value, as protocol._STEPS is by the role's
+    StrategyKind.IMPERSONATE_INITIATOR.value: ImpersonateInitiatorAttacker,
+    StrategyKind.IMPERSONATE_RESPONDER.value: ImpersonateResponderAttacker,
+    StrategyKind.FULL_MITM.value: FullMitmAttacker,
 }
 
 
@@ -255,6 +259,11 @@ def _child_rngs(seed, attacker: bool = True) -> tuple[random.Random, random.Rand
     return honest, random.Random(attacker_seed) if attacker else None
 
 
+def misbound(peer_a: Peer, peer_b: Peer) -> bool:
+    """True when A's `remote_payload` differs from B's `own_payload`, or B's from A's."""
+    return peer_a.remote_payload != peer_b.own_payload or peer_b.remote_payload != peer_a.own_payload
+
+
 def _run_trial(
     params: DhParams,
     k: int,
@@ -269,9 +278,10 @@ def _run_trial(
     The attacker is called once per frame, at send time, in send order: it
     never sees a frame that has not been sent.  Each peer sends at most two
     frames in its life, so the queue drains.  Then each peer showing a
-    string confirms iff the two strings match (a careful user), and a trial
-    succeeds iff the attacker holds a victim's key or, with no attacker,
-    iff both keys are equal; either implies matching strings.
+    string confirms iff the two strings match (a careful user).  A trial
+    succeeds iff, with no attacker, both keys are equal, and an attack
+    trial wins iff the strings match over `misbound` peers or the attacker
+    holds a victim's key; each implies matching strings.
     """
     peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng, nonce=nonce_a)
     peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng, nonce=nonce_b)
@@ -292,33 +302,34 @@ def _run_trial(
             events.append((direction, frame, delivered))
             in_flight.extend(delivered)
 
-    send(Direction.A_TO_B, peer_a.start())
+    send(_A_TO_B, peer_a.start())
     while in_flight:
         direction, frame = in_flight.popleft()
         # an identity test: a dict keyed by an Enum pays its hash in Python
-        if direction is Direction.A_TO_B:
-            peer, back = peer_b, Direction.B_TO_A
+        if direction is _A_TO_B:
+            peer, back = peer_b, _B_TO_A
         else:
-            peer, back = peer_a, Direction.A_TO_B
+            peer, back = peer_a, _A_TO_B
         try:
             replies = peer.receive(frame)
         except PairingError as exc:
             aborts.append(f"{peer.role.value}: {type(exc).__name__}: {exc}")
             continue
-        send(back, replies)
+        if replies:
+            send(back, replies)
 
     sas_a, sas_b = peer_a.sas, peer_b.sas
     sas_match = sas_a is not None and sas_b is not None and sas_a == sas_b
 
-    key_a = peer_a.confirm(sas_match) if peer_a.phase is Phase.SAS_READY else None
-    key_b = peer_b.confirm(sas_match) if peer_b.phase is Phase.SAS_READY else None
+    key_a = peer_a.confirm(sas_match) if peer_a.phase_log[-1] is _SAS_READY else None
+    key_b = peer_b.confirm(sas_match) if peer_b.phase_log[-1] is _SAS_READY else None
 
     keys_equal = key_a is not None and key_a == key_b
     # the attacker's keys cost a full exponentiation each; skip them when
     # there is no victim key to compare against
     atk_a = attacker is not None and key_a is not None and attacker.key_with_a() == key_a
     atk_b = attacker is not None and key_b is not None and attacker.key_with_b() == key_b
-    success = keys_equal if attacker is None else atk_a or atk_b
+    success = keys_equal if attacker is None else (sas_match and misbound(peer_a, peer_b)) or atk_a or atk_b
 
     return AttackOutcome(success, sas_a, sas_b, sas_match, keys_equal, atk_a, atk_b,
                          tuple(events), tuple(aborts))
@@ -327,7 +338,7 @@ def _run_trial(
 def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random | None):
     if strategy.kind is StrategyKind.HONEST:
         return None
-    return _ATTACKERS[strategy.kind](strategy, params, k, rng)
+    return _ATTACKERS[strategy.kind._value_](strategy, params, k, rng)
 
 
 def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None,

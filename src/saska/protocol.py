@@ -42,12 +42,14 @@ DEFAULT_K = 20
 MAX_K = 64
 MAX_IDENTITY_OCTETS = 64
 
-# Frame layout: [1-octet tag][4-octet big-endian body length][body].
+# Frame layout: [1-octet tag][4-octet big-endian body length][body]; a Msg2
+# body is [4-octet set id][2-octet k][payload], so k is frame octets 9-10.
 TAG_COMMIT = 0x01
 TAG_PAYLOAD = 0x02
 TAG_DECOMMIT = 0x03
 HEADER_LEN = 5
 MAX_BODY = 65535
+_COMMIT_OCTET, _PAYLOAD_OCTET, _DECOMMIT_OCTET = (bytes([tag]) for tag in (TAG_COMMIT, TAG_PAYLOAD, TAG_DECOMMIT))
 
 
 def check_identity(label: str) -> str:
@@ -103,33 +105,28 @@ def key_fingerprint(key: int) -> str:
 PairingPayload = namedtuple("PairingPayload", "identity public_share auth_nonce")
 
 
-def _read_field(body: bytes, off: int, end: int) -> tuple[bytes, int]:
-    if off + 2 > end:
-        raise MalformedMessage("truncated field length")
-    n = body[off] << 8 | body[off + 1]
-    off += 2
-    if off + n > end:
-        raise MalformedMessage("field data runs past end of body")
-    return body[off:off + n], off + n
-
-
 def encode_payload(payload: PairingPayload, k: int) -> bytes:
     """Length-prefixed field encoding, the nonce in ceil(k/8) big-endian
     octets; injective, so commitment binding covers the exact
     identity/share/nonce boundaries."""
-    return (
-        _field(payload.identity.encode("utf-8"))
-        + _field(int_to_octets(payload.public_share))
-        + _field(payload.auth_nonce.to_bytes((k + 7) // 8, "big"))
-    )
+    return b"".join((
+        _field(payload.identity.encode("utf-8")),
+        _field(int_to_octets(payload.public_share)),
+        _field(payload.auth_nonce.to_bytes((k + 7) // 8, "big")),
+    ))
 
 
 def decode_payload(data: bytes, k: int) -> PairingPayload:
     """Parse payload fields at the session bit length k, which the caller has checked."""
-    end = len(data)
-    ident_raw, off = _read_field(data, 0, end)
-    share_raw, off = _read_field(data, off, end)
-    nonce_raw, off = _read_field(data, off, end)
+    fields, off, end = [], 0, len(data)
+    for _ in range(3):  # identity, public share, nonce
+        if off + 2 > end:
+            raise MalformedMessage("truncated field length")
+        start, off = off + 2, off + 2 + (data[off] << 8 | data[off + 1])
+        if off > end:
+            raise MalformedMessage("field data runs past end of body")
+        fields.append(data[start:off])
+    ident_raw, share_raw, nonce_raw = fields
     if off != end:
         raise MalformedMessage(f"{end - off} trailing octets after payload fields")
     try:
@@ -161,7 +158,7 @@ def frame_body_length(header: bytes) -> int:
     header to bound its read; decode_message checks the whole frame."""
     if len(header) < HEADER_LEN:
         raise MalformedMessage(f"frame of {len(header)} octets is shorter than the header")
-    body_len = int.from_bytes(header[1:HEADER_LEN], "big")
+    body_len = header[1] << 24 | header[2] << 16 | header[3] << 8 | header[4]
     if body_len > MAX_BODY:
         raise MalformedMessage(f"declared body length {body_len} exceeds {MAX_BODY}")
     return body_len
@@ -169,21 +166,18 @@ def frame_body_length(header: bytes) -> int:
 
 def encode_message(msg: PairingMessage) -> bytes:
     if isinstance(msg, Msg1):
-        tag, body = TAG_COMMIT, msg.c
+        tag, body = _COMMIT_OCTET, msg.c
     elif isinstance(msg, Msg2):
-        tag = TAG_PAYLOAD
-        body = (
-            msg.param_set_id.to_bytes(4, "big")
-            + msg.k.to_bytes(2, "big")
-            + encode_payload(msg.payload, msg.k)
-        )
+        tag = _PAYLOAD_OCTET
+        body = b"".join((
+            msg.param_set_id.to_bytes(4, "big"), msg.k.to_bytes(2, "big"), encode_payload(msg.payload, msg.k)))
     elif isinstance(msg, Msg3):
-        tag, body = TAG_DECOMMIT, msg.nonce + msg.message
+        tag, body = _DECOMMIT_OCTET, msg.nonce + msg.message
     else:
         raise TypeError(f"not a pairing message: {msg!r}")
     if len(body) > MAX_BODY:
         raise MalformedMessage(f"body of {len(body)} octets exceeds {MAX_BODY}")
-    return bytes([tag]) + len(body).to_bytes(4, "big") + body
+    return b"".join((tag, len(body).to_bytes(4, "big"), body))
 
 
 def decode_message(frame: bytes) -> PairingMessage:
@@ -199,23 +193,21 @@ def decode_message(frame: bytes) -> PairingMessage:
             f"body length {len(frame) - HEADER_LEN} does not match header {body_len}"
         )
     tag = frame[0]
-    body = frame[HEADER_LEN:]
     if tag == TAG_COMMIT:
         if body_len != DIGEST_LEN:
             raise MalformedMessage(f"commit body must be {DIGEST_LEN} octets, got {body_len}")
-        return Msg1(body)
+        return Msg1(frame[HEADER_LEN:])
     if tag == TAG_PAYLOAD:
         if body_len < 6:
             raise MalformedMessage("payload body shorter than its fixed prefix")
-        param_set_id = int.from_bytes(body[:4], "big")
-        k = int.from_bytes(body[4:6], "big")
+        k = frame[9] << 8 | frame[10]
         if not 1 <= k <= MAX_K:
             raise MalformedMessage(f"k = {k} outside [1, {MAX_K}]")
-        return Msg2(param_set_id, k, decode_payload(body[6:], k))
+        return Msg2(int.from_bytes(frame[5:9], "big"), k, decode_payload(frame[11:], k))
     if tag == TAG_DECOMMIT:
         if body_len < NONCE_LEN:
             raise MalformedMessage(f"decommit body must hold a {NONCE_LEN}-octet nonce")
-        return Msg3(body[:NONCE_LEN], body[NONCE_LEN:])
+        return Msg3(frame[HEADER_LEN:HEADER_LEN + NONCE_LEN], frame[HEADER_LEN + NONCE_LEN:])
     raise MalformedMessage(f"unknown message tag 0x{tag:02x}")
 
 
@@ -268,12 +260,12 @@ class Peer:
         if nonce is not None and not 0 <= nonce < 1 << k:
             raise ValueError(f"forced nonce is not a {k}-bit value")
         self.role = role
-        self._steps = _STEPS[role]
+        self._steps = _STEPS[role._value_]
         self.params = params
         self.identity = check_identity(identity)
         self.k = k
         self.rng = rng or random.SystemRandom()
-        self.phase_log = [Phase.CREATED]
+        self.phase_log = [_CREATED]
         self.private: int | None = None
         self.own_nonce = nonce
         self.own_payload: PairingPayload | None = None
@@ -301,13 +293,13 @@ class Peer:
         responder.  The payload itself stays hidden until Msg3."""
         if self.role is Role.RESPONDER:
             return []
-        if self.phase is not Phase.CREATED:
+        if self.phase_log[-1] is not _CREATED:
             raise WrongPhase(f"start in phase {self.phase.name}")
         self._draw()
         message = encode_payload(self.own_payload, self.k)
         self.commitment, nonce = commit(message, self.rng)
         self.opening = Msg3(nonce, message)
-        self.phase_log.append(Phase.COMMIT_EXCHANGED)
+        self.phase_log.append(_COMMIT_EXCHANGED)
         return [encode_message(Msg1(self.commitment))]
 
     def receive(self, frame: bytes) -> list[bytes]:
@@ -315,7 +307,7 @@ class Peer:
         aborts the peer and its error propagates; frames after an abort or
         once the SAS is ready are ignored."""
         phase = self.phase_log[-1]
-        if phase >= Phase.SAS_READY:
+        if phase >= _SAS_READY:
             return []
         try:
             msg = decode_message(frame)
@@ -387,19 +379,22 @@ class Peer:
         return self.session_key
 
 
-# role -> phase it rests in -> (message class, its name, step, phases the
-# step passes through); below SAS_READY, a frame in a phase missing here
-# is out of order.  Keyed by role first, so that a frame costs one lookup
-# by an IntEnum, which hashes in C (an Enum such as Role hashes in Python).
+# role value -> phase it rests in -> (message class, its name, step, phases
+# the step passes through); below SAS_READY, a frame in a phase missing here
+# is out of order.  No Enum hashes in Python (nor reads the .value property):
+# a frame costs one lookup by its phase, an IntEnum, which hashes in C.
 _STEPS = {
-    Role.INITIATOR: {
+    Role.INITIATOR.value: {
         Phase.COMMIT_EXCHANGED: (
             Msg2, "payload", Peer._on_payload, (Phase.PAYLOAD_EXCHANGED, Phase.DECOMMITTED, Phase.SAS_READY)),
     },
-    Role.RESPONDER: {
+    Role.RESPONDER.value: {
         Phase.CREATED: (
             Msg1, "commit", Peer._on_commit, (Phase.COMMIT_EXCHANGED, Phase.PAYLOAD_EXCHANGED)),
         Phase.PAYLOAD_EXCHANGED: (
             Msg3, "decommit", Peer._on_decommit, (Phase.DECOMMITTED, Phase.SAS_READY)),
     },
 }
+
+# read on every frame or session: an Enum member read off its class costs ~100 ns, a global ~11 ns
+_CREATED, _COMMIT_EXCHANGED, _SAS_READY = Phase.CREATED, Phase.COMMIT_EXCHANGED, Phase.SAS_READY

@@ -75,7 +75,7 @@ HAND_MUTANTS = [
      "the responder parses the opened payload before the opening is checked"),
     ("protocol.py", "if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):", "if not share_raw:",
      "a public share with leading zero octets decodes"),
-    ("protocol.py", "if phase >= Phase.SAS_READY:", "if phase > Phase.SAS_READY:",
+    ("protocol.py", "if phase >= _SAS_READY:", "if phase > _SAS_READY:",
      "a frame after SAS_READY is processed, not ignored"),
     ("protocol.py",
      "if self.phase is not Phase.SAS_READY:",
@@ -83,7 +83,7 @@ HAND_MUTANTS = [
      "a second confirm(True) logs CONFIRMED twice"),
     ("protocol.py",
      "step = self._steps.get(phase)",
-     "step = self._steps.get(phase, _STEPS[Role.INITIATOR][Phase.COMMIT_EXCHANGED])",
+     "step = self._steps.get(phase, _STEPS[Role.INITIATOR.value][Phase.COMMIT_EXCHANGED])",
      "a phase with no step runs the initiator's payload step: no phase check"),
     ("protocol.py",
      "Msg1, \"commit\", Peer._on_commit, (Phase.COMMIT_EXCHANGED, Phase.PAYLOAD_EXCHANGED)",

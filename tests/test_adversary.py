@@ -1,5 +1,7 @@
 import random
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from saska.adversary import (
     estimate_attack_success,
     exhaustive_attack_success,
     make_attacker,
+    misbound,
     run_mitm_trial,
     sim_report,
     wilson_interval,
@@ -466,6 +469,13 @@ class TestInterposition:
         assert out.aborts == ()
         assert len(out.transcript) == 3
 
+    def test_tuple_subclass_is_a_delivery(self, test_params):
+        # the delivery check is an isinstance test, so a named tuple passes
+        Delivery = namedtuple("Delivery", "direction frame")
+        out = run_through(lambda frame, direction: [Delivery(direction, frame)], test_params)
+        assert out.keys_equal and out.aborts == ()
+        assert all(type(pair) is Delivery for _, _, delivered in out.transcript for pair in delivered)
+
     def test_drop_everything_starves_both_peers(self, test_params):
         out = run_through(lambda frame, direction: [], test_params)
         assert out.sas_a is None and out.sas_b is None
@@ -561,6 +571,21 @@ class TestInterposition:
             run_through(lambda frame, direction: [bad(direction, frame)], test_params)
 
 
+PAYLOAD_A, PAYLOAD_B, FORGED = (PairingPayload(name, 4, 1) for name in ("alice", "bob", "carol"))
+
+
+@pytest.mark.parametrize("a_holds, b_holds, expected", [
+    (PAYLOAD_B, PAYLOAD_A, False),
+    (FORGED, PAYLOAD_A, True),
+    (PAYLOAD_B, FORGED, True),
+    (None, None, True),
+], ids=["bound", "a-misbound", "b-misbound", "nothing-received"])
+def test_misbound_checks_both_peers(a_holds, b_holds, expected):
+    peer_a = SimpleNamespace(own_payload=PAYLOAD_A, remote_payload=a_holds)
+    peer_b = SimpleNamespace(own_payload=PAYLOAD_B, remote_payload=b_holds)
+    assert misbound(peer_a, peer_b) is expected
+
+
 class ShareSwap(_Attacker):
     """Relay Msg1 and Msg3, and answer B's Msg2 toward A with the attacker's
     share and B's own nonce: ROADMAP item 1's share-swap."""
@@ -603,10 +628,10 @@ class IdentitySwap(_Attacker):
 def test_known_defect_identity_swap_uncounted(p40_params):
     """KNOWN DEFECT, pinned so that it cannot go unnoticed: the SAS binds
     neither identity, so A accepts B's share and nonce under the name carol
-    with matching SAS values and a key shared with B.  The win rule counts
-    only attacker keys, so this misbinding scores no success.  ROADMAP
-    item 2 flips `success` to True; item 1 then flips `sas_match` to
-    False."""
+    with matching SAS values and a key shared with B.  The attacker holds
+    no key, but the win rule counts matching strings over misbound peers,
+    so this misbinding scores a success: ROADMAP item 2 flipped the last
+    assertion to `out.success`.  Item 1 then flips `sas_match` to False."""
     for seed in range(20):
         rng, rng_e = _child_rngs(seed)
         attacker = IdentitySwap(AttackStrategy(StrategyKind.FULL_MITM), p40_params, 20, rng_e)
@@ -615,4 +640,4 @@ def test_known_defect_identity_swap_uncounted(p40_params):
         assert out.aborts == (), seed
         ((_, msg2_to_a),) = out.transcript[1][2]
         assert decode_message(msg2_to_a).payload.identity == "carol", seed
-        assert not out.success, seed
+        assert out.success, seed

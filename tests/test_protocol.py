@@ -171,8 +171,9 @@ class TestWireFormat:
             decode_message(frame[:20])
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(MalformedMessage):
+        with pytest.raises(MalformedMessage) as info:
             decode_message(bytes([0x09]) + (1).to_bytes(4, "big") + b"x")
+        assert str(info.value) == "unknown message tag 0x09"
         # and on the way out, a value that is no message has no tag
         with pytest.raises(TypeError):
             encode_message(object())
@@ -218,13 +219,15 @@ class TestWireFormat:
 
     def test_header_length_mismatch_rejected(self):
         frame = bytes([0x01]) + (32).to_bytes(4, "big") + b"\x00" * 31
-        with pytest.raises(MalformedMessage):
+        with pytest.raises(MalformedMessage) as info:
             decode_message(frame)
+        assert str(info.value) == "body length 31 does not match header 32"
 
     def test_trailing_payload_bytes_rejected(self):
         payload = PairingPayload("x", 8, 1)
-        with pytest.raises(MalformedMessage):
+        with pytest.raises(MalformedMessage) as info:
             decode_payload(encode_payload(payload, 8) + b"\x00", 8)
+        assert str(info.value) == "1 trailing octets after payload fields"
 
     def test_non_minimal_share_rejected(self):
         payload = PairingPayload("x", 8, 1)
@@ -232,8 +235,9 @@ class TestWireFormat:
         # widen the share field 0x08 -> 0x00 0x08
         assert raw[3:6] == b"\x00\x01\x08"
         raw[3:6] = b"\x00\x02\x00\x08"
-        with pytest.raises(MalformedMessage):
+        with pytest.raises(MalformedMessage) as info:
             decode_payload(bytes(raw), 8)
+        assert str(info.value) == "public share is not a minimal big-endian integer"
         # one 0x00 octet is the minimal encoding of the share 0
         raw[3:7] = b"\x00\x01\x00"
         assert decode_payload(bytes(raw), 8).public_share == 0
@@ -310,6 +314,17 @@ class TestWireFormat:
         with pytest.raises(MalformedMessage) as info:
             decode(data)
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("field", range(3), ids=["identity", "share", "nonce"])
+    def test_each_field_cut_names_its_fault(self, field):
+        raw = encode_payload(PairingPayload("x", 8, 1), 8)
+        assert raw == b"\x00\x01x" b"\x00\x01\x08" b"\x00\x01\x01"
+        start = 3 * field  # where this field's length prefix begins
+        for cut, text in ((start, "truncated field length"), (start + 1, "truncated field length"),
+                          (start + 2, "field data runs past end of body")):
+            with pytest.raises(MalformedMessage) as info:
+                decode_payload(raw[:cut], 8)
+            assert str(info.value) == text, cut
 
     def test_bad_utf8_identity_rejected(self):
         raw = b"\x00\x02\xff\xfe" + b"\x00\x01\x08" + b"\x00\x01\x01"
@@ -495,16 +510,18 @@ class TestAttacksAtOpLevel:
         a, frame1 = started_initiator(test_params)
         b = Peer(Role.RESPONDER, other, "bob", 20, random.Random(2))
         (frame2,) = b.receive(frame1)
-        with pytest.raises(MalformedMessage):
+        with pytest.raises(MalformedMessage) as info:
             a.receive(frame2)
+        assert str(info.value) == "parameter set mismatch: peer 0xc74f6b20, ours 0xc4ad08ab"
         assert a.phase is Phase.ABORTED
 
     def test_k_mismatch_aborts(self, test_params):
         a, frame1 = started_initiator(test_params)
         b = Peer(Role.RESPONDER, test_params, "bob", 16, random.Random(2))
         (frame2,) = b.receive(frame1)
-        with pytest.raises(MalformedMessage):
+        with pytest.raises(MalformedMessage) as info:
             a.receive(frame2)
+        assert str(info.value) == "k mismatch: peer 16, ours 20"
         assert a.phase is Phase.ABORTED
 
     def test_decommit_for_different_message_fails_open(self, test_params, monkeypatch):
@@ -670,8 +687,9 @@ class TestPeer:
     def test_receive_before_start_is_wrong_phase(self, test_params):
         _, _, _, frame2, _ = honest_exchange(test_params)
         a = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
-        with pytest.raises(WrongPhase):
+        with pytest.raises(WrongPhase) as info:
             a.receive(frame2)
+        assert str(info.value) == "initiator received a frame in phase CREATED"
         assert a.phase_log == [Phase.CREATED, Phase.ABORTED]
 
     def test_start_twice_is_wrong_phase(self, test_params):
