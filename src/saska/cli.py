@@ -25,12 +25,11 @@ from .errors import (
     MalformedMessage,
     OpenFailed,
     PairingError,
-    ParameterError,
     SubgroupCheckFailed,
     Timeout,
     WrongPhase,
 )
-from .group import DEFAULT_PARAM_SET, PARAM_SETS, DhParams, load_params_file
+from .group import DEFAULT_PARAM_SET, PARAM_SETS
 from .protocol import (
     DEFAULT_K,
     MAX_K,
@@ -49,15 +48,6 @@ EXIT_REJECTED = 4
 EXIT_TIMEOUT = 5
 
 DEFAULT_TIMEOUT = 30.0  # seconds per awaited message (--timeout)
-
-
-def _resolve_params(spec: str) -> DhParams:
-    """--params, a built-in set name or a parameter file path, alone picks the group."""
-    if spec in PARAM_SETS:
-        return PARAM_SETS[spec]
-    if os.path.exists(spec):
-        return load_params_file(spec)
-    raise ValueError(f"--params {spec!r} is neither a known set {sorted(PARAM_SETS)} nor a file")
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -93,8 +83,8 @@ def _peer_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, metavar="LABEL", help="identity shown to the peer")
     p.add_argument("--k", type=int, default=DEFAULT_K, metavar="BITS",
                    help="authentication string length in bits (default %(default)s)")
-    p.add_argument("--params", metavar="NAME|FILE", default=DEFAULT_PARAM_SET,
-                   help="parameter set name or file (default %(default)s)")
+    p.add_argument("--params", choices=sorted(PARAM_SETS), metavar="NAME", default=DEFAULT_PARAM_SET,
+                   help=f"named group: {', '.join(sorted(PARAM_SETS))} (default %(default)s)")
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, metavar="SECONDS",
                    help="per-message wait (default %(default)s)")
     return p
@@ -118,8 +108,8 @@ def _sim_parser() -> argparse.ArgumentParser:
                    help="attacker guess rule (default: fixed for --exhaustive, uniform otherwise)")
     p.add_argument("--guess-value", type=int, default=0, metavar="N",
                    help="the guess used by the fixed rule")
-    p.add_argument("--params", metavar="NAME|FILE", default=DEFAULT_PARAM_SET,
-                   help="parameter set name or file (default %(default)s)")
+    p.add_argument("--params", choices=sorted(PARAM_SETS), metavar="NAME", default=DEFAULT_PARAM_SET,
+                   help=f"named group: {', '.join(sorted(PARAM_SETS))} (default %(default)s)")
     return p
 
 
@@ -219,13 +209,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _sim_parser() if sim else _peer_parser()
     args = parser.parse_args(argv[1:] if sim else argv)
     # argument errors exit 2 through argparse, before any network I/O
+    args.params = PARAM_SETS[args.params]
     try:
-        args.params = _resolve_params(args.params)
         if not 1 <= args.k <= MAX_K:
             raise ValueError(f"--k must be in [1, {MAX_K}], got {args.k}")
         if not sim:
             _check_peer_args(args)
-    except (ValueError, ParameterError, OSError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     return run_sim(args) if sim else run_peer(args)
 

@@ -2,24 +2,8 @@
 
 
 class PairingError(Exception):
-    """Base of the faults a pairing can meet (group parameters, messages,
-    transport, entropy); a bad argument raises ValueError instead."""
-
-
-class ParameterError(PairingError):
-    """A proposed (p, q, g) triple does not define a prime-order subgroup."""
-
-
-class NotPrime(ParameterError):
-    """p or q failed the primality test."""
-
-
-class OrderMismatch(ParameterError):
-    """q does not divide p - 1."""
-
-
-class BadGenerator(ParameterError):
-    """g does not generate the order-q subgroup."""
+    """Base of the faults a pairing can meet (shares, messages, transport,
+    entropy); a bad argument raises ValueError instead."""
 
 
 class SubgroupCheckFailed(PairingError):

@@ -1,22 +1,20 @@
 """Modular arithmetic over a prime-order subgroup and Diffie-Hellman shares.
 
 All group elements live in the order-q subgroup of the multiplicative group
-mod p, where p and q are prime and q | p - 1.  Parameters are static,
-publicly known configuration: both peers load the same named set (or the
-same parameter file) out of band.
+mod p, where p = 2q + 1 is a safe prime.  Parameters are static, publicly
+known configuration: both peers name the same built-in set out of band, and
+no other group is accepted.
 
-Safe-prime groups (p = 2q + 1) take two shortcuts.  Once p exceeds 2^31,
-subgroup membership is a Jacobi-symbol test: by Euler's criterion,
-y^q = 1 mod p exactly when y is a quadratic residue mod p.  Private
-exponents are capped at N bits once q exceeds 2^N, with N = max(256, 2s)
-for the security strength s of the group size (NIST SP 800-56A Rev. 3,
-section 5.6.1.1.4 and Appendix D; RFC 3526, section 8).  Other groups
-keep the pow test and full-range exponents.
+Once p exceeds 2^31, subgroup membership is a Jacobi-symbol test: by
+Euler's criterion, y^q = 1 mod p exactly when y is a quadratic residue mod
+p.  Private exponents are capped at 256 bits once q exceeds 2^256, which
+means modp2048 (NIST SP 800-56A Rev. 3, section 5.6.1.1.4; RFC 3526,
+section 8).
 
 A peer checks each share it receives, and derive_key checks the same share
 again.  Once p exceeds 2^31, the repeated check is answered from a small
-bounded per-process store of membership verdicts, Jacobi or pow, keyed on
-the group and the value; it holds only public shares and their verdicts.
+bounded per-process store of Jacobi verdicts, keyed on the group and the
+value; it holds only public shares and their verdicts.
 in_subgroup records each verdict it computes, and pub_share records each
 g^x it makes from the table as a member when g passes the test.  That is
 exact: (y/p) and y^q mod p are multiplicative in y, so every power of such
@@ -45,28 +43,10 @@ import hashlib
 import random
 from collections import OrderedDict, namedtuple
 
-from .errors import (
-    BadGenerator,
-    MalformedMessage,
-    NotPrime,
-    OrderMismatch,
-    RngFailure,
-    SubgroupCheckFailed,
-)
+from .errors import MalformedMessage, RngFailure, SubgroupCheckFailed
 
-PRIMALITY_ROUNDS = 64
+_EXPONENT_BITS = 256  # the short exponent cap
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-# SP 800-56A Rev. 3 Appendix D: security strength s of the safe-prime groups
-# by bit length of p.  A p between two sizes takes the strength of the
-# larger one; beyond the table there is no rated strength and exponents
-# stay full range.
-_SAFE_PRIME_STRENGTH = ((2048, 112), (3072, 128), (4096, 152), (6144, 176), (8192, 200))
-_MIN_EXPONENT_BITS = 256
-_MAX_P_BITS = _SAFE_PRIME_STRENGTH[-1][0]  # Miller-Rabin on a larger p takes minutes
-_MAX_P_DIGITS = 2467  # len(str(1 << _MAX_P_BITS)), the widest parameter file line
-_MAX_FILE_CHARS = 1 << 16  # the most of a parameter file read, so an endless one (/dev/zero) ends
 # Groups with p <= 2^31 skip the Jacobi test, the verdict store and the
 # fixed-base table, because below about 2^31 a single pow is cheaper
 # (measured with CPython 3.11).  Subgroup test: pow(y, q, p) takes 0.2 us
@@ -78,39 +58,31 @@ _MAX_FILE_CHARS = 1 << 16  # the most of a parameter file read, so an endless on
 _SMALL_P_MAX = 1 << 31
 
 
-def _safe_prime_exponent_limit(p: int, q: int) -> int:
-    """Exclusive upper end of the private exponent range for p = 2q + 1."""
-    strength = next((s for bits, s in _SAFE_PRIME_STRENGTH if p.bit_length() <= bits), None)
-    if strength is None:
-        return q
-    return min(q, 1 << max(_MIN_EXPONENT_BITS, 2 * strength))
-
-
 @functools.lru_cache(maxsize=None)
-def _derived(params: DhParams) -> tuple[bool, int, int, bool]:
-    """(safe_prime, exponent_limit, set_id, whether pub_share records its
-    shares as members: p > 2^31 and g passes the membership test) of a
-    group triple."""
+def _derived(params: DhParams) -> tuple[int, int, bool]:
+    """(exponent_limit, set_id, whether pub_share records its shares as
+    members: p > 2^31 and g passes the membership test) of a group triple."""
     p, q, g = params
-    safe = p == 2 * q + 1
+    if p != 2 * q + 1:
+        raise ValueError(f"p of {p.bit_length()} bits is not 2q + 1: only safe-prime groups are supported")
     digest = hashlib.sha256(b"".join(_field(int_to_octets(n)) for n in params)).digest()
-    return (safe, _safe_prime_exponent_limit(p, q) if safe else q,
-            int.from_bytes(digest[:4], "big"), p > _SMALL_P_MAX and _member_test(p, q, safe, g))
+    return (min(q, 1 << _EXPONENT_BITS), int.from_bytes(digest[:4], "big"),
+            p > _SMALL_P_MAX and jacobi(g, p) == 1)
 
 
 class DhParams(namedtuple("DhParams", "p q g")):
-    """Public group triple (p, q, g).  Construct via validate_params().
+    """Public triple (p, q, g) of a safe-prime group, p = 2q + 1; the
+    package uses only PARAM_SETS.
 
-    safe_prime (p == 2q + 1), exponent_limit and set_id, the 32-bit wire
-    id that detects mismatched sets, are derived from the triple, once per
-    triple and process; they are read-only and take no part in equality,
-    hashing, repr or copying.
+    exponent_limit and set_id, the 32-bit wire id that detects mismatched
+    sets, are derived from the triple, once per triple and process; reading
+    either refuses a triple with p != 2q + 1 (ValueError).  They are
+    read-only and take no part in equality, hashing, repr or copying.
     """
 
     __slots__ = ()
-    safe_prime = property(lambda self: _derived(self)[0])
-    exponent_limit = property(lambda self: _derived(self)[1])
-    set_id = property(lambda self: _derived(self)[2])
+    exponent_limit = property(lambda self: _derived(self)[0])
+    set_id = property(lambda self: _derived(self)[1])
 
 
 def int_to_octets(n: int) -> bytes:
@@ -123,67 +95,6 @@ def _field(data: bytes) -> bytes:
     if len(data) > 0xFFFF:
         raise MalformedMessage(f"field of {len(data)} octets exceeds 65535")
     return len(data).to_bytes(2, "big") + data
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with PRIMALITY_ROUNDS random bases; error probability
-    <= 4**-PRIMALITY_ROUNDS."""
-    if n < 2:
-        return False
-    for sp in _SMALL_PRIMES:
-        if n == sp:
-            return True
-        if n % sp == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    rng = random.SystemRandom()
-    for _ in range(PRIMALITY_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def validate_params(p: int, q: int, g: int) -> DhParams:
-    """Check the subgroup structure and return a validated parameter triple.
-
-    Raises NotPrime, OrderMismatch, or BadGenerator when (p, q, g) does not
-    describe a generator of the order-q subgroup of Z_p*.
-    """
-    if p <= 0 or q <= 0 or g <= 0:
-        raise ValueError("p, q, g must be positive integers")
-    if max(p, q).bit_length() > _MAX_P_BITS:
-        raise ValueError(f"p and q must have at most {_MAX_P_BITS} bits")
-    # Pocklington's test for a safe prime p = 2q + 1: once q is prime and
-    # q^2 > p (any q >= 3), p is prime iff 2^(p-1) = 1 mod p and
-    # gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1.  One pow replaces the 64
-    # Miller-Rabin rounds on p.
-    pocklington = p == 2 * q + 1 and q > 2
-    if not pocklington and not is_probable_prime(p):
-        raise NotPrime(f"p of {p.bit_length()} bits failed the primality test")
-    if not is_probable_prime(q):
-        raise NotPrime(f"q of {q.bit_length()} bits failed the primality test")
-    if pocklington and (pow(2, p - 1, p) != 1 or p % 3 == 0):
-        raise NotPrime(f"p of {p.bit_length()} bits failed the primality test")
-    if (p - 1) % q != 0:
-        raise OrderMismatch(
-            f"q of {q.bit_length()} bits does not divide p - 1 (p of {p.bit_length()} bits)")
-    if not 1 < g < p:
-        raise BadGenerator(f"g of {g.bit_length()} bits: generator must lie in (1, p)")
-    if pow(g, q, p) != 1:
-        raise BadGenerator(f"g of {g.bit_length()} bits: g^q mod p != 1, not in the order-q subgroup")
-    return DhParams(p, q, g)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -205,11 +116,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _member_test(p: int, q: int, safe: bool, value: int) -> bool:
-    """value^q = 1 mod p; by Euler's criterion, (value/p) = 1 if p = 2q + 1."""
-    return jacobi(value, p) == 1 if safe else pow(value, q, p) == 1
-
-
 def in_subgroup(params: DhParams, value: int) -> bool:
     """Membership test for the order-q subgroup, excluding the identity."""
     if not 1 < value < params.p:
@@ -218,7 +124,7 @@ def in_subgroup(params: DhParams, value: int) -> bool:
         return pow(value, params.q, params.p) == 1
     verdict = _verdicts.get((params, value))
     if verdict is None:
-        verdict = _member_test(params.p, params.q, params.safe_prime, value)
+        verdict = jacobi(value, params.p) == 1
         _record_verdict(params, value, verdict)
     return verdict
 
@@ -243,8 +149,8 @@ def _record_verdict(params: DhParams, value: int, verdict: bool) -> None:
 def gen_private_share(params: DhParams, rng: random.Random) -> int:
     """Draw the secret exponent x uniformly from [1, params.exponent_limit - 1].
 
-    The limit is q, except on safe-prime groups larger than the short
-    exponent cap (see the module docstring).
+    The limit is q, except on groups larger than the short exponent cap
+    (see the module docstring).
     """
     try:
         return rng.randrange(1, params.exponent_limit)
@@ -296,7 +202,7 @@ def pub_share(params: DhParams, x: int) -> int:
     for row, d in zip(rows, x.to_bytes(len(rows), "little")):
         if d:
             value = value * (row[d] or _table_entry(row, d, p)) % p
-    if _derived(params)[3]:
+    if _derived(params)[2]:
         _record_verdict(params, value, True)
     return value
 
@@ -319,7 +225,7 @@ def derive_key(params: DhParams, peer_share: int, x: int) -> int:
 # only; "p40" is a 40-decimal-digit (133-bit) safe-prime group matching the
 # scale the protocol was designed around; "modp2048" is the RFC 3526
 # group 14 prime with the order-q subgroup generated by 2 (p = 7 mod 8, so
-# 2 is a quadratic residue).  In the safe-prime sets q = (p-1)/2.
+# 2 is a quadratic residue).  In every set q = (p-1)/2.
 
 _P40 = 7005093198389998018690405618836744543707
 
@@ -343,31 +249,3 @@ PARAM_SETS: dict[str, DhParams] = {
 
 DEFAULT_PARAM_SET = "p40"
 
-
-def parse_params_text(text: str) -> DhParams:
-    """Parse and validate a parameter file: decimal p, q, g, one per line.
-
-    Blank lines and '#' comments are ignored.
-    """
-    values = []
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if len(line) > _MAX_P_DIGITS:  # checked before int() parses it
-            raise ValueError(f"a line of {len(line)} characters is too long for {_MAX_P_BITS} bits")
-        try:
-            values.append(int(line, 10))
-        except ValueError:
-            raise ValueError(f"line {number} is not a decimal integer") from None
-    if len(values) != 3:
-        raise ValueError(f"parameter file must hold exactly 3 integers (p, q, g), got {len(values)}")
-    return validate_params(*values)
-
-
-def load_params_file(path: str) -> DhParams:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        text = fh.read(_MAX_FILE_CHARS + 1)
-    if len(text) > _MAX_FILE_CHARS:
-        raise ValueError(f"parameter file is longer than {_MAX_FILE_CHARS} characters")
-    return parse_params_text(text)

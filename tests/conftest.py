@@ -1,6 +1,6 @@
 import pytest
 
-from saska.group import PARAM_SETS, validate_params
+from saska.group import PARAM_SETS
 
 
 def naive_mod_exp(base: int, exponent: int, modulus: int) -> int:
@@ -13,11 +13,9 @@ def naive_mod_exp(base: int, exponent: int, modulus: int) -> int:
 
 @pytest.fixture(scope="session")
 def test_params():
-    # runs the full validation path on the small test group
-    return validate_params(23, 11, 2)
+    return PARAM_SETS["test"]
 
 
 @pytest.fixture(scope="session")
 def p40_params():
-    p = PARAM_SETS["p40"]
-    return validate_params(p.p, p.q, p.g)
+    return PARAM_SETS["p40"]

@@ -46,7 +46,7 @@ TIMEOUT_S = 600
 HAND_MUTANTS = [
     ("group.py", "if not 1 < value < params.p:", "if not 0 < value < params.p:",
      "the identity element passes the subgroup check"),
-    ("group.py", "p > _SMALL_P_MAX and _member_test(p, q, safe, g)", "p > _SMALL_P_MAX",
+    ("group.py", "p > _SMALL_P_MAX and jacobi(g, p) == 1", "p > _SMALL_P_MAX",
      "a share made from a generator outside the subgroup is recorded as a member"),
     ("protocol.py",
      """        if not user_accepts:

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from saska import adversary, cli, group, protocol
+from saska import adversary, cli, protocol
 from saska.cli import EXIT_REJECTED, EXIT_TAMPER, EXIT_TIMEOUT, EXIT_TRANSPORT, main
 from saska.errors import Timeout
-from saska.group import DhParams, PARAM_SETS
+from saska.group import PARAM_SETS
 from saska.protocol import Peer, Role, format_sas
 from saska.transport import StreamListener, connect_stream
 
@@ -45,22 +45,16 @@ class CliThread(threading.Thread):
         self.exit_code = main(self.argv)
 
 
-class TestResolveParams:
-    def test_named_set(self):
-        assert cli._resolve_params("test") == PARAM_SETS["test"]
+class TestParamsOption:
+    def test_named_sets(self):
+        for name in PARAM_SETS:
+            peer = cli._peer_parser().parse_args(["--listen", "0", "--id", "a", "--params", name])
+            sim = cli._sim_parser().parse_args(["--strategy", "honest", "--params", name])
+            assert peer.params == sim.params == name
 
     def test_default(self):
         assert cli._peer_parser().parse_args(["--listen", "0", "--id", "a"]).params == "p40"
         assert cli._sim_parser().parse_args(["--strategy", "honest"]).params == "p40"
-
-    def test_file(self, tmp_path):
-        path = tmp_path / "g.params"
-        path.write_text("23\n11\n2\n")
-        assert cli._resolve_params(str(path)) == DhParams(23, 11, 2)
-
-    def test_garbage(self):
-        with pytest.raises(ValueError):
-            cli._resolve_params("no-such-set-or-file")
 
     def test_environment_does_not_pick_the_group(self, tmp_path):
         path = tmp_path / "bad.params"
@@ -90,11 +84,17 @@ def run_cli(args, **env_overrides):
                           capture_output=True, text=True, timeout=30, stdin=subprocess.DEVNULL)
 
 
+# stands for the path of a valid test-group parameter file, which --params refuses
+PARAMS_FILE = "<test.params>"
+
+
 class TestArgumentErrors:
     """A bad argument is a usage error: exit 2, one error line, no traceback."""
 
     @pytest.mark.parametrize("args", [
         ["--listen", "0", "--id", "a", "--params", "nosuch"],
+        ["--listen", "0", "--id", "a", "--params", PARAMS_FILE],
+        ["sim", "--strategy", "honest", "--params", PARAMS_FILE],
         ["--connect", "127.0.0.1:notaport", "--id", "b"],
         ["--connect", "127.0.0.1", "--id", "b"],
         ["--connect", "127.0.0.1:0", "--id", "b"],
@@ -112,101 +112,15 @@ class TestArgumentErrors:
         ["--connect", "127.0.0.1:9", "--id", "b", "--timeout", "1e300"],
         ["--listen", "0", "--id", "a" * 65],
     ])
-    def test_usage_error(self, args):
-        proc = run_cli(args)
+    def test_usage_error(self, args, tmp_path):
+        path = tmp_path / "test.params"
+        path.write_text("23\n11\n2\n")
+        proc = run_cli([str(path) if arg == PARAMS_FILE else arg for arg in args])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("usage: ")
         assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
         assert proc.stdout == ""
-
-    def test_invalid_params_file(self, tmp_path):
-        path = tmp_path / "bad.params"
-        path.write_text("29\n7\n5\n")  # 5 is not in the order-7 subgroup
-        proc = run_cli(["--listen", "0", "--id", "a", "--params", str(path)])
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "g of 3 bits: g^q mod p != 1" in proc.stderr
-
-    @pytest.mark.parametrize("mode", [["--listen", "0", "--id", "a"], ["sim", "--strategy", "honest"]],
-                             ids=["peer", "sim"])
-    @pytest.mark.parametrize("p_line", [str(53 ** 2095), "9" * 4400],
-                             ids=["12000-bit-composite", "4400-digit-line"])
-    def test_oversize_params_file_refused_before_primality(self, tmp_path, monkeypatch, capsys,
-                                                            mode, p_line):
-        """A p above 8,192 bits is a short usage error before any
-        Miller-Rabin round: 53^2095 is an odd 12,000-bit composite with no
-        factor up to 47, and 4,400 digits exceed Python's int() limit."""
-        path = tmp_path / "big.params"
-        path.write_text(f"{p_line}\n11\n2\n")
-        calls = []
-        monkeypatch.setattr(group, "is_probable_prime", calls.append)
-        with pytest.raises(SystemExit) as excinfo:
-            main([*mode, "--params", str(path)])
-        assert excinfo.value.code == 2
-        assert calls == []
-        out, err = capsys.readouterr()
-        assert out == ""
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and len(errors[0]) < 200
-
-    def test_params_file_past_the_length_limit_refused_unparsed(self, tmp_path, monkeypatch, capsys):
-        """A valid test-group file padded past 65,536 characters with
-        comment lines is refused before it is parsed or validated."""
-        text = "23\n11\n2\n" + ("#" * 63 + "\n") * 1024
-        assert group.parse_params_text(text) == DhParams(23, 11, 2)
-        path = tmp_path / "long.params"
-        path.write_text(text)
-        calls = []
-        monkeypatch.setattr(group, "is_probable_prime", calls.append)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--listen", "0", "--id", "a", "--params", str(path)])
-        assert excinfo.value.code == 2
-        assert calls == []
-        out, err = capsys.readouterr()
-        assert out == ""
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and len(errors[0]) < 200, errors
-
-    @pytest.mark.parametrize("text", [
-        pytest.param(f"{3 ** 5000}\n11\n2\n", id="p-not-prime"),
-        pytest.param(f"{2 ** 1279 - 1}\n5\n2\n", id="q-does-not-divide-p-1"),
-        pytest.param(f"23\n11\n{10 ** 2000}\n", id="g-out-of-range"),
-        pytest.param("23\n" + "9" * 2000 + "x\n2\n", id="non-integer-line"),
-    ])
-    def test_rejected_params_file_is_one_short_line(self, tmp_path, capsys, text):
-        """An error names the field and its bit length, or the line number,
-        and never echoes a number or a line of the file."""
-        path = tmp_path / "bad.params"
-        path.write_text(text)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--listen", "0", "--id", "a", "--params", str(path)])
-        assert excinfo.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and len(errors[0]) < 200, errors
-
-    @pytest.mark.parametrize("mode", [["--listen", "0", "--id", "a"], ["sim", "--strategy", "honest"]],
-                             ids=["peer", "sim"])
-    @pytest.mark.parametrize("data,message", [
-        (b"23\xff\n11\n2\n", "line 1 is not a decimal integer"),
-        # a comment is ignored whatever its octets, so the next check speaks
-        (b"# Gr\xfc\xdfe\n23\n11\n2\n", "--k must be in [1, 64], got 0"),
-    ], ids=["octet-in-number", "octet-in-comment"])
-    def test_non_utf8_params_file(self, tmp_path, capsys, mode, data, message):
-        """A file that is not UTF-8 gets the same one-line errors as any
-        other: no codec message, which would quote the octet."""
-        path = tmp_path / "latin1.params"
-        path.write_bytes(data)
-        with pytest.raises(SystemExit) as excinfo:
-            main([*mode, "--k", "0", "--params", str(path)])
-        assert excinfo.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert errors == [f"{'saska sim' if mode[0] == 'sim' else 'saska'}: error: {message}"]
-        assert "0x" not in err
 
     @pytest.mark.parametrize("args", [
         ["--listen", "65535"],

@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 
 from saska import group, protocol
 from saska.adversary import AttackStrategy, StrategyKind, run_mitm_trial
-from saska.errors import (
-    BadGenerator,
-    MalformedMessage,
-    NotPrime,
-    OrderMismatch,
-    RngFailure,
-    SubgroupCheckFailed,
-)
+from saska.errors import MalformedMessage, RngFailure, SubgroupCheckFailed
 from saska.group import (
     PARAM_SETS,
     DhParams,
@@ -28,80 +21,11 @@ from saska.group import (
     gen_private_share,
     in_subgroup,
     int_to_octets,
-    is_probable_prime,
     jacobi,
-    load_params_file,
-    parse_params_text,
     pub_share,
-    validate_params,
 )
 
 from conftest import naive_mod_exp
-
-
-class TestValidateParams:
-    def test_small_group_is_valid(self):
-        params = validate_params(23, 11, 2)
-        # oracle: 2^11 mod 23 = 1 and 2 != 1
-        assert naive_mod_exp(2, 11, 23) == 1
-        assert params == DhParams(23, 11, 2)
-
-    def test_identity_generator_rejected(self):
-        with pytest.raises(BadGenerator):
-            validate_params(23, 11, 1)
-
-    def test_generator_outside_subgroup_rejected(self):
-        # oracle: 5^11 mod 23 = 22 != 1
-        assert naive_mod_exp(5, 11, 23) == 22
-        with pytest.raises(BadGenerator):
-            validate_params(23, 11, 5)
-
-    def test_composite_p_rejected(self):
-        with pytest.raises(NotPrime):
-            validate_params(25, 11, 2)
-        # 3233 = 53 * 61 passes trial division; 101 is prime and divides 3232,
-        # so only the Miller-Rabin witness loop stops this triple
-        with pytest.raises(NotPrime):
-            validate_params(3233, 101, 2)
-
-    def test_composite_q_rejected(self):
-        with pytest.raises(NotPrime):
-            validate_params(23, 10, 2)
-
-    def test_composite_safe_prime_shape_rejected(self):
-        # 4307 = 59 * 73 = 2 * 2153 + 1 with 2153 prime: no factor up to 47,
-        # so only Pocklington's 2^(p-1) = 1 mod p stops this triple
-        assert is_probable_prime(2153) and pow(2, 4306, 4307) == 454
-        with pytest.raises(NotPrime, match="^p of 13 bits failed the primality test$"):
-            validate_params(4307, 2153, 4)
-
-    def test_pocklington_agrees_with_miller_rabin(self):
-        # every p = 2q + 1 with q an odd prime below 3,000; g = 4 = 2^2 is
-        # in the order-q subgroup whenever p is prime
-        for q in filter(is_probable_prime, range(3, 3000)):
-            p = 2 * q + 1
-            try:
-                accepted = validate_params(p, q, 4) == DhParams(p, q, 4)
-            except NotPrime:
-                accepted = False
-            assert accepted == is_probable_prime(p), p
-
-    def test_order_mismatch_rejected(self):
-        # 7 is prime but does not divide 22
-        with pytest.raises(OrderMismatch):
-            validate_params(23, 7, 2)
-
-    def test_generator_out_of_range_rejected(self):
-        # g = p is refused by the range check, not by g^q mod p != 1 next
-        for g in (23, 24):
-            with pytest.raises(BadGenerator, match=r"^g of 5 bits: generator must lie in \(1, p\)$"):
-                validate_params(23, 11, g)
-
-    def test_nonpositive_inputs_rejected(self):
-        # q = 0 and g = 0 are refused here, not by the primality or range checks next
-        for p, q, g in [(0, 11, 2), (23, 0, 2), (23, 11, 0)]:
-            with pytest.raises(ValueError, match="^p, q, g must be positive integers$"):
-                validate_params(p, q, g)
 
 
 class TestModExp:
@@ -166,23 +90,12 @@ class TestPrivateShare:
         assert all(1 <= x < 2**256 for x in draws)
         assert max(draws).bit_length() == 256
 
-    @pytest.mark.parametrize(
-        "p_bits,n_bits",
-        [(2048, 256), (2560, 256), (3072, 256), (4096, 304), (6144, 352), (8192, 400)],
-    )
-    def test_exponent_cap_follows_strength_table(self, p_bits, n_bits):
-        # only the shape p = 2q + 1 and the size of p matter to the cap
-        params = DhParams(p=2**p_bits - 1, q=2 ** (p_bits - 1) - 1, g=4)
-        assert params.safe_prime
-        assert params.exponent_limit == 2**n_bits
-
-    def test_no_cap_beyond_table_or_without_safe_prime(self):
-        huge = DhParams(p=2**8200 - 1, q=2**8199 - 1, g=4)
-        assert huge.exponent_limit == huge.q
-        q = PARAM_SETS["modp2048"].q
-        schnorr_shape = DhParams(p=4 * q + 1, q=q, g=4)
-        assert not schnorr_shape.safe_prime
-        assert schnorr_shape.exponent_limit == q
+    @pytest.mark.parametrize("q_bits", [256, 257, 2047, 8191])
+    def test_exponent_cap_is_256_bits(self, q_bits):
+        # only the size of q matters to the cap: min(q, 2^256)
+        q = 2**q_bits - 1
+        params = DhParams(p=2 * q + 1, q=q, g=4)
+        assert params.exponent_limit == min(q, 2**256)
 
 
 class TestPubShare:
@@ -241,55 +154,106 @@ class TestDeriveKey:
                 assert ka == naive_mod_exp(naive_mod_exp(2, a, 23), b, 23)
 
 
-class TestPrimality:
+# Safe-prime groups at 2^31, where the Jacobi test and the fixed-base table
+# take over from pow: SAFE32 is the smallest safe prime above 2^31, and
+# SAFE31 the largest below, which keeps pow.
+SAFE32 = DhParams(2147483783, 1073741891, 4)
+SAFE31 = DhParams(2147483579, 1073741789, 4)
+GROUPS = {**PARAM_SETS, "safe32": SAFE32, "safe31": SAFE31}
+
+
+PRIMALITY_ROUNDS = 64
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with PRIMALITY_ROUNDS random bases, the reference for
+    q; error probability <= 4**-PRIMALITY_ROUNDS."""
+    if n < 2:
+        return False
+    for sp in SMALL_PRIMES:
+        if n == sp:
+            return True
+        if n % sp == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    rng = random.SystemRandom()
+    for _ in range(PRIMALITY_ROUNDS):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def pocklington(p: int, q: int) -> bool:
+    """Whether p = 2q + 1 is prime, for a prime q > 2, the reference for p.
+    Pocklington's test: as q^2 > p, p is prime iff 2^(p-1) = 1 mod p and
+    gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1."""
+    return p == 2 * q + 1 and q > 2 and pow(2, p - 1, p) == 1 and p % 3 != 0
+
+
+def check_safe_prime_group(params):
+    """p = 2q + 1 with q and p prime, and g a member of the order-q subgroup."""
+    p, q, g = params
+    assert p == 2 * q + 1
+    assert is_probable_prime(q)
+    assert pocklington(p, q)
+    assert 1 < g < p and pow(g, q, p) == 1
+
+
+class TestReferencePrimality:
+    """The test-side primality references reject what they must."""
+
     def test_small_cases(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
         for n in range(0, 25):
             assert is_probable_prime(n) == (n in primes)
 
-    def test_carmichael_number_rejected(self):
-        assert not is_probable_prime(561)
-        assert not is_probable_prime(41041)
-        # 211 * 421 * 631: no factor up to 47, so trial division passes it
-        assert not is_probable_prime(56052361)
-
-    @pytest.mark.parametrize("n", [3233, 3215031751])
-    def test_composite_without_small_factor_rejected(self, n):
-        # 53 * 61, and 151 * 751 * 28351, a strong pseudoprime to bases
-        # 2, 3, 5 and 7; each of 64 random bases misses with probability <= 1/4
+    @pytest.mark.parametrize("n", [561, 41041, 56052361, 3233, 3215031751])
+    def test_composite_rejected(self, n):
+        # Carmichael numbers; 211 * 421 * 631 and 53 * 61 pass trial division;
+        # 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5 and 7
         assert not is_probable_prime(n)
+
+    def test_pocklington_agrees_with_miller_rabin(self):
+        # every p = 2q + 1 with q an odd prime below 3,000; among them
+        # 4307 = 59 * 73, which no factor up to 47 divides
+        assert not pocklington(4307, 2153)
+        for q in filter(is_probable_prime, range(3, 3000)):
+            assert pocklington(2 * q + 1, q) == is_probable_prime(2 * q + 1), q
 
 
 class TestBuiltinSets:
-    def test_safe_prime_p_skips_miller_rabin(self, monkeypatch):
-        # Pocklington's test accepts each built-in p, and so does Miller-Rabin
-        real, tested = group.is_probable_prime, []
-        monkeypatch.setattr(group, "is_probable_prime", lambda n: tested.append(n) or real(n))
-        for params in PARAM_SETS.values():
-            tested.clear()
-            assert validate_params(params.p, params.q, params.g) == params
-            assert tested == [params.q]
-            assert real(params.p)
-
-    def test_test_set(self):
-        p = PARAM_SETS["test"]
-        validate_params(p.p, p.q, p.g)
-
     # the Jacobi test and short exponents rely on the safe-prime shape
-    def test_p40_set(self):
-        p = PARAM_SETS["p40"]
-        assert validate_params(p.p, p.q, p.g) == p
-        assert len(str(p.p)) == 40
-        assert p.p == 2 * p.q + 1 and p.safe_prime
+    @pytest.mark.parametrize("name", ["test", "p40", "modp2048", "safe31", "safe32"])
+    def test_safe_prime_group(self, name):
+        check_safe_prime_group(GROUPS[name])
 
-    def test_modp2048_set(self):
-        p = PARAM_SETS["modp2048"]
-        validate_params(p.p, p.q, p.g)
-        assert p.p.bit_length() == 2048
-        assert p.p == 2 * p.q + 1 and p.safe_prime
+    def test_sizes(self):
+        assert len(str(PARAM_SETS["p40"].p)) == 40
+        assert PARAM_SETS["modp2048"].p.bit_length() == 2048
+
+    def test_only_safe_prime_groups_accepted(self):
+        # 29 = 4 * 7 + 1: a Schnorr group, where a Jacobi test would wrongly
+        # accept the quadratic residues outside the order-7 subgroup
+        schnorr = DhParams(29, 7, 16)
+        for name in ("set_id", "exponent_limit"):
+            with pytest.raises(ValueError, match="^p of 5 bits is not 2q"):
+                getattr(schnorr, name)
 
     def test_derived_fields_leave_identity_unchanged(self):
-        # safe_prime and exponent_limit stay out of equality, hashing and the wire id
+        # exponent_limit and set_id stay out of equality, hashing and the wire id
         ids = {name: params.set_id for name, params in PARAM_SETS.items()}
         assert ids == {"test": 3299674283, "p40": 3343870752, "modp2048": 1109075298}
         assert hash(PARAM_SETS["test"]) == hash((23, 11, 2))
@@ -300,18 +264,6 @@ class TestBuiltinSets:
         assert len(set(ids.values())) == len(ids)
         assert all(0 <= v < 2**32 for v in ids.values())
         assert PARAM_SETS["test"].set_id == ids["test"]
-
-
-# 29 = 4 * 7 + 1: a Schnorr group, not a safe prime.  Its quadratic residues
-# form the order-14 subgroup, so a Jacobi test would wrongly accept half of them.
-SCHNORR = parse_params_text("29\n7\n16\n")
-# Groups just above 2^31, where the Jacobi test and the fixed-base table
-# take over from pow: the smallest safe prime there, and a Schnorr group
-# p = 4q + 1.  SAFE31 is the largest safe prime below 2^31, which keeps pow.
-SAFE32 = parse_params_text("2147483783\n1073741891\n4\n")
-SCHNORR32 = parse_params_text("2147483693\n536870923\n16\n")
-SAFE31 = parse_params_text("2147483579\n1073741789\n4\n")
-GROUPS = {**PARAM_SETS, "schnorr29": SCHNORR, "safe32": SAFE32, "schnorr32": SCHNORR32, "safe31": SAFE31}
 
 
 def reference_in_subgroup(params, value):
@@ -339,7 +291,7 @@ class TestInSubgroup:
         for value in (2, g, p - 2, p - g, g * g % p):
             assert in_subgroup(params, value) == reference_in_subgroup(params, value)
 
-    @pytest.mark.parametrize("name", ["test", "p40", "schnorr29", "safe32", "schnorr32"])
+    @pytest.mark.parametrize("name", ["test", "p40", "safe32"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_pow_reference(self, name, data):
@@ -368,18 +320,6 @@ class TestInSubgroup:
                     assert jacobi(a, r1 * r2) == legendre(a, r1) * legendre(a, r2)
         with pytest.raises(ValueError):
             jacobi(3, 10)
-
-    def test_schnorr_group_keeps_pow_test(self):
-        assert not SCHNORR.safe_prime
-        members = {pow(16, x, 29) for x in range(1, 7)}
-        assert {y for y in range(29) if in_subgroup(SCHNORR, y)} == members
-
-    def test_schnorr_group_draws_full_range(self):
-        assert SCHNORR.exponent_limit == SCHNORR.q
-        for seed in range(50):
-            expected = random.Random(seed).randrange(1, SCHNORR.q)
-            assert gen_private_share(SCHNORR, random.Random(seed)) == expected
-
 
 class TestVerdictCache:
     """Above 2^31 each (group, share) verdict is computed at most once per
@@ -453,7 +393,7 @@ class TestVerdictCache:
         share = pub_share(p40, 3)
         assert dict(group._verdicts) == {(p40, share): True}
 
-    @pytest.mark.parametrize("first, second", [("p40", "modp2048"), ("safe32", "schnorr32")])
+    @pytest.mark.parametrize("first, second", [("p40", "modp2048"), ("safe32", "p40")])
     def test_verdict_belongs_to_its_group(self, first, second):
         expected = {name: {v: reference_in_subgroup(GROUPS[name], v) for v in range(2, 30)}
                     for name in (first, second)}
@@ -520,57 +460,6 @@ class TestShareVerdict:
         self.check(PARAM_SETS["modp2048"], data)
 
 
-class TestParamsFile:
-    def test_parse_with_comments(self):
-        text = "# test group\n23\n11  # order\n\n2\n"
-        assert parse_params_text(text) == DhParams(23, 11, 2)
-
-    def test_wrong_count(self):
-        with pytest.raises(ValueError):
-            parse_params_text("23\n11\n")
-
-    def test_non_integer(self):
-        with pytest.raises(ValueError):
-            parse_params_text("23\neleven\n2\n")
-
-    def test_invalid_group_fails_validation(self):
-        with pytest.raises(BadGenerator):
-            parse_params_text("23\n11\n5\n")
-
-    def test_size_bound_checked_before_primality(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(group, "is_probable_prime", calls.append)
-        for p, q in (((1 << 8192) + 1, 11), (23, (1 << 8192) + 1)):
-            with pytest.raises(ValueError, match="at most 8192 bits"):
-                validate_params(p, q, 2)
-        assert calls == []
-        # an 8,192-bit p passes the bound and reaches the primality test
-        with pytest.raises(NotPrime):
-            validate_params((1 << 8192) - 1, 11, 2)
-        assert calls == [(1 << 8192) - 1]
-
-    def test_line_wider_than_the_bound_refused(self):
-        # 2^8192 has 2,467 decimal digits: a padded p of that width parses
-        padded = "0" * 2465 + "23"
-        assert parse_params_text(f"{padded}\n11\n2\n") == DhParams(23, 11, 2)
-        with pytest.raises(ValueError, match="a line of 2468 characters"):
-            parse_params_text(f"0{padded}\n11\n2\n")
-
-    def test_load_file(self, tmp_path):
-        path = tmp_path / "group.params"
-        path.write_text("23\n11\n2\n")
-        assert load_params_file(str(path)) == DhParams(23, 11, 2)
-
-    def test_file_longer_than_the_limit_refused(self, tmp_path):
-        path = tmp_path / "group.params"
-        text = "23\n11\n2\n"
-        path.write_text(text + "#" * (group._MAX_FILE_CHARS - len(text)))
-        assert load_params_file(str(path)) == DhParams(23, 11, 2)
-        path.write_text(text + "#" * (group._MAX_FILE_CHARS + 1 - len(text)))
-        with pytest.raises(ValueError, match="^parameter file is longer than 65536 characters$"):
-            load_params_file(str(path))
-
-
 def test_int_to_octets_minimal():
     assert int_to_octets(0) == b"\x00"
     assert int_to_octets(1) == b"\x01"
@@ -614,7 +503,7 @@ class TestPubShareReference:
         for x in edge_exponents(params):
             assert pub_share(params, x) == pow(params.g, x, params.p), x
 
-    @pytest.mark.parametrize("name", ["test", "p40", "schnorr29", "safe32", "schnorr32", "safe31"])
+    @pytest.mark.parametrize("name", ["test", "p40", "safe32", "safe31"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_pow(self, name, data):

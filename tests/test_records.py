@@ -136,21 +136,20 @@ def test_defaults():
 
 def test_dhparams_derived_fields_outside_value():
     params = DhParams(p=23, q=11, g=2)
-    assert params.safe_prime and params.exponent_limit == 11
+    assert params.exponent_limit == 11
     assert params == DhParams(23, 11, 2)
     with pytest.raises(AttributeError):
-        params.safe_prime = False
-    assert DhParams(p=29, q=7, g=7).safe_prime is False
+        params.exponent_limit = 5
     for params in PARAM_SETS.values():
-        derived = (params.safe_prime, params.exponent_limit, params.set_id)
-        for name, value in zip(("safe_prime", "exponent_limit", "set_id"), derived):
+        derived = (params.exponent_limit, params.set_id)
+        for name, value in zip(("exponent_limit", "set_id"), derived):
             with pytest.raises(AttributeError):
                 setattr(params, name, value)
             with pytest.raises(AttributeError):
                 delattr(params, name)
-        assert (params.safe_prime, params.exponent_limit, params.set_id) == derived
+        assert (params.exponent_limit, params.set_id) == derived
         for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
-            assert (twin.safe_prime, twin.exponent_limit, twin.set_id) == derived
+            assert (twin.exponent_limit, twin.set_id) == derived
         assert repr(params) == f"DhParams(p={params.p}, q={params.q}, g={params.g})"
         # equality and hashing see the triple alone
         twin = copy.copy(params)

@@ -103,12 +103,11 @@ def system_random_uses(path: Path) -> list[str]:
     return uses
 
 
-def test_only_peer_and_primality_pick_os_entropy():
+def test_only_peer_picks_os_entropy():
     """A pairing session draws only from the generator its Peer holds, so
-    Peer.__init__ is the one place a session picks the OS generator;
-    is_probable_prime draws its own Miller-Rabin bases."""
+    Peer.__init__ is the one place the package picks the OS generator."""
     uses = sorted(use for path in SOURCES for use in system_random_uses(path))
-    assert uses == ["group.py: is_probable_prime", "protocol.py: Peer.__init__"]
+    assert uses == ["protocol.py: Peer.__init__"]
 
 
 def loaded_modules(statement: str) -> set[str]:
