@@ -1,3 +1,4 @@
+import builtins
 import io
 import math
 import os
@@ -46,11 +47,33 @@ class CliThread(threading.Thread):
 
 
 class TestParamsOption:
-    def test_named_sets(self):
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_named_sets(self, name):
+        peer = cli._peer_parser().parse_args(["--listen", "0", "--id", "a", "--params", name])
+        sim = cli._sim_parser().parse_args(["--strategy", "honest", "--params", name])
+        assert peer.params == sim.params == name
+
+    @pytest.mark.parametrize("value", ["nosuch", "TEST", "P40", "p4", "p40 ", " p40", "", "modp3072", "./test"])
+    def test_only_exact_names(self, capsys, value):
+        # no case folding, prefix matching or stripping of blanks
+        for parser, args in ((cli._peer_parser(), ["--listen", "0", "--id", "a"]),
+                             (cli._sim_parser(), ["--strategy", "honest"])):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([*args, "--params", value])
+            assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 2
+        assert all(f"error: argument --params: invalid choice: {value!r}" in line for line in errors)
+
+    def test_set_name_is_never_a_path(self, tmp_path, monkeypatch, capsys):
+        # a file named like a set in the working directory is not read
+        monkeypatch.chdir(tmp_path)
         for name in PARAM_SETS:
-            peer = cli._peer_parser().parse_args(["--listen", "0", "--id", "a", "--params", name])
-            sim = cli._sim_parser().parse_args(["--strategy", "honest", "--params", name])
-            assert peer.params == sim.params == name
+            (tmp_path / name).write_text("29\n7\n5\n")  # refused if anything loaded it
+        assert main(["sim", "--strategy", "honest", "--trials", "1", "--k", "4", "--params", "test"]) == 0
+        assert "successes=1" in capsys.readouterr().out
 
     def test_default(self):
         assert cli._peer_parser().parse_args(["--listen", "0", "--id", "a"]).params == "p40"
@@ -121,6 +144,56 @@ class TestArgumentErrors:
         assert proc.stderr.startswith("usage: ")
         assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("mode", [["--listen", "0", "--id", "a"], ["sim", "--strategy", "honest"]],
+                             ids=["peer", "sim"])
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"23\n11\n2\n", id="valid-test-group"),
+        pytest.param(b"29\n7\n5\n", id="g-outside-subgroup"),
+        pytest.param(f"{3 ** 5000}\n11\n2\n".encode(), id="p-not-prime"),
+        pytest.param(f"{2 ** 1279 - 1}\n5\n2\n".encode(), id="q-does-not-divide-p-1"),
+        pytest.param(f"23\n11\n{10 ** 2000}\n".encode(), id="g-out-of-range"),
+        pytest.param(b"23\n" + b"9" * 2000 + b"x\n2\n", id="non-integer-line"),
+        pytest.param(f"{53 ** 2095}\n11\n2\n".encode(), id="12000-bit-composite"),
+        pytest.param(b"9" * 4400 + b"\n11\n2\n", id="4400-digit-line"),
+        pytest.param(b"23\n11\n2\n" + (b"#" * 63 + b"\n") * 1024, id="65k-of-comments"),
+        pytest.param(b"23\xff\n11\n2\n", id="octet-in-number"),
+        pytest.param(b"# Gr\xfc\xdfe\n23\n11\n2\n", id="octet-in-comment"),
+        pytest.param(b"", id="empty"),
+    ])
+    def test_params_file_refused_unread(self, tmp_path, monkeypatch, capsys, mode, data):
+        """--params names a built-in set, never a file: whatever a file
+        holds, a path to it gets the same one-line usage error as a path to
+        nothing, and the file is never opened."""
+        path = tmp_path / "group.params"
+
+        def refusal():
+            with pytest.raises(SystemExit) as excinfo:
+                main([*mode, "--params", str(path)])
+            assert excinfo.value.code == 2
+            return capsys.readouterr()
+
+        absent = refusal()
+        path.write_bytes(data)
+        opened = []
+
+        def spy(real):
+            def counted(file, *args, **kwargs):
+                opened.append(os.fspath(file) if isinstance(file, (str, bytes, os.PathLike)) else file)
+                return real(file, *args, **kwargs)
+            return counted
+
+        for owner, name in ((builtins, "open"), (io, "open"), (os, "open")):
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+        out, err = refusal()
+        monkeypatch.undo()
+        assert str(path) not in opened
+        assert (out, err) == absent
+        assert out == ""
+        prog = "saska sim" if mode[0] == "sim" else "saska"
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{prog}: error: argument --params: invalid choice: {str(path)!r}")
 
     @pytest.mark.parametrize("args", [
         ["--listen", "65535"],

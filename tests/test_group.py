@@ -28,6 +28,22 @@ from saska.group import (
 from conftest import naive_mod_exp
 
 
+# Safe-prime groups at 2^31, where the Jacobi test and the fixed-base table
+# take over from pow: SAFE32 is the smallest safe prime above 2^31, and
+# SAFE31 the largest below, which keeps pow.
+SAFE32 = DhParams(2147483783, 1073741891, 4)
+SAFE31 = DhParams(2147483579, 1073741789, 4)
+# Safe-prime groups at the 256-bit exponent cap: SAFE256's q is the largest
+# safe-prime q below 2^256, so its exponents span [1, q) as on p40;
+# SAFE257's q is the smallest above, so it draws 256-bit exponents as
+# modp2048 does.  p = 7 mod 8 in both, so g = 2 is a member, as in modp2048.
+_Q256 = 2**256 - 29237
+_Q257 = 2**256 + 18475
+SAFE256 = DhParams(2 * _Q256 + 1, _Q256, 2)
+SAFE257 = DhParams(2 * _Q257 + 1, _Q257, 2)
+GROUPS = {**PARAM_SETS, "safe32": SAFE32, "safe31": SAFE31, "safe256": SAFE256, "safe257": SAFE257}
+
+
 class TestModExp:
     @pytest.mark.parametrize(
         "base,exponent,modulus,expected",
@@ -97,6 +113,15 @@ class TestPrivateShare:
         params = DhParams(p=2 * q + 1, q=q, g=4)
         assert params.exponent_limit == min(q, 2**256)
 
+    @pytest.mark.parametrize("name, limit", [("safe256", _Q256), ("safe257", 2**256)])
+    def test_draws_at_the_cap(self, name, limit):
+        # just below the cap the exponents span [1, q); just above, [1, 2^256)
+        params = GROUPS[name]
+        assert params.exponent_limit == limit
+        for seed in range(100):
+            expected = random.Random(seed).randrange(1, limit)
+            assert gen_private_share(params, random.Random(seed)) == expected
+
 
 class TestPubShare:
     def test_known_values(self, test_params):
@@ -154,12 +179,6 @@ class TestDeriveKey:
                 assert ka == naive_mod_exp(naive_mod_exp(2, a, 23), b, 23)
 
 
-# Safe-prime groups at 2^31, where the Jacobi test and the fixed-base table
-# take over from pow: SAFE32 is the smallest safe prime above 2^31, and
-# SAFE31 the largest below, which keeps pow.
-SAFE32 = DhParams(2147483783, 1073741891, 4)
-SAFE31 = DhParams(2147483579, 1073741789, 4)
-GROUPS = {**PARAM_SETS, "safe32": SAFE32, "safe31": SAFE31}
 
 
 PRIMALITY_ROUNDS = 64
@@ -203,13 +222,11 @@ def pocklington(p: int, q: int) -> bool:
     return p == 2 * q + 1 and q > 2 and pow(2, p - 1, p) == 1 and p % 3 != 0
 
 
-def check_safe_prime_group(params):
+def is_safe_prime_group(params) -> bool:
     """p = 2q + 1 with q and p prime, and g a member of the order-q subgroup."""
     p, q, g = params
-    assert p == 2 * q + 1
-    assert is_probable_prime(q)
-    assert pocklington(p, q)
-    assert 1 < g < p and pow(g, q, p) == 1
+    return (p == 2 * q + 1 and is_probable_prime(q) and pocklington(p, q)
+            and 1 < g < p and pow(g, q, p) == 1)
 
 
 class TestReferencePrimality:
@@ -233,24 +250,49 @@ class TestReferencePrimality:
         for q in filter(is_probable_prime, range(3, 3000)):
             assert pocklington(2 * q + 1, q) == is_probable_prime(2 * q + 1), q
 
+    def test_small_group_is_a_safe_prime_group(self):
+        assert is_safe_prime_group(DhParams(23, 11, 2))
+        assert is_safe_prime_group(DhParams(7, 3, 2))
+
+    @pytest.mark.parametrize("triple", [
+        pytest.param((4307, 2153, 4), id="composite-p"),  # 59 * 73
+        pytest.param((31, 15, 4), id="composite-q"),  # 4^15 = 1 mod 31
+        pytest.param((29, 7, 16), id="order-mismatch"),  # a Schnorr group: 7 | 28
+        pytest.param((23, 11, 0), id="generator-zero"),
+        pytest.param((23, 11, 25), id="generator-above-p"),  # 25 = 2 mod 23
+        pytest.param((23, 11, 1), id="identity-generator"),
+        pytest.param((23, 11, 5), id="generator-outside-subgroup"),
+        pytest.param((23, 11, 22), id="generator-of-order-2"),
+        pytest.param((-23, -12, 2), id="non-positive"),
+    ])
+    def test_non_safe_prime_group_rejected(self, triple):
+        # the check that certifies the built-in sets is not vacuous
+        assert not is_safe_prime_group(DhParams(*triple))
+
 
 class TestBuiltinSets:
     # the Jacobi test and short exponents rely on the safe-prime shape
-    @pytest.mark.parametrize("name", ["test", "p40", "modp2048", "safe31", "safe32"])
+    @pytest.mark.parametrize("name", sorted(GROUPS))
     def test_safe_prime_group(self, name):
-        check_safe_prime_group(GROUPS[name])
+        assert is_safe_prime_group(GROUPS[name])
 
     def test_sizes(self):
         assert len(str(PARAM_SETS["p40"].p)) == 40
         assert PARAM_SETS["modp2048"].p.bit_length() == 2048
 
-    def test_only_safe_prime_groups_accepted(self):
+    @pytest.mark.parametrize("triple", [
         # 29 = 4 * 7 + 1: a Schnorr group, where a Jacobi test would wrongly
         # accept the quadratic residues outside the order-7 subgroup
-        schnorr = DhParams(29, 7, 16)
+        pytest.param((29, 7, 16), id="schnorr29"),
+        pytest.param((2**31 + 13, 2**30 + 5, 4), id="p-is-2q-plus-3"),
+        pytest.param((11, 23, 2), id="p-and-q-swapped"),
+        pytest.param((23, 23, 2), id="p-equals-q"),
+    ])
+    def test_only_safe_prime_groups_accepted(self, triple):
+        params = DhParams(*triple)
         for name in ("set_id", "exponent_limit"):
-            with pytest.raises(ValueError, match="^p of 5 bits is not 2q"):
-                getattr(schnorr, name)
+            with pytest.raises(ValueError, match=f"^p of {params.p.bit_length()} bits is not 2q"):
+                getattr(params, name)
 
     def test_derived_fields_leave_identity_unchanged(self):
         # exponent_limit and set_id stay out of equality, hashing and the wire id
@@ -291,7 +333,7 @@ class TestInSubgroup:
         for value in (2, g, p - 2, p - g, g * g % p):
             assert in_subgroup(params, value) == reference_in_subgroup(params, value)
 
-    @pytest.mark.parametrize("name", ["test", "p40", "safe32"])
+    @pytest.mark.parametrize("name", ["test", "p40", "safe32", "safe256", "safe257"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_pow_reference(self, name, data):
@@ -503,7 +545,7 @@ class TestPubShareReference:
         for x in edge_exponents(params):
             assert pub_share(params, x) == pow(params.g, x, params.p), x
 
-    @pytest.mark.parametrize("name", ["test", "p40", "safe32", "safe31"])
+    @pytest.mark.parametrize("name", ["test", "p40", "safe32", "safe31", "safe256", "safe257"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_pow(self, name, data):
@@ -520,7 +562,8 @@ class TestPubShareReference:
 
     def test_table_shape(self):
         # one row of 256 per octet below exponent_limit
-        assert [len(_fixed_base_rows(PARAM_SETS[n])) for n in ("p40", "modp2048")] == [17, 32]
+        assert [len(_fixed_base_rows(GROUPS[n])) for n in ("p40", "safe256", "safe257", "modp2048")] \
+            == [17, 32, 32, 32]
         for name in ("p40", "modp2048"):
             assert {len(row) for row in _fixed_base_rows(PARAM_SETS[name])} == {256}
         assert SAFE31.p < 2**31 < SAFE32.p
