@@ -49,6 +49,24 @@ EXIT_TIMEOUT = 5
 
 DEFAULT_TIMEOUT = 30.0  # seconds per awaited message (--timeout)
 
+_SHOWN = 100  # characters kept at each end of an over-long error message
+
+
+def _clip(message: str) -> str:
+    """The message, or for one longer than 2 * _SHOWN + 3 characters, which
+    only an echoed argument value makes, its two ends around "...", so that
+    the value's option and the rule it broke stay on one short line."""
+    if len(message) <= 2 * _SHOWN + 3:
+        return message
+    return f"{message[:_SHOWN]}...{message[-_SHOWN:]}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors pass through _clip."""
+
+    def error(self, message):
+        super().error(_clip(message))
+
 
 def _parse_address(text: str) -> tuple[str, int]:
     """HOST:PORT, with an empty host meaning the loopback address."""
@@ -71,7 +89,7 @@ def _check_peer_args(args):
 
 
 def _peer_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="saska",
         description="Pair with a peer over TCP using SAS-authenticated Diffie-Hellman.",
     )
@@ -93,7 +111,7 @@ def _peer_parser() -> argparse.ArgumentParser:
 def _sim_parser() -> argparse.ArgumentParser:
     from .adversary import GuessRule, StrategyKind  # a peer never loads the simulator
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="saska sim",
         description="Measure man-in-the-middle attack success rates.",
     )
@@ -192,7 +210,7 @@ def run_sim(args) -> int:
             else:
                 reports.append(adversary.estimate_attack_success(strategy, params, args.k, trials, seed=seed))
     except (PairingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clip(str(exc))}", file=sys.stderr)
         return 2
 
     print(f"seed={seed}")

@@ -5,8 +5,8 @@ for each `if` whose first statement is a `raise`, turns its condition into
 False, spliced at the node's offsets so that two guards with the same text
 each get their own mutant.  HAND_MUTANTS holds what that cannot express,
 each a text replacement whose old text occurs once: an order of steps, a
-guard broken only in part or a check that does not raise, and the
-attacker's own accounting.
+guard broken only in part or a check that does not raise, a string both
+peers still agree on, and the attacker's own accounting.
 
 Each mutant is applied in a copy of the tree (src, tests, perfbench,
 pyproject.toml).  Its module's own tests/test_<module>.py runs first, and
@@ -73,6 +73,12 @@ HAND_MUTANTS = [
         self._accept_remote(payload, "initiator")
 """,
      "the responder parses the opened payload before the opening is checked"),
+    # honest peers still agree on the string, so only the reference model
+    # in tests/test_protocol.py tells it from the protocol
+    ("protocol.py",
+     "self.sas = compute_sas(self.own_nonce, payload.auth_nonce, self.k)",
+     "self.sas = compute_sas(self.own_nonce & 1, payload.auth_nonce & 1, self.k)",
+     "the SAS keeps one bit of each nonce"),
     ("protocol.py", "if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):", "if not share_raw:",
      "a public share with leading zero octets decodes"),
     ("protocol.py", "if phase >= _SAS_READY:", "if phase > _SAS_READY:",

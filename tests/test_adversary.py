@@ -35,6 +35,8 @@ from saska.protocol import (
     encode_payload,
 )
 
+import model
+
 ATTACK_KINDS = (
     StrategyKind.IMPERSONATE_INITIATOR,
     StrategyKind.IMPERSONATE_RESPONDER,
@@ -87,17 +89,27 @@ def forced_trial(kind, params, k, guess, nonce_value, seed=0):
     return run_mitm_trial(strategy, params, k, seed, nonce_value)
 
 
+def winning_nonce(kind, params, k, guess) -> int:
+    """The forced nonce with which the fixed guess wins, as tests/model.py
+    reads it from a first run with the nonce forced to 0."""
+    first = forced_trial(kind, params, k, guess, 0)
+    assert (first.sas_a.value, first.sas_b.value) == model.transcript_sas(first)
+    return model.winning_nonce(first)
+
+
 class TestMitmTrials:
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_correct_guess_wins(self, test_params, kind):
-        out = forced_trial(kind, test_params, 8, guess=0x5A, nonce_value=0x5A)
+        nonce = winning_nonce(kind, test_params, 8, 0x5A)
+        out = forced_trial(kind, test_params, 8, guess=0x5A, nonce_value=nonce)
         assert out.success
         assert out.sas_match
         assert out.attacker_key_with_a or out.attacker_key_with_b
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_wrong_guess_gives_sas_mismatch(self, test_params, kind):
-        out = forced_trial(kind, test_params, 8, guess=0x5A, nonce_value=0x5B)
+        nonce = winning_nonce(kind, test_params, 8, 0x5A) ^ 1
+        out = forced_trial(kind, test_params, 8, guess=0x5A, nonce_value=nonce)
         assert not out.success
         assert out.sas_a is not None and out.sas_b is not None
         assert out.sas_a != out.sas_b
@@ -117,12 +129,14 @@ class TestMitmTrials:
         # MAX_K itself on the attack path: the attacker's forged payloads
         # carry 64-bit nonces, and a right guess still wins outright
         guess = 0xF00D_CAFE_DEAD_BEEF  # bit 63 set
-        out = forced_trial(kind, PARAM_SETS[name], 64, guess=guess, nonce_value=guess)
+        nonce = winning_nonce(kind, PARAM_SETS[name], 64, guess)
+        out = forced_trial(kind, PARAM_SETS[name], 64, guess=guess, nonce_value=nonce)
         assert out.success and out.sas_match and out.aborts == ()
         assert out.sas_a.k == 64
 
     def test_attacker_shares_keys_with_both_on_win(self, test_params):
-        out = forced_trial(StrategyKind.FULL_MITM, test_params, 4, guess=7, nonce_value=7)
+        nonce = winning_nonce(StrategyKind.FULL_MITM, test_params, 4, 7)
+        out = forced_trial(StrategyKind.FULL_MITM, test_params, 4, guess=7, nonce_value=nonce)
         assert out.attacker_key_with_a and out.attacker_key_with_b
         assert not out.keys_equal  # the victims hold different keys: that is the attack
 

@@ -196,6 +196,34 @@ class TestArgumentErrors:
         assert errors[0].startswith(f"{prog}: error: argument --params: invalid choice: {str(path)!r}")
 
     @pytest.mark.parametrize("args", [
+        ["--listen", "0", "--id", "a", "--params", "x" * 3000],
+        ["--connect", "x" * 3000, "--id", "a"],
+        ["--listen", "9" * 3000, "--id", "a"],
+        ["--listen", "0", "--id", "a", "--k", "9" * 3000],
+        ["sim", "--strategy", "x" * 3000],
+        ["sim", "--strategy", "honest", "--guess", "x" * 3000],
+        ["sim", "--strategy", "honest", "--trials", "x" * 3000],
+        ["sim", "--strategy", "full-mitm", "--trials", "-" + "9" * 2999],
+    ], ids=["params", "connect", "listen", "k", "strategy", "guess", "trials", "trials-negative"])
+    def test_long_value_is_one_short_line(self, capsys, monkeypatch, args):
+        """A rejected value of 3,000 characters is not echoed in full: the
+        error line keeps its two ends, and no socket is opened."""
+        def no_network(*args, **kwargs):
+            raise AssertionError("network I/O before the arguments were checked")
+
+        monkeypatch.setattr(cli, "connect_stream", no_network)
+        monkeypatch.setattr(cli, "StreamListener", no_network)
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert out == "" and len(errors) == 1
+        assert "..." in errors[0] and len(errors[0]) <= len("saska sim: error: ") + 2 * cli._SHOWN + 3
+
+    @pytest.mark.parametrize("args", [
         ["--listen", "65535"],
         ["--connect", "127.0.0.1:65535"],
         ["--listen", "0", "--timeout", str(threading.TIMEOUT_MAX)],

@@ -37,6 +37,11 @@ from saska.protocol import (
     key_fingerprint,
 )
 
+import model
+
+# printable labels of at most 64 octets
+LABELS = st.text(st.characters(exclude_categories=("C", "Z")) | st.just(" "), min_size=1, max_size=16)
+
 
 class ScriptedExponents:
     """Random source whose randrange() pops preset values; everything else
@@ -56,13 +61,22 @@ class ScriptedExponents:
 
 
 def honest_exchange(params, k=20, rng_a=None, rng_b=None, id_a="alice", id_b="bob"):
-    a = Peer(Role.INITIATOR, params, id_a, k, rng_a or random.Random(11))
-    b = Peer(Role.RESPONDER, params, id_b, k, rng_b or random.Random(22))
+    """Both peers, then Msg1, Msg2 and Msg3, of one honest session; by
+    default the initiator draws from random.Random(1) and the responder
+    from random.Random(2)."""
+    a = Peer(Role.INITIATOR, params, id_a, k, rng_a or random.Random(1))
+    b = Peer(Role.RESPONDER, params, id_b, k, rng_b or random.Random(2))
     (frame1,) = a.start()
     (frame2,) = b.receive(frame1)
     (frame3,) = a.receive(frame2)
     assert b.receive(frame3) == []
     return a, b, frame1, frame2, frame3
+
+
+def model_frames(a: Peer, b: Peer) -> tuple[bytes, bytes, bytes]:
+    """tests/model.py's frames from the values initiator a and responder b drew."""
+    return model.frames(a.params, a.k, (a.identity, a.private, a.own_nonce),
+                        (b.identity, b.private, b.own_nonce), a.opening.nonce)
 
 
 def started_initiator(params, k=20, seed=1):
@@ -121,7 +135,7 @@ class TestComputeSas:
         assert compute_sas(0xAB, 0x3C, 8) == Sas(0x97, 8)
 
     @pytest.mark.parametrize("k", [1, 8, 20, 64])
-    def test_value_must_be_k_bits(self, k):
+    def test_to_int_round_trips_the_top_value(self, k):
         assert Sas((1 << k) - 1, k).to_int() == (1 << k) - 1
 
     @pytest.mark.parametrize("name", ["test", "p40"])
@@ -129,10 +143,10 @@ class TestComputeSas:
     def test_session_sas_is_the_k_bit_xor_of_the_nonces(self, k, name):
         # Sas checks nothing itself: the k that Peer checks and the nonces
         # it draws or decodes keep the string in range
-        a, b, *_ = honest_exchange(PARAM_SETS[name], k=k)
+        a, b, _, msg2, msg3 = honest_exchange(PARAM_SETS[name], k=k)
         assert a.sas == b.sas
         assert a.sas.k == k
-        assert a.sas.value == a.own_nonce ^ b.own_nonce
+        assert a.sas.value == model.view_sas(msg2, msg3)
         assert a.sas.value < 1 << k
         assert len(format_sas(a.sas)) == math.ceil(k / 4)
 
@@ -343,8 +357,7 @@ class TestWireFormat:
         assert decoded == share
 
     @given(
-        label=st.text(st.characters(exclude_categories=("C", "Z")) | st.just(" "),
-                      min_size=1, max_size=16),
+        label=LABELS,
         share=st.integers(min_value=1, max_value=2**256),
         k=st.integers(min_value=1, max_value=64),
         nonce=st.integers(min_value=0),
@@ -429,6 +442,35 @@ class TestHonestRun:
         a.start()
         assert a.k == 20
         assert type(a.own_nonce) is int and 0 <= a.own_nonce < 2**20
+
+
+class TestReferenceModel:
+    """Peer against tests/model.py, which states the protocol apart from
+    saska.protocol."""
+
+    @given(name=st.sampled_from(["test", "p40", "modp2048"]), k=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1), id_a=LABELS, id_b=LABELS)
+    @example(name="modp2048", k=64, seed=0, id_a="alice", id_b="bob")
+    @example(name="test", k=1, seed=0, id_a="alice", id_b="bob")
+    @settings(max_examples=100, deadline=None)
+    def test_frames_and_strings_are_the_models(self, name, k, seed, id_a, id_b):
+        a, b, *sent = honest_exchange(PARAM_SETS[name], k, random.Random(seed), random.Random(seed + 1),
+                                      id_a, id_b)
+        msg1, msg2, msg3 = model_frames(a, b)
+        assert sent == [msg1, msg2, msg3]
+        assert a.sas.value == b.sas.value == model.view_sas(msg2, msg3)
+
+    @pytest.mark.parametrize("name, initiator, responder", [
+        pytest.param("p40", (2, 105), (1, 40), id="p40"),
+        pytest.param("modp2048", (2, 344), (1, 279), id="modp2048"),
+    ])
+    def test_messages_and_octets_per_side(self, name, initiator, responder):
+        # saska's side of the paper's overhead claim: one seeded honest
+        # session at k = 20, counted from the model's frames
+        msg1, msg2, msg3 = model_frames(*honest_exchange(PARAM_SETS[name])[:2])
+        sent = {"initiator": (msg1, msg3), "responder": (msg2,)}
+        assert {side: (len(frames), sum(map(len, frames))) for side, frames in sent.items()} == {
+            "initiator": initiator, "responder": responder}
 
 
 class TestPhaseGuards:
@@ -729,17 +771,6 @@ class TestPeer:
         assert a.sas == b.sas and a.phase is b.phase is Phase.SAS_READY
 
 
-def session_frames(params, k: int, prefix: str) -> dict:
-    """Msg1, Msg2 and Msg3 of one honest session, the initiator seeded 1
-    and the responder 2."""
-    a = Peer(Role.INITIATOR, params, "alice", k, random.Random(1))
-    b = Peer(Role.RESPONDER, params, "bob", k, random.Random(2))
-    (msg1,) = a.start()
-    (msg2,) = b.receive(msg1)
-    (msg3,) = a.receive(msg2)
-    return {prefix + "msg1": msg1, prefix + "msg2": msg2, prefix + "msg3": msg3}
-
-
 @functools.lru_cache(maxsize=None)
 def fuzz_frames(params_name: str) -> dict:
     """The genuine frames at k=20, the same session at k=16 and on the
@@ -749,21 +780,22 @@ def fuzz_frames(params_name: str) -> dict:
     other = PARAM_SETS["p40" if params_name == "test" else "test"]
     forged = encode_payload(PairingPayload("alice", 1, 7), 20)
     c, nonce = commit(forged, random.Random(9))
+    sessions = {"": (params, 20), "wrong-k-": (params, 16), "wrong-set-": (other, 20)}
     return {
-        **session_frames(params, 20, ""),
-        **session_frames(params, 16, "wrong-k-"),
-        **session_frames(other, 20, "wrong-set-"),
+        **{f"{prefix}msg{n}": frame for prefix, (group, k) in sessions.items()
+           for n, frame in enumerate(honest_exchange(group, k)[2:], 1)},
         "forged-msg1": encode_message(Msg1(c)),
         "forged-msg3": encode_message(Msg3(nonce, forged)),
     }
 
 
-FRAME_NAMES = sorted(fuzz_frames("test"))
 HONEST_STEP = st.sampled_from([("start",), ("frame", "msg1", None), ("frame", "msg2", None),
                                ("frame", "msg3", None), ("confirm", True), ("confirm", False)])
 HOSTILE_FRAME = st.one_of(
-    # any named frame, whole or cut short
-    st.tuples(st.just("frame"), st.sampled_from(FRAME_NAMES), st.none() | st.integers(0, 60)),
+    # any named frame, whole or cut short; named when first drawn, so that a
+    # session that fails fails the test, not the module's import
+    st.tuples(st.just("frame"), st.deferred(lambda: st.sampled_from(sorted(fuzz_frames("test")))),
+              st.none() | st.integers(0, 60)),
     st.tuples(st.just("garbage"), st.binary(max_size=12)),
 )
 
@@ -806,7 +838,7 @@ class TestPhaseOrder:
     def test_phases_only_move_forward(self, params_name, role, actions):
         params = PARAM_SETS[params_name]
         frames = fuzz_frames(params_name)
-        # seeded as in session_frames, so the genuine frames are this peer's session
+        # seeded as in honest_exchange, so the genuine frames are this peer's session
         seed = 1 if role is Role.INITIATOR else 2
         peer = Peer(role, params, "alice" if role is Role.INITIATOR else "bob", 20, random.Random(seed))
         for action in actions:

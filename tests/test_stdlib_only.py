@@ -2,8 +2,8 @@
 of the package or the tests imports a name it never uses, every function,
 method and class of the package is named outside its definition, the
 simulator imports no network code, a pairing peer imports no simulator code
-and no dataclasses, and only Peer and the primality test pick the OS
-generator."""
+and no dataclasses, only Peer.__init__ picks the OS generator, and the
+tests' reference model imports nothing from saska.protocol."""
 
 import ast
 import os
@@ -108,6 +108,14 @@ def test_only_peer_picks_os_entropy():
     Peer.__init__ is the one place the package picks the OS generator."""
     uses = sorted(use for path in SOURCES for use in system_random_uses(path))
     assert uses == ["protocol.py: Peer.__init__"]
+
+
+def test_reference_model_stands_apart():
+    """tests/model.py states the protocol that tests/test_protocol.py checks
+    Peer against, so it may not borrow saska.protocol."""
+    names = absolute_imports(Path(__file__).parent / "model.py")
+    assert [name for name in names if name.split(".")[0] == "saska"
+            and name not in ("saska.group", "saska.commitment")] == []
 
 
 def loaded_modules(statement: str) -> set[str]:
