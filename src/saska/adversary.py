@@ -49,6 +49,9 @@ from .protocol import (
 )
 
 EXHAUSTIVE_MAX_K = 16
+# A Monte Carlo run's ceiling: 10^9 test-group trials take about a day, and
+# a larger count would run until killed, printing nothing.
+MAX_TRIALS = 10**9
 CONFIDENCE = 0.99  # of the Monte Carlo interval
 
 INITIATOR_ID = "alice"
@@ -362,6 +365,8 @@ def check_run(strategy: AttackStrategy, k: int, trials: int | None = None) -> No
         raise ValueError(f"need at least 1000 trials for a meaningful rate, got {trials}")
     elif trials < 1:
         raise ValueError("trials must be positive")
+    elif trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
 
 
 def exhaustive_attack_success(

@@ -24,16 +24,18 @@ call, refuses the identity.
 Every group with p above 2^31 computes g^x for x in [0, exponent_limit)
 from a fixed-base table (Brickell, Gordon, McCurley & Wilson, EUROCRYPT
 '92; Handbook of Applied Cryptography, section 14.6.3).  Row i holds
-g^(d * 256^i) for d in [0, 256), one row per octet of the exponent, so g^x
-costs one modular multiply per non-zero octet of x: at most 32 for a
-256-bit modp2048 exponent, against about 300 in pow.  The table fills on
-first use.  A group's first pub_share in a process sets up the rows with
-only d = 0 and d = 1 (8 squarings per row) and then fills each missing
-entry it needs from its half entry, d >> 1, with one squaring and at most
-one multiply; a cold first call takes about 9 ms on modp2048.  Once every
-entry is filled the table holds 8,192 entries (about 2.4 MB) on modp2048
-and 4,352 on p40.  Smaller groups and other exponents use pow.  Neither
-path is constant-time.
+g^(d * 2^(11 i)) for d in [0, 2048), one row per 11 bits of the exponent,
+so g^x costs one modular multiply per non-zero 11-bit digit of x: at most
+24 for a 256-bit modp2048 exponent, against about 300 in pow.  The table
+fills on first use.  A group's first pub_share in a process sets up the
+rows with d = 0 and the eleven powers of two, which the squarings that
+step from one row's base to the next compute anyway, and then fills each
+missing entry it needs with one multiply, row[d & (d - 1)] times the
+power-of-two entry of d's lowest set bit; a cold first call takes about
+4.2 ms on modp2048.  Once every entry is filled the table holds 49,152
+entries (about 15 MB) on modp2048 and 24,576 (about 1.3 MB) on p40.
+Smaller groups and other exponents use pow.  Neither path is
+constant-time.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ _EXPONENT_BITS = 256  # the short exponent cap
 # (measured with CPython 3.11).  Subgroup test: pow(y, q, p) takes 0.2 us
 # against 0.8 us for the Jacobi loop at p = 23, and 9 us against 4 us at 32
 # bits; the whole uncached check takes 0.16 us at p = 23, and a verdict
-# cache miss 0.43 us.  g^x: pow(g, x, p) takes 0.14 us against 1.9 us for
-# pub_share from the filled octet table at p = 23, and 4.8 us against 3.4 us
-# at 32 bits.
+# cache miss 0.43 us.  g^x: pow(g, x, p) takes 0.07 us against 0.7 us for
+# pub_share from the filled table at p = 23, and 3.4 us against 1.2 us at 32
+# bits.
 _SMALL_P_MAX = 1 << 31
 
 
@@ -158,34 +160,43 @@ def gen_private_share(params: DhParams, rng: random.Random) -> int:
         raise RngFailure(str(exc)) from exc
 
 
+# Bits of the exponent per fixed-base row.  On modp2048 (CPython 3.11.7,
+# 2 CPUs, median of 3), 19,000 calls from a cold table, about one 30 s
+# benchmark run, took 8.07, 7.04, 6.42, 6.48 and 6.54 s at 8 to 12 bits; a
+# call on the table they left 395, 360, 330, 290 and 275 us; and the full
+# table holds 2.5, 4.5, 8.0, 15 and 27 MB (README, performance notes).
+_ROW_BITS = 11
+_ROW_MASK = (1 << _ROW_BITS) - 1
+
+
 @functools.lru_cache(maxsize=None)
 def _fixed_base_rows(params: DhParams) -> tuple[list[int | None], ...]:
-    """Row i holds g^(d * 256^i) mod p at index d, one row per octet of an
-    exponent below params.exponent_limit.  Only d = 0 and d = 1 are set
-    here; _table_entry fills the rest, and None marks an entry not yet
-    filled."""
+    """Row i holds g^(d * 2^(_ROW_BITS * i)) mod p at index d, one row per
+    _ROW_BITS bits of an exponent below params.exponent_limit.  Only d = 0
+    and the powers of two are set here, by the squarings that lead to the
+    next row's base; _table_entry fills the rest, and None marks an entry
+    not yet filled."""
     p = params.p
     rows = []
     base = params.g
-    for _ in range(((params.exponent_limit - 1).bit_length() + 7) // 8):
-        row: list[int | None] = [None] * 256
-        row[0], row[1] = 1, base
-        rows.append(row)
-        for _ in range(8):
+    for _ in range(((params.exponent_limit - 1).bit_length() + _ROW_BITS - 1) // _ROW_BITS):
+        row: list[int | None] = [None] * (1 << _ROW_BITS)
+        row[0] = 1
+        for j in range(_ROW_BITS):
+            row[1 << j] = base
             base = base * base % p
+        rows.append(row)
     return tuple(rows)
 
 
 def _table_entry(row: list[int | None], d: int, p: int) -> int:
-    """row[d], filled on first use as row[d >> 1] squared, times row[1]
-    when d is odd.  Every write stores the one correct value, so concurrent
-    fills agree."""
+    """row[d], filled on first use as row[d & (d - 1)] times row[low], where
+    low = d & -d is d's lowest set bit, an entry set when the row was built.
+    Every write stores the one correct value, so concurrent fills agree."""
     value = row[d]
     if value is None:
-        half = _table_entry(row, d >> 1, p)
-        value = half * half % p
-        if d & 1:
-            value = value * row[1] % p
+        low = d & -d
+        value = _table_entry(row, d & (d - 1), p) * row[low] % p
         row[d] = value
     return value
 
@@ -197,11 +208,12 @@ def pub_share(params: DhParams, x: int) -> int:
     p = params.p
     if p <= _SMALL_P_MAX or not 0 <= x < params.exponent_limit:
         return pow(params.g, x, p)
-    rows = _fixed_base_rows(params)
     value = 1
-    for row, d in zip(rows, x.to_bytes(len(rows), "little")):
+    for row in _fixed_base_rows(params):
+        d = x & _ROW_MASK
         if d:
             value = value * (row[d] or _table_entry(row, d, p)) % p
+        x >>= _ROW_BITS
     if _derived(params)[2]:
         _record_verdict(params, value, True)
     return value

@@ -13,7 +13,8 @@ pyproject.toml).  Its module's own tests/test_<module>.py runs first, and
 only if that passes the tier-1 suite, with -x, without criterion 2's slow
 Monte Carlo band and without tests/test_mutants.py, which checks this
 catalogue against the source each mutant changes.  A mutant is killed when
-a run fails or times out; a survivor makes the script exit 1.  The
+a run fails, cannot collect a test module or times out; a survivor makes
+the script exit 1, and any other pytest exit stops the script.  The
 unmutated copy must first pass each of those runs, so that a kill is never
 a broken tree or an artefact of test order.  Standard library only:
 
@@ -48,6 +49,8 @@ HAND_MUTANTS = [
      "the identity element passes the subgroup check"),
     ("group.py", "p > _SMALL_P_MAX and jacobi(g, p) == 1", "p > _SMALL_P_MAX",
      "a share made from a generator outside the subgroup is recorded as a member"),
+    ("group.py", "* row[low] % p", "* row[1] % p",
+     "a fixed-base table entry is filled from its row's base, not from its lowest set bit's entry"),
     ("protocol.py",
      """        if not user_accepts:
             self.phase_log.append(Phase.ABORTED)
@@ -167,8 +170,19 @@ def stages(name: str) -> list[str]:
     return [own, SUITE] if (ROOT / own).exists() else [SUITE]
 
 
+def outcome_of(returncode: int, stdout: str) -> str | None:
+    """'passed', 'failed' or 'collection error' for a pytest exit, or None
+    for any other exit.  pytest exits 2 both when a test module fails to
+    import and when it is interrupted, so only a run whose summary names a
+    collection error counts as one."""
+    if returncode == 2 and " during collection" in stdout:
+        return "collection error"
+    return {0: "passed", 1: "failed"}.get(returncode)
+
+
 def run_suite(tree: Path, target: str) -> tuple[str, float]:
-    """'passed', 'failed' or 'timed out', and the seconds the run took."""
+    """'passed', 'failed', 'collection error' or 'timed out', and the
+    seconds the run took; any other pytest exit ends the whole check."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     began = time.monotonic()
     try:
@@ -179,9 +193,10 @@ def run_suite(tree: Path, target: str) -> tuple[str, float]:
     finally:
         # a failing example saved by one run must not replay in the next
         shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
-    if proc.returncode not in (0, 1):
+    outcome = outcome_of(proc.returncode, proc.stdout)
+    if outcome is None:
         sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return ("passed" if proc.returncode == 0 else "failed"), time.monotonic() - began
+    return outcome, time.monotonic() - began
 
 
 def copy_tree(dest: Path):

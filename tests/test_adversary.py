@@ -389,6 +389,14 @@ class TestEstimate:
         assert str(excinfo.value) == "trials must be positive"
         assert check_run(strategy, 8, 1) is None
 
+    @pytest.mark.parametrize("kind", [StrategyKind.HONEST, StrategyKind.FULL_MITM])
+    def test_trials_ceiling_is_inclusive(self, kind):
+        strategy = AttackStrategy(kind, GuessRule.UNIFORM)
+        assert check_run(strategy, 8, 10**9) is None
+        with pytest.raises(ValueError) as excinfo:
+            check_run(strategy, 8, 10**9 + 1)
+        assert str(excinfo.value) == f"trials must be at most 1000000000, got {10**9 + 1}"
+
     def test_same_seed_same_estimate(self, test_params):
         strategy = AttackStrategy(StrategyKind.FULL_MITM, GuessRule.UNIFORM)
         e1 = estimate_attack_success(strategy, test_params, 4, 1000, seed=5)

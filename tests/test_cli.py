@@ -107,6 +107,19 @@ def run_cli(args, **env_overrides):
                           capture_output=True, text=True, timeout=30, stdin=subprocess.DEVNULL)
 
 
+def no_trials(monkeypatch) -> list:
+    """Make the first simulator trial record itself and raise, so that a
+    refused run that starts anyway fails at once instead of running on."""
+    calls = []
+
+    def trial(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(adversary, "_run_trial", trial)
+    return calls
+
+
 # stands for the path of a valid test-group parameter file, which --params refuses
 PARAMS_FILE = "<test.params>"
 
@@ -358,16 +371,24 @@ class TestSim:
          "error: need at least 1000 trials for a meaningful rate, got 10"),
         (["--strategy", "honest", "--k", "10", "--exhaustive", "--trials", "0"],
          "error: trials must be positive"),
-    ], ids=["attack-trials-below-1000", "zero-honest-trials"])
+        (["--strategy", "full-mitm", "--k", "4", "--trials", "1000000001"],
+         "error: trials must be at most 1000000000, got 1000000001"),
+    ], ids=["attack-trials-below-1000", "zero-honest-trials", "trials-above-ceiling"])
     def test_bad_trials_refused_before_any_trial(self, capsys, monkeypatch, args, message):
-        calls = []
-        real = adversary._run_trial
-        monkeypatch.setattr(adversary, "_run_trial",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        calls = no_trials(monkeypatch)
         code = main(["sim", *args, "--params", "test", "--seed", "1"])
         assert code == 2
         assert capsys.readouterr().err == message + "\n"
         assert calls == []
+
+    def test_trials_of_3000_digits_is_one_short_line_and_no_trial(self, capsys, monkeypatch):
+        calls = no_trials(monkeypatch)
+        code = main(["sim", "--strategy", "honest", "--params", "test", "--k", "4",
+                     "--trials", "9" * 3000])
+        err = capsys.readouterr().err
+        assert code == 2 and calls == []
+        assert err.startswith("error: trials must be at most 1000000000, got 999") and err.count("\n") == 1
+        assert "..." in err and len(err) <= len("error: ") + 2 * cli._SHOWN + 4
 
     def test_rate_above_bound_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(adversary, "exhaustive_attack_success",

@@ -561,11 +561,11 @@ class TestPubShareReference:
         assert pub_share(params, x) == pow(params.g, x, params.p)
 
     def test_table_shape(self):
-        # one row of 256 per octet below exponent_limit
+        # one row of 2,048 per 11 bits below exponent_limit
         assert [len(_fixed_base_rows(GROUPS[n])) for n in ("p40", "safe256", "safe257", "modp2048")] \
-            == [17, 32, 32, 32]
+            == [12, 24, 24, 24]
         for name in ("p40", "modp2048"):
-            assert {len(row) for row in _fixed_base_rows(PARAM_SETS[name])} == {256}
+            assert {len(row) for row in _fixed_base_rows(PARAM_SETS[name])} == {2048}
         assert SAFE31.p < 2**31 < SAFE32.p
 
     def test_no_table_until_a_large_group_needs_one(self):
@@ -595,21 +595,29 @@ class TestLazyTable:
         params = PARAM_SETS["p40"]
         _fixed_base_rows.cache_clear()
         rows = _fixed_base_rows(params)
-        cells = [(i, d) for i in range(len(rows)) for d in range(256)]
+        cells = [(i, d) for i in range(len(rows)) for d in range(2048)]
+        assert len(cells) == 24576
         random.Random(11).shuffle(cells)
         for i, d in cells:
-            assert _table_entry(rows[i], d, params.p) == pow(params.g, d * 256**i, params.p), (i, d)
+            assert _table_entry(rows[i], d, params.p) == pow(params.g, d * 2048**i, params.p), (i, d)
         for i, row in enumerate(rows):
-            assert row == [pow(params.g, d * 256**i, params.p) for d in range(256)], i
+            assert row == [pow(params.g, d * 2048**i, params.p) for d in range(2048)], i
 
     def test_cold_share_fills_at_most_one_chain_per_row(self):
-        """One pub_share fills, per row, 0, 1 and at most the seven other
-        prefixes of its octet: no up-front build."""
+        """A built row holds 0 and the eleven powers of two, and one cold
+        pub_share adds to each row at most popcount(d) - 1 entries for its
+        11-bit digit d: no up-front build."""
         params = PARAM_SETS["modp2048"]
         _fixed_base_rows.cache_clear()
-        x = params.exponent_limit - 1 - 0x5A  # every octet non-zero, the low one odd
+        rows = _fixed_base_rows(params)
+        built = {0, *(1 << j for j in range(11))}
+        assert len(rows) == 24
+        for row in rows:
+            assert {d for d, entry in enumerate(row) if entry is not None} == built
+        x = params.exponent_limit - 1 - 0x5A  # every digit non-zero, the low one odd
         assert pub_share(params, x) == pow(params.g, x, params.p)
-        filled = [sum(entry is not None for entry in row) for row in _fixed_base_rows(params)]
-        assert len(filled) == 32
-        assert max(filled) <= 9
-        assert sum(filled) > 2 * 32
+        digits = [(x >> (11 * i)) & 0x7FF for i in range(24)]
+        assert all(digits) and digits[0] & 1 and digits[-1] == 0b111
+        added = [sum(entry is not None for entry in row) - len(built) for row in rows]
+        assert all(0 <= n <= bin(d).count("1") - 1 for n, d in zip(added, digits)), added
+        assert sum(added) > 0

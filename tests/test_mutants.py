@@ -4,7 +4,10 @@ security argument names, and each generated mutant is a real change that
 compiles.  The mutants themselves run in their own job, not here."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 MUTANTS_RUN = Path(__file__).parent / "mutants" / "run.py"
 _spec = importlib.util.spec_from_file_location("mutants_run", MUTANTS_RUN)
@@ -45,3 +48,26 @@ def test_no_hand_mutant_is_a_generated_one():
     generated = {source for _, _, _, _, source in run.guard_mutants()}
     hand = [label for _, label, source in run.all_mutants() if source not in generated]
     assert hand == [reason for _, _, _, reason in run.HAND_MUTANTS]
+
+
+def test_outcome_of_each_pytest_exit():
+    assert run.outcome_of(0, "") == "passed"
+    assert run.outcome_of(1, "") == "failed"
+    assert run.outcome_of(2, "!!! Interrupted: 1 error during collection !!!") == "collection error"
+    assert run.outcome_of(2, "!!! Interrupted: 2 errors during collection !!!") == "collection error"
+    # an interrupt, an internal error, a usage error and no tests stop the check
+    assert run.outcome_of(2, "!!! KeyboardInterrupt !!!") is None
+    for code in (3, 4, 5):
+        assert run.outcome_of(code, "") is None
+
+
+@pytest.mark.parametrize("target,outcome", [("test_broken.py", "collection error"), (".", "failed")],
+                         ids=["own-module", "suite"])
+def test_a_module_that_fails_to_import_is_a_kill(tmp_path, target, outcome):
+    """A test module whose import raises, as a mutant can make it, under the
+    installed pytest: a mutant's own test module alone exits 2 and is a
+    collection error, and the suite, where -x stops at the error, exits 1."""
+    (tmp_path / "test_broken.py").write_text("raise ImportError('broken by a mutant')\n")
+    (tmp_path / "test_fine.py").write_text("def test_fine():\n    pass\n")
+    proc = subprocess.run([*run.PYTEST, target], cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert run.outcome_of(proc.returncode, proc.stdout) == outcome, proc.stdout
