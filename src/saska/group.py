@@ -32,7 +32,7 @@ rows with d = 0 and the eleven powers of two, which the squarings that
 step from one row's base to the next compute anyway, and then fills each
 missing entry it needs with one multiply, row[d & (d - 1)] times the
 power-of-two entry of d's lowest set bit; a cold first call takes about
-4.2 ms on modp2048.  Once every entry is filled the table holds 49,152
+4 ms on modp2048.  Once every entry is filled the table holds 49,152
 entries (about 15 MB) on modp2048 and 24,576 (about 1.3 MB) on p40.
 Smaller groups and other exponents use pow.  Neither path is
 constant-time.
