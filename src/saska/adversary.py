@@ -40,7 +40,8 @@ from .protocol import (
     Msg3,
     PairingPayload,
     Peer,
-    Role,
+    _INITIATOR,
+    _RESPONDER,
     _SAS_READY,
     decode_message,
     decode_payload,
@@ -65,15 +66,16 @@ class Direction(Enum):
     B_TO_A = "b->a"
 
 
-# read on every frame, bound once as in saska.protocol
-_A_TO_B, _B_TO_A = Direction.A_TO_B, Direction.B_TO_A
-
-
 class StrategyKind(Enum):
     HONEST = "honest"
     IMPERSONATE_INITIATOR = "impersonate-initiator"
     IMPERSONATE_RESPONDER = "impersonate-responder"
     FULL_MITM = "full-mitm"
+
+
+# read on every frame or trial, bound once as in saska.protocol
+_A_TO_B, _B_TO_A = Direction.A_TO_B, Direction.B_TO_A
+_HONEST, _IMPERSONATE_RESPONDER = StrategyKind.HONEST, StrategyKind.IMPERSONATE_RESPONDER
 
 
 class GuessRule(Enum):
@@ -286,8 +288,8 @@ def _run_trial(
     trial wins iff the strings match over `misbound` peers or the attacker
     holds a victim's key; each implies matching strings.
     """
-    peer_a = Peer(Role.INITIATOR, params, INITIATOR_ID, k, rng, nonce=nonce_a)
-    peer_b = Peer(Role.RESPONDER, params, RESPONDER_ID, k, rng, nonce=nonce_b)
+    peer_a = Peer(_INITIATOR, params, INITIATOR_ID, k, rng, nonce=nonce_a)
+    peer_b = Peer(_RESPONDER, params, RESPONDER_ID, k, rng, nonce=nonce_b)
     events: list[tuple[Direction, bytes, tuple]] = []
     in_flight: deque[tuple[Direction, bytes]] = deque()
     aborts: list[str] = []
@@ -339,7 +341,7 @@ def _run_trial(
 
 
 def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: random.Random | None):
-    if strategy.kind is StrategyKind.HONEST:
+    if strategy.kind is _HONEST:
         return None
     return _ATTACKERS[strategy.kind._value_](strategy, params, k, rng)
 
@@ -349,9 +351,9 @@ def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None
     """One full protocol execution with the strategy's attacker interposed.
     `nonce`, if given, forces the honest nonce the attacker must guess:
     B's under impersonate-responder, A's otherwise."""
-    rng, rng_e = _child_rngs(seed, strategy.kind is not StrategyKind.HONEST)
+    rng, rng_e = _child_rngs(seed, strategy.kind is not _HONEST)
     attacker = make_attacker(strategy, params, k, rng_e)
-    if strategy.kind is StrategyKind.IMPERSONATE_RESPONDER:
+    if strategy.kind is _IMPERSONATE_RESPONDER:
         return _run_trial(params, k, rng, attacker, None, nonce)
     return _run_trial(params, k, rng, attacker, nonce)
 

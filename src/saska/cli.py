@@ -132,6 +132,14 @@ def _sim_parser() -> argparse.ArgumentParser:
 
 
 def _ask_confirmation() -> bool:
+    """The answer given after the prompt: on a terminal, type-ahead is discarded first."""
+    if getattr(sys.stdin, "isatty", bool)():  # a stdin stand-in without isatty() is no terminal
+        try:
+            import termios
+        except ImportError:  # not POSIX: type-ahead is kept
+            pass
+        else:
+            termios.tcflush(sys.stdin.fileno(), termios.TCIFLUSH)
     sys.stdout.write("confirm match [y/n]: ")
     sys.stdout.flush()
     return sys.stdin.readline().strip().lower() in ("y", "yes")

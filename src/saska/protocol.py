@@ -117,20 +117,29 @@ def encode_payload(payload: PairingPayload, k: int) -> bytes:
 
 
 def decode_payload(data: bytes, k: int) -> PairingPayload:
-    """Parse payload fields at the session bit length k, which the caller has checked."""
-    fields, off, end = [], 0, len(data)
-    for _ in range(3):  # identity, public share, nonce
-        if off + 2 > end:
-            raise MalformedMessage("truncated field length")
-        start, off = off + 2, off + 2 + (data[off] << 8 | data[off + 1])
-        if off > end:
-            raise MalformedMessage("field data runs past end of body")
-        fields.append(data[start:off])
-    ident_raw, share_raw, nonce_raw = fields
+    """Parse the identity, share and nonce fields, each behind its 2-octet
+    length, at the session bit length k, which the caller has checked."""
+    end = len(data)
+    if end < 2:
+        raise MalformedMessage("truncated field length")
+    share_at = 2 + (data[0] << 8 | data[1])
+    if share_at > end:
+        raise MalformedMessage("field data runs past end of body")
+    if share_at + 2 > end:
+        raise MalformedMessage("truncated field length")
+    nonce_at = share_at + 2 + (data[share_at] << 8 | data[share_at + 1])
+    if nonce_at > end:
+        raise MalformedMessage("field data runs past end of body")
+    if nonce_at + 2 > end:
+        raise MalformedMessage("truncated field length")
+    off = nonce_at + 2 + (data[nonce_at] << 8 | data[nonce_at + 1])
+    if off > end:
+        raise MalformedMessage("field data runs past end of body")
     if off != end:
         raise MalformedMessage(f"{end - off} trailing octets after payload fields")
+    share_raw, nonce_raw = data[share_at + 2:nonce_at], data[nonce_at + 2:]
     try:
-        identity = check_identity(ident_raw.decode("utf-8"))
+        identity = check_identity(data[2:share_at].decode("utf-8"))
     except ValueError as exc:
         raise MalformedMessage(f"bad identity field: {exc}") from exc
     if not share_raw or (len(share_raw) > 1 and share_raw[0] == 0):
@@ -165,13 +174,14 @@ def frame_body_length(header: bytes) -> int:
 
 
 def encode_message(msg: PairingMessage) -> bytes:
-    if isinstance(msg, Msg1):
+    cls = type(msg)  # no record is subclassed; identity tests cost half of isinstance's
+    if cls is Msg1:
         tag, body = _COMMIT_OCTET, msg.c
-    elif isinstance(msg, Msg2):
+    elif cls is Msg2:
         tag = _PAYLOAD_OCTET
         body = b"".join((
             msg.param_set_id.to_bytes(4, "big"), msg.k.to_bytes(2, "big"), encode_payload(msg.payload, msg.k)))
-    elif isinstance(msg, Msg3):
+    elif cls is Msg3:
         tag, body = _DECOMMIT_OCTET, msg.nonce + msg.message
     else:
         raise TypeError(f"not a pairing message: {msg!r}")
@@ -291,7 +301,7 @@ class Peer:
     def start(self) -> list[bytes]:
         """Open the session: the initiator's commitment, nothing for the
         responder.  The payload itself stays hidden until Msg3."""
-        if self.role is Role.RESPONDER:
+        if self.role is _RESPONDER:
             return []
         if self.phase_log[-1] is not _CREATED:
             raise WrongPhase(f"start in phase {self.phase.name}")
@@ -319,7 +329,7 @@ class Peer:
                 raise MalformedMessage(f"expected a {name} message, got {type(msg).__name__}")
             replies = on_message(self, msg)
         except PairingError:
-            self.phase_log.append(Phase.ABORTED)
+            self.phase_log.append(_ABORTED)
             raise
         self.phase_log.extend(phases)
         return replies
@@ -375,7 +385,7 @@ class Peer:
             self.phase_log.append(Phase.ABORTED)
             return None
         self.session_key = derive_key(self.params, self.remote_payload.public_share, self.private)
-        self.phase_log.append(Phase.CONFIRMED)
+        self.phase_log.append(_CONFIRMED)
         return self.session_key
 
 
@@ -398,3 +408,4 @@ _STEPS = {
 
 # read on every frame or session: an Enum member read off its class costs ~100 ns, a global ~11 ns
 _CREATED, _COMMIT_EXCHANGED, _SAS_READY = Phase.CREATED, Phase.COMMIT_EXCHANGED, Phase.SAS_READY
+_CONFIRMED, _ABORTED, _INITIATOR, _RESPONDER = Phase.CONFIRMED, Phase.ABORTED, Role.INITIATOR, Role.RESPONDER

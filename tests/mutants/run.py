@@ -112,6 +112,9 @@ HAND_MUTANTS = [
      "the attacker's key with B is computed from A's payload"),
     ("adversary.py", "for seen in (self.payload_a, self.payload_b):", "for seen in (self.payload_a,):",
      "the adaptive guess folds A's nonce but not B's"),
+    # a check that does not raise: only a terminal holds what was typed ahead
+    ("cli.py", "termios.tcflush(sys.stdin.fileno(), termios.TCIFLUSH)", "pass",
+     "a line typed on the terminal before the prompt answers it"),
 ]
 
 

@@ -2,7 +2,10 @@ import builtins
 import io
 import math
 import os
+import pty
 import random
+import re
+import select
 import secrets
 import signal
 import socket
@@ -19,7 +22,7 @@ from saska import adversary, cli, protocol
 from saska.cli import EXIT_REJECTED, EXIT_TAMPER, EXIT_TIMEOUT, EXIT_TRANSPORT, main
 from saska.errors import Timeout
 from saska.group import PARAM_SETS
-from saska.protocol import Peer, Role, format_sas
+from saska.protocol import Peer, Role, format_sas, key_fingerprint
 from saska.transport import StreamListener, connect_stream
 
 
@@ -644,3 +647,69 @@ class TestPeerExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["--connect", "127.0.0.1:1"])
         assert excinfo.value.code == 2
+
+
+def read_until(fd: int, text: bytes, seen: bytes = b"") -> bytes:
+    """What fd yields, after `seen`, up to and including `text`; fails
+    after 10 s without it."""
+    deadline = time.monotonic() + 10
+    while text not in seen:
+        ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+        chunk = os.read(fd, 4096) if ready else b""
+        assert chunk, f"no {text!r} after {seen!r}"
+        seen += chunk
+    return seen
+
+
+class TestTypeAhead:
+    """A responder whose stdin is a pseudo-terminal, as when an operator
+    types the answer: only a line typed after the prompt answers it."""
+
+    PROMPT = b"confirm match [y/n]: "
+
+    def pair_on_terminal(self, params, type_ahead: bytes, answer: bytes):
+        """Type `type_ahead` once the responder listens, pair an in-process
+        initiator with it, and type `answer` once its prompt is out.
+        Returns the responder's exit code, standard output and standard
+        error, and the initiator."""
+        master, slave = pty.openpty()
+        argv = [sys.executable, "-m", "saska.cli", "--listen", "0", "--id", "alice",
+                "--params", "test", "--timeout", "10"]
+        try:
+            with subprocess.Popen(argv, env=cli_env(), stdin=slave, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, bufsize=0) as proc:
+                try:
+                    out = read_until(proc.stdout.fileno(), b"\n")
+                    port = int(re.match(rb"listening :(\d+)", out).group(1))
+                    os.write(master, type_ahead)
+                    chan = connect_stream("127.0.0.1", port, timeout=5.0)
+                    try:
+                        peer = Peer(Role.INITIATOR, params, "bob", 20, random.Random(1))
+                        for frame in peer.start():
+                            chan.send_frame(frame)
+                        respond(chan, peer)
+                        out = read_until(proc.stdout.fileno(), self.PROMPT, out)
+                        os.write(master, answer)
+                        rest, err = proc.communicate(timeout=10)
+                    finally:
+                        chan.close()
+                finally:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.wait()
+        finally:
+            os.close(master)
+            os.close(slave)
+        return proc.returncode, (out + rest).decode(), err.decode(), peer
+
+    def test_line_typed_before_the_prompt_is_discarded(self, test_params):
+        code, out, err, peer = self.pair_on_terminal(test_params, b"y\n", b"n\n")
+        assert f"bob : {format_sas(peer.sas)}" in out
+        assert code == EXIT_REJECTED, out + err
+        assert "fingerprint:" not in out
+        assert "rejected by operator; no key derived" in err
+
+    def test_line_typed_after_the_prompt_confirms(self, test_params):
+        code, out, err, peer = self.pair_on_terminal(test_params, b"", b"y\n")
+        assert code == 0, out + err
+        assert f"fingerprint: {key_fingerprint(peer.confirm(True))}" in out

@@ -340,6 +340,33 @@ class TestWireFormat:
                 decode_payload(raw[:cut], 8)
             assert str(info.value) == text, cut
 
+    @pytest.mark.parametrize("k", [1, 8, 20, 64])
+    @pytest.mark.parametrize("name", ["test", "p40", "modp2048"])
+    def test_every_cut_grown_or_misframed_frame_is_malformed(self, name, k):
+        """Each frame of one seeded honest session, cut at every octet,
+        grown by one octet, or behind a body length one off, raises
+        MalformedMessage and nothing else: as it is, and with its header
+        rewritten to frame what is left, so that every cut reaches the
+        fixed-offset parser.  A Msg3's opened payload is parsed too."""
+        def parse(frame):
+            msg = decode_message(frame)
+            if type(msg) is Msg3:
+                decode_payload(msg.message, k)
+
+        def framed(tag, body):
+            return bytes([tag]) + len(body).to_bytes(4, "big") + body
+
+        for frame in honest_exchange(PARAM_SETS[name], k)[2:]:
+            parse(frame)
+            tag, body = frame[0], frame[5:]
+            bad = [frame[:cut] for cut in range(len(frame))]
+            bad += [framed(tag, body[:cut]) for cut in range(len(body))]
+            bad += [frame + b"\x00", framed(tag, body + b"\x00")]
+            bad += [bytes([tag]) + (len(body) + d).to_bytes(4, "big") + body for d in (-1, 1)]
+            for data in bad:
+                with pytest.raises(MalformedMessage):
+                    parse(data)
+
     def test_bad_utf8_identity_rejected(self):
         raw = b"\x00\x02\xff\xfe" + b"\x00\x01\x08" + b"\x00\x01\x01"
         with pytest.raises(MalformedMessage):
@@ -470,6 +497,31 @@ class TestReferenceModel:
         msg1, msg2, msg3 = model_frames(*honest_exchange(PARAM_SETS[name])[:2])
         sent = {"initiator": (msg1, msg3), "responder": (msg2,)}
         assert {side: (len(frames), sum(map(len, frames))) for side, frames in sent.items()} == {
+            "initiator": initiator, "responder": responder}
+
+    @pytest.mark.parametrize("name, initiator, responder", [
+        # p40: six 132-bit exponent draws (about 1.55 on average), then the nonce and the opening nonce
+        pytest.param("p40", (8, 6 * 132 + 20 + 256), (2, 132 + 20), id="p40"),
+        pytest.param("modp2048", (3, 256 + 20 + 256), (2, 256 + 20), id="modp2048"),
+    ])
+    def test_random_bits_per_side(self, name, initiator, responder):
+        # the bits each side's generator yields in the session above:
+        # the exponent, the k-bit nonce and, for the initiator, the
+        # commitment's 256-bit opening nonce.  randrange draws the exponent
+        # again when a draw is not below its bound, so a count holds for
+        # its seed only
+        class Counting(random.Random):
+            draws = bits = 0
+
+            def getrandbits(self, n):
+                self.draws += 1
+                self.bits += n
+                return super().getrandbits(n)
+
+        rng_a, rng_b = Counting(1), Counting(2)
+        counted = honest_exchange(PARAM_SETS[name], 20, rng_a, rng_b)[2:]
+        assert counted == honest_exchange(PARAM_SETS[name], 20)[2:]  # counting changes no draw
+        assert {"initiator": (rng_a.draws, rng_a.bits), "responder": (rng_b.draws, rng_b.bits)} == {
             "initiator": initiator, "responder": responder}
 
 
