@@ -150,11 +150,12 @@ class _Attacker:
         msg = decode_message(frame)
         if isinstance(msg, Msg1):
             return [self.on_commit()]
+        payload = decode_payload(msg.message, self.k)  # Msg2's or the opening's
         if isinstance(msg, Msg2):
-            self.payload_b = msg.payload
-            return [self.on_payload(msg.payload.auth_nonce)]
-        self.payload_a = decode_payload(msg.message, self.k)
-        return [self.on_opening(self.payload_a.auth_nonce)]
+            self.payload_b = payload
+            return [self.on_payload(payload.auth_nonce)]
+        self.payload_a = payload
+        return [self.on_opening(payload.auth_nonce)]
 
     def resolve_guess(self) -> int:
         """The guess of the still-hidden honest nonce, fixed under the rule
@@ -189,8 +190,8 @@ class _Attacker:
 
     def reply_toward_a(self, nonce: int) -> tuple[Direction, bytes]:
         """Msg2 carrying our payload as bob."""
-        msg = Msg2(self.params.set_id, self.k, PairingPayload(RESPONDER_ID, self.share, nonce))
-        return _B_TO_A, encode_message(msg)
+        message = encode_payload(PairingPayload(RESPONDER_ID, self.share, nonce), self.k)
+        return _B_TO_A, encode_message(Msg2(self.params.set_id, self.k, message))
 
     def open_toward_b(self) -> tuple[Direction, bytes]:
         """Msg3 with the opening kept by commit_toward_b."""

@@ -154,7 +154,7 @@ def decode_payload(data: bytes, k: int) -> PairingPayload:
 
 
 Msg1 = namedtuple("Msg1", "c")  # the commitment digest
-Msg2 = namedtuple("Msg2", "param_set_id k payload")
+Msg2 = namedtuple("Msg2", "param_set_id k message")  # message: the encoded payload
 Msg3 = namedtuple("Msg3", "nonce message")
 
 
@@ -179,8 +179,7 @@ def encode_message(msg: PairingMessage) -> bytes:
         tag, body = _COMMIT_OCTET, msg.c
     elif cls is Msg2:
         tag = _PAYLOAD_OCTET
-        body = b"".join((
-            msg.param_set_id.to_bytes(4, "big"), msg.k.to_bytes(2, "big"), encode_payload(msg.payload, msg.k)))
+        body = b"".join((msg.param_set_id.to_bytes(4, "big"), msg.k.to_bytes(2, "big"), msg.message))
     elif cls is Msg3:
         tag, body = _DECOMMIT_OCTET, msg.nonce + msg.message
     else:
@@ -191,11 +190,11 @@ def encode_message(msg: PairingMessage) -> bytes:
 
 
 def decode_message(frame: bytes) -> PairingMessage:
-    """Decode one framed message.
+    """Decode one framed message, checking its framing only.
 
-    Msg3 payload octets are deliberately left unparsed here: the responder
-    must check them against the commitment first, so that any tampering
-    surfaces as OpenFailed rather than a parse error.
+    Msg2 and Msg3 keep their payload octets for Peer._accept_remote; the
+    responder parses them only once they open its commitment, so that
+    tampering surfaces as OpenFailed rather than a parse error.
     """
     body_len = frame_body_length(frame)
     if len(frame) - HEADER_LEN != body_len:
@@ -210,10 +209,7 @@ def decode_message(frame: bytes) -> PairingMessage:
     if tag == TAG_PAYLOAD:
         if body_len < 6:
             raise MalformedMessage("payload body shorter than its fixed prefix")
-        k = frame[9] << 8 | frame[10]
-        if not 1 <= k <= MAX_K:
-            raise MalformedMessage(f"k = {k} outside [1, {MAX_K}]")
-        return Msg2(int.from_bytes(frame[5:9], "big"), k, decode_payload(frame[11:], k))
+        return Msg2(int.from_bytes(frame[5:9], "big"), frame[9] << 8 | frame[10], frame[11:])
     if tag == TAG_DECOMMIT:
         if body_len < NONCE_LEN:
             raise MalformedMessage(f"decommit body must hold a {NONCE_LEN}-octet nonce")
@@ -279,6 +275,7 @@ class Peer:
         self.private: int | None = None
         self.own_nonce = nonce
         self.own_payload: PairingPayload | None = None
+        self.own_message: bytes | None = None  # own_payload encoded, as Msg2 or the opening carries it
         self.commitment: bytes | None = None  # digest, own (initiator) or received (responder)
         self.opening: Msg3 | None = None      # initiator only
         self.remote_payload: PairingPayload | None = None
@@ -290,13 +287,13 @@ class Peer:
         return self.phase_log[-1]
 
     def _draw(self):
-        """Private share, then the auth nonce unless one was forced."""
+        """Private share, then the auth nonce unless one was forced; the
+        payload is encoded once, as own_message, for Msg2 or the commitment."""
         self.private = gen_private_share(self.params, self.rng)
         if self.own_nonce is None:
             self.own_nonce = gen_auth_nonce(self.k, self.rng)
-        self.own_payload = PairingPayload(
-            self.identity, pub_share(self.params, self.private), self.own_nonce
-        )
+        self.own_payload = PairingPayload(self.identity, pub_share(self.params, self.private), self.own_nonce)
+        self.own_message = encode_payload(self.own_payload, self.k)
 
     def start(self) -> list[bytes]:
         """Open the session: the initiator's commitment, nothing for the
@@ -306,9 +303,8 @@ class Peer:
         if self.phase_log[-1] is not _CREATED:
             raise WrongPhase(f"start in phase {self.phase.name}")
         self._draw()
-        message = encode_payload(self.own_payload, self.k)
-        self.commitment, nonce = commit(message, self.rng)
-        self.opening = Msg3(nonce, message)
+        self.commitment, nonce = commit(self.own_message, self.rng)
+        self.opening = Msg3(nonce, self.own_message)
         self.phase_log.append(_COMMIT_EXCHANGED)
         return [encode_message(Msg1(self.commitment))]
 
@@ -334,9 +330,11 @@ class Peer:
         self.phase_log.extend(phases)
         return replies
 
-    def _accept_remote(self, payload: PairingPayload, side: str):
-        """Check the remote share, then keep the payload and compute the SAS.
-        The SAS is an XOR, so either role passes its own nonce first."""
+    def _accept_remote(self, message: bytes, side: str):
+        """Parse the remote payload octets, the one place a peer does; check
+        the share, then keep the payload and compute the SAS.  The SAS is an
+        XOR, so either role passes its own nonce first."""
+        payload = decode_payload(message, self.k)
         if not in_subgroup(self.params, payload.public_share):
             raise SubgroupCheckFailed(
                 f"{side} share of {payload.public_share.bit_length()} bits rejected")
@@ -347,7 +345,7 @@ class Peer:
         """Accept the initiator's commitment and reply with our payload."""
         self._draw()
         self.commitment = msg1.c
-        return [encode_message(Msg2(self.params.set_id, self.k, self.own_payload))]
+        return [encode_message(Msg2(self.params.set_id, self.k, self.own_message))]
 
     def _on_payload(self, msg2: Msg2) -> list[bytes]:
         """Take the responder's payload, check it, and release the opening.
@@ -361,7 +359,7 @@ class Peer:
             )
         if msg2.k != self.k:
             raise MalformedMessage(f"k mismatch: peer {msg2.k}, ours {self.k}")
-        self._accept_remote(msg2.payload, "responder")
+        self._accept_remote(msg2.message, "responder")
         return [encode_message(self.opening)]
 
     def _on_decommit(self, msg3: Msg3) -> list[bytes]:
@@ -371,7 +369,7 @@ class Peer:
         with commit material surfaces as OpenFailed.
         """
         message = open_commitment(self.commitment, msg3.nonce, msg3.message)
-        self._accept_remote(decode_payload(message, self.k), "initiator")
+        self._accept_remote(message, "initiator")
         return []
 
     def confirm(self, user_accepts: bool) -> int | None:

@@ -69,11 +69,11 @@ HAND_MUTANTS = [
      "an opening is checked against 16 of the digest's 32 octets"),
     ("protocol.py",
      """        message = open_commitment(self.commitment, msg3.nonce, msg3.message)
-        self._accept_remote(decode_payload(message, self.k), "initiator")
+        self._accept_remote(message, "initiator")
 """,
-     """        payload = decode_payload(msg3.message, self.k)
-        open_commitment(self.commitment, msg3.nonce, msg3.message)
-        self._accept_remote(payload, "initiator")
+     """        decode_payload(msg3.message, self.k)
+        message = open_commitment(self.commitment, msg3.nonce, msg3.message)
+        self._accept_remote(message, "initiator")
 """,
      "the responder parses the opened payload before the opening is checked"),
     # honest peers still agree on the string, so only the reference model

@@ -28,7 +28,9 @@ from saska.protocol import (
     Peer,
     Role,
     decode_message,
+    decode_payload,
     encode_message,
+    encode_payload,
     format_sas,
 )
 
@@ -137,9 +139,10 @@ def test_criterion_4_tamper_suite(test_params):
             (frame1_f,) = fresh_a.start()
             (frame2_f,) = fresh_b.receive(frame1_f)
             msg2_f = decode_message(frame2_f)
-            forged_nonce = msg2_f.payload.auth_nonce ^ (1 << bit)
-            forged = Msg2(msg2_f.param_set_id, msg2_f.k, PairingPayload(
-                msg2_f.payload.identity, msg2_f.payload.public_share, forged_nonce))
+            payload_f = decode_payload(msg2_f.message, msg2_f.k)
+            forged_nonce = payload_f.auth_nonce ^ (1 << bit)
+            forged = Msg2(msg2_f.param_set_id, msg2_f.k, encode_payload(PairingPayload(
+                payload_f.identity, payload_f.public_share, forged_nonce), msg2_f.k))
             (frame3_f,) = fresh_a.receive(encode_message(forged))
             fresh_b.receive(frame3_f)
             expected_sas_mismatches += 1

@@ -530,11 +530,12 @@ class TestInterposition:
         def flip_msg2_nonce(frame, direction):
             msg = decode_message(frame)
             if isinstance(msg, Msg2):
-                forged = PairingPayload(
-                    msg.payload.identity,
-                    msg.payload.public_share,
-                    msg.payload.auth_nonce ^ 1,
-                )
+                payload = decode_payload(msg.message, msg.k)
+                forged = encode_payload(PairingPayload(
+                    payload.identity,
+                    payload.public_share,
+                    payload.auth_nonce ^ 1,
+                ), msg.k)
                 return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
             return [(direction, frame)]
 
@@ -615,7 +616,7 @@ class ShareSwap(_Attacker):
     def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg2):
-            return [self.reply_toward_a(msg.payload.auth_nonce)]
+            return [self.reply_toward_a(decode_payload(msg.message, self.k).auth_nonce)]
         if isinstance(msg, Msg3):
             self.payload_a = decode_payload(msg.message, self.k)
         return [(direction, frame)]
@@ -642,7 +643,8 @@ class IdentitySwap(_Attacker):
     def __call__(self, frame, direction):
         msg = decode_message(frame)
         if isinstance(msg, Msg2):
-            forged = PairingPayload("carol", msg.payload.public_share, msg.payload.auth_nonce)
+            payload = decode_payload(msg.message, self.k)
+            forged = encode_payload(PairingPayload("carol", payload.public_share, payload.auth_nonce), self.k)
             return [(direction, encode_message(Msg2(msg.param_set_id, msg.k, forged)))]
         return [(direction, frame)]
 
@@ -661,5 +663,5 @@ def test_known_defect_identity_swap_uncounted(p40_params):
         assert out.sas_match and out.keys_equal, seed
         assert out.aborts == (), seed
         ((_, msg2_to_a),) = out.transcript[1][2]
-        assert decode_message(msg2_to_a).payload.identity == "carol", seed
+        assert decode_payload(decode_message(msg2_to_a).message, 20).identity == "carol", seed
         assert out.success, seed

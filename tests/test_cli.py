@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import io
 import math
 import os
@@ -37,6 +38,31 @@ def respond(chan, peer: Peer):
     while peer.sas is None:
         for frame in peer.receive(chan.recv_frame(5.0)):
             chan.send_frame(frame)
+
+
+@contextlib.contextmanager
+def serving(server):
+    """A StreamListener on a free port, with server(listener) running on a
+    thread.  On the way out, past a failed assert too, the thread is
+    joined, then every channel the listener accepted and the listener
+    itself are closed, so that no socket outlives the test."""
+    listener = StreamListener(0)
+    accepted = []
+
+    def accept(timeout):
+        accepted.append(StreamListener.accept(listener, timeout))
+        return accepted[-1]
+
+    listener.accept = accept
+    thread = threading.Thread(target=server, args=(listener,))
+    thread.start()
+    try:
+        yield listener
+    finally:
+        thread.join()
+        for chan in accepted:
+            chan.close()
+        listener.close()
 
 
 class CliThread(threading.Thread):
@@ -421,57 +447,41 @@ class TestPeerExitCodes:
         assert len(lines) == 1 and lines[0].startswith("transport error:"), proc.stderr
 
     def test_silent_peer_times_out(self):
-        listener = StreamListener(0)
-        accepted = []
+        def silent_server(listener):
+            listener.accept(5.0)
 
-        def silent_server():
-            accepted.append(listener.accept(5.0))
-
-        t = threading.Thread(target=silent_server)
-        t.start()
-        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
-                     "--params", "test", "--timeout", "0.2"])
-        t.join()
-        accepted[0].close()
-        listener.close()
+        with serving(silent_server) as listener:
+            code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                         "--params", "test", "--timeout", "0.2"])
         assert code == EXIT_TIMEOUT
 
     def test_garbage_reply_is_tamper_exit(self):
-        listener = StreamListener(0)
-
-        def bad_server():
+        def bad_server(listener):
             chan = listener.accept(5.0)
             chan.recv_frame(5.0)  # discard msg1
             chan.send_frame(bytes([0x07]) + (3).to_bytes(4, "big") + b"abc")
             chan.close()
 
-        t = threading.Thread(target=bad_server)
-        t.start()
-        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
-                     "--params", "test", "--timeout", "2"])
-        t.join()
-        listener.close()
+        with serving(bad_server) as listener:
+            code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                         "--params", "test", "--timeout", "2"])
         assert code == EXIT_TAMPER
 
     def test_oversized_share_is_tamper_exit(self, capsys, test_params):
         """A Msg2 whose share has 2,000 octets, past the digits int-to-str
         allows, is refused like any share outside the subgroup."""
-        listener = StreamListener(0)
         big_share = (1 << 16000) - 1
 
-        def bad_server():
+        def bad_server(listener):
             chan = listener.accept(5.0)
             chan.recv_frame(5.0)  # discard msg1
-            payload = protocol.PairingPayload("mallory", big_share, 0)
+            payload = protocol.encode_payload(protocol.PairingPayload("mallory", big_share, 0), 20)
             chan.send_frame(protocol.encode_message(protocol.Msg2(test_params.set_id, 20, payload)))
             chan.close()
 
-        t = threading.Thread(target=bad_server)
-        t.start()
-        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
-                     "--params", "test", "--timeout", "2"])
-        t.join()
-        listener.close()
+        with serving(bad_server) as listener:
+            code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                         "--params", "test", "--timeout", "2"])
         assert code == EXIT_TAMPER
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and len(lines[0]) < 200, lines
@@ -506,22 +516,18 @@ class TestPeerExitCodes:
 
     def test_operator_rejection(self, monkeypatch, capsys, test_params):
         monkeypatch.setattr("sys.stdin", io.StringIO("n\n"))
-        listener = StreamListener(0)
         box = {}
 
-        def responder():
+        def responder(listener):
             chan = listener.accept(5.0)
             peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
             respond(chan, peer)
             box["sas"] = peer.sas
             chan.close()
 
-        t = threading.Thread(target=responder)
-        t.start()
-        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
-                     "--params", "test", "--timeout", "5"])
-        t.join()
-        listener.close()
+        with serving(responder) as listener:
+            code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                         "--params", "test", "--timeout", "5"])
         out = capsys.readouterr().out
         assert code == EXIT_REJECTED
         assert "fingerprint" not in out
@@ -541,22 +547,18 @@ class TestPeerExitCodes:
 
         monkeypatch.setattr(protocol, "derive_key", spy)
         monkeypatch.setattr("sys.stdin", Interrupted())
-        listener = StreamListener(0)
         box = {}
 
-        def responder():
+        def responder(listener):
             chan = listener.accept(5.0)
             peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
             respond(chan, peer)
             box["sas"] = peer.sas
             chan.close()
 
-        t = threading.Thread(target=responder)
-        t.start()
-        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
-                     "--params", "test", "--timeout", "5"])
-        t.join()
-        listener.close()
+        with serving(responder) as listener:
+            code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                         "--params", "test", "--timeout", "5"])
         captured = capsys.readouterr()
         assert code == EXIT_REJECTED
         assert "fingerprint" not in captured.out
@@ -587,22 +589,18 @@ class TestPeerExitCodes:
 
     def test_full_pairing_connect_side(self, monkeypatch, capsys, test_params):
         monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
-        listener = StreamListener(0)
         box = {}
 
-        def responder():
+        def responder(listener):
             chan = listener.accept(5.0)
             peer = Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2))
             respond(chan, peer)
             box["sas"] = peer.sas
             chan.close()
 
-        t = threading.Thread(target=responder)
-        t.start()
-        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
-                     "--params", "test", "--timeout", "5"])
-        t.join()
-        listener.close()
+        with serving(responder) as listener:
+            code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                         "--params", "test", "--timeout", "5"])
         out = capsys.readouterr().out
         assert code == 0
         assert f"alice : {format_sas(box['sas'])}" in out
@@ -623,19 +621,15 @@ class TestPeerExitCodes:
         monkeypatch.setattr(cli, "Peer", build)
         monkeypatch.setattr(secrets.SystemRandom, "getrandbits", getrandbits)
         monkeypatch.setattr("sys.stdin", io.StringIO("y\n"))
-        listener = StreamListener(0)
 
-        def responder():
+        def responder(listener):
             chan = listener.accept(5.0)
             respond(chan, Peer(Role.RESPONDER, test_params, "alice", 20, random.Random(2)))
             chan.close()
 
-        t = threading.Thread(target=responder)
-        t.start()
-        code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
-                     "--params", "test", "--timeout", "5"])
-        t.join()
-        listener.close()
+        with serving(responder) as listener:
+            code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                         "--params", "test", "--timeout", "5"])
         assert code == 0
         (peer,) = built
         assert isinstance(peer.rng, secrets.SystemRandom)

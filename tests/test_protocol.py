@@ -79,6 +79,15 @@ def model_frames(a: Peer, b: Peer) -> tuple[bytes, bytes, bytes]:
                         (b.identity, b.private, b.own_nonce), a.opening.nonce)
 
 
+def parse(frame: bytes, k: int = 8):
+    """decode_message, then the payload parse that a peer at bit length k
+    makes of a Msg2's or a Msg3's octets."""
+    msg = decode_message(frame)
+    if type(msg) is not Msg1:
+        decode_payload(msg.message, k)
+    return msg
+
+
 def started_initiator(params, k=20, seed=1):
     a = Peer(Role.INITIATOR, params, "alice", k, random.Random(seed))
     (frame1,) = a.start()
@@ -219,10 +228,12 @@ class TestWireFormat:
         assert str(info.value) == "body of 65536 octets exceeds 65535"
 
     def test_msg2_at_k_64_round_trips(self):
-        msg2 = Msg2(0x12345678, 64, PairingPayload("bob", 8, 2**64 - 1))
+        payload = PairingPayload("bob", 8, 2**64 - 1)
+        msg2 = Msg2(0x12345678, 64, encode_payload(payload, 64))
         frame = encode_message(msg2)
         assert frame.endswith(b"\x00\x08" + b"\xff" * 8)
         assert decode_message(frame) == msg2
+        assert decode_payload(msg2.message, 64) == payload
 
     def test_field_longer_than_65535_octets_rejected_at_encode(self):
         with pytest.raises(MalformedMessage, match="^field of 65536 octets exceeds 65535$"):
@@ -285,17 +296,42 @@ class TestWireFormat:
             a.receive(frame2.replace(b"\x00\x03bob", b"\x00\x03bo\x1b"))
         assert a.phase is Phase.ABORTED
 
-    def test_msg2_k_outside_range_rejected_before_its_payload(self, test_params):
-        # a payload valid in all but k: the k-range check names the fault,
-        # not the nonce field that decode_payload would reject next
-        a, frame1 = started_initiator(test_params)
-        b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
-        (frame2,) = b.receive(frame1)
-        msg2 = decode_message(frame2)
-        with pytest.raises(MalformedMessage) as info:
-            a.receive(encode_message(Msg2(msg2.param_set_id, 70, msg2.payload)))
-        assert str(info.value) == "k = 70 outside [1, 64]"
-        assert a.phase is Phase.ABORTED
+    def test_msg2_k_outside_range_rejected_before_its_payload(self, test_params, monkeypatch):
+        # a Msg2 with any 16-bit k frames as a record; the initiator's exact
+        # k match names the fault, not the nonce field that decode_payload
+        # would reject next, and no Msg3 leaves it, then or later
+        _, _, _, frame2, _ = honest_exchange(test_params)
+        parsed = []
+        monkeypatch.setattr(protocol, "decode_payload", lambda *args: parsed.append(args))
+        for k in (0, 65, 65535):
+            frame = frame2[:9] + k.to_bytes(2, "big") + frame2[11:]
+            assert decode_message(frame) == Msg2(test_params.set_id, k, frame2[11:])
+            a, _ = started_initiator(test_params)
+            with pytest.raises(MalformedMessage) as info:
+                a.receive(frame)
+            assert str(info.value) == f"k mismatch: peer {k}, ours 20"
+            assert a.phase is Phase.ABORTED and Phase.DECOMMITTED not in a.phase_log
+            assert a.receive(frame2) == []
+        assert parsed == []
+
+    @pytest.mark.parametrize("name", ["test", "p40", "modp2048"])
+    def test_each_peer_parses_the_remote_payload_once(self, name, monkeypatch):
+        """Over one honest session each peer parses one payload, the
+        other's, and decode_message parses none."""
+        parsed = []
+
+        def spy(data, k):
+            parsed.append((data, k))
+            return decode_payload(data, k)
+
+        monkeypatch.setattr(protocol, "decode_payload", spy)
+        a, b, frame1, frame2, frame3 = honest_exchange(PARAM_SETS[name])
+        assert parsed == [(b.own_message, 20), (a.own_message, 20)]
+        assert frame2.endswith(b.own_message) and frame3.endswith(a.own_message)
+        for frame in (frame1, frame2, frame3):
+            decode_message(frame)
+        assert len(parsed) == 2
+        assert a.sas == b.sas
 
     @pytest.mark.parametrize("tag, body, reason", [
         pytest.param(0x01, b"\x00" * 31, "commit body must be 32 octets", id="commit-31"),
@@ -312,13 +348,13 @@ class TestWireFormat:
     def test_well_framed_body_too_short_rejected(self, tag, body, reason):
         frame = bytes([tag]) + len(body).to_bytes(4, "big") + body
         with pytest.raises(MalformedMessage, match=reason):
-            decode_message(frame)
+            parse(frame)
 
     @pytest.mark.parametrize("decode, data, text", [
         pytest.param(decode_message, b"\x01\x00", "frame of 2 octets is shorter than the header",
                      id="header-cut"),
         # set id 0, k = 8, then an identity field that declares 5 octets and holds 2
-        pytest.param(decode_message, bytes([0x02]) + (10).to_bytes(4, "big") + bytes(4) + b"\x00\x08\x00\x05ab",
+        pytest.param(parse, bytes([0x02]) + (10).to_bytes(4, "big") + bytes(4) + b"\x00\x08\x00\x05ab",
                      "field data runs past end of body", id="field-data-cut"),
         pytest.param(functools.partial(decode_payload, k=8), b"\x00\x05ab",
                      "field data runs past end of body", id="payload-field-data-cut"),
@@ -347,17 +383,12 @@ class TestWireFormat:
         grown by one octet, or behind a body length one off, raises
         MalformedMessage and nothing else: as it is, and with its header
         rewritten to frame what is left, so that every cut reaches the
-        fixed-offset parser.  A Msg3's opened payload is parsed too."""
-        def parse(frame):
-            msg = decode_message(frame)
-            if type(msg) is Msg3:
-                decode_payload(msg.message, k)
-
+        fixed-offset parser.  A Msg2's or Msg3's payload is parsed too."""
         def framed(tag, body):
             return bytes([tag]) + len(body).to_bytes(4, "big") + body
 
         for frame in honest_exchange(PARAM_SETS[name], k)[2:]:
-            parse(frame)
+            parse(frame, k)
             tag, body = frame[0], frame[5:]
             bad = [frame[:cut] for cut in range(len(frame))]
             bad += [framed(tag, body[:cut]) for cut in range(len(body))]
@@ -365,7 +396,7 @@ class TestWireFormat:
             bad += [bytes([tag]) + (len(body) + d).to_bytes(4, "big") + body for d in (-1, 1)]
             for data in bad:
                 with pytest.raises(MalformedMessage):
-                    parse(data)
+                    parse(data, k)
 
     def test_bad_utf8_identity_rejected(self):
         raw = b"\x00\x02\xff\xfe" + b"\x00\x01\x08" + b"\x00\x01\x01"
@@ -395,8 +426,10 @@ class TestWireFormat:
         nonce %= 2**k
         payload = PairingPayload(check_identity(label), share, nonce)
 
-        msg2 = Msg2(data.draw(st.integers(0, 2**32 - 1)), k, payload)
-        assert decode_message(encode_message(msg2)) == msg2
+        msg2 = Msg2(data.draw(st.integers(0, 2**32 - 1)), k, encode_payload(payload, k))
+        decoded = decode_message(encode_message(msg2))
+        assert decoded == msg2
+        assert decode_payload(decoded.message, k) == payload
 
         message = encode_payload(payload, k)
         c, nonce = commit(message, random.Random(0))
@@ -561,8 +594,8 @@ class TestPhaseGuards:
 
 def bad_share_frame(params, nonce: int) -> bytes:
     """A Msg2 whose public share, 1, lies outside the subgroup."""
-    return encode_message(Msg2(params.set_id, 20, PairingPayload(
-        "bob", 1, nonce)))
+    return encode_message(Msg2(params.set_id, 20, encode_payload(PairingPayload(
+        "bob", 1, nonce), 20)))
 
 
 class TestKeyGating:
@@ -653,9 +686,10 @@ class TestAttacksAtOpLevel:
         b = Peer(Role.RESPONDER, test_params, "bob", 20, random.Random(2))
         (frame2,) = b.receive(frame1)
         msg2 = decode_message(frame2)
-        evil_nonce = msg2.payload.auth_nonce ^ 0x1
-        evil = Msg2(msg2.param_set_id, msg2.k,
-                    PairingPayload(msg2.payload.identity, msg2.payload.public_share, evil_nonce))
+        payload = decode_payload(msg2.message, msg2.k)
+        evil_nonce = payload.auth_nonce ^ 0x1
+        evil = Msg2(msg2.param_set_id, msg2.k, encode_payload(
+                    PairingPayload(payload.identity, payload.public_share, evil_nonce), msg2.k))
         (frame3,) = a.receive(encode_message(evil))
         b.receive(frame3)
         # S_A xor S_B = N_B xor N_E != 0
@@ -707,7 +741,7 @@ class TestHostilePayload:
 
     def test_oversized_share_in_msg2_aborts_initiator(self, test_params):
         a, _ = started_initiator(test_params)
-        msg2 = Msg2(test_params.set_id, 20, PairingPayload("bob", BIG_SHARE, 0))
+        msg2 = Msg2(test_params.set_id, 20, encode_payload(PairingPayload("bob", BIG_SHARE, 0), 20))
         with pytest.raises(SubgroupCheckFailed, match="^responder share of 16000 bits rejected$"):
             a.receive(encode_message(msg2))
         assert a.phase is Phase.ABORTED

@@ -21,7 +21,6 @@ from saska.protocol import Msg1, Msg2, Msg3, PairingPayload, Sas
 
 DIGEST = bytes(range(32))
 NONCE = b"\x07" * 32
-PAYLOAD = PairingPayload("bob", 4, 5)
 PAYLOAD_REPR = "PairingPayload(identity='bob', public_share=4, auth_nonce=5)"
 
 # (class, keyword arguments in field order, expected repr)
@@ -31,8 +30,7 @@ CASES = [
     (PairingPayload, {"identity": "bob", "public_share": 4,
                       "auth_nonce": 5}, PAYLOAD_REPR),
     (Msg1, {"c": DIGEST}, f"Msg1(c={DIGEST!r})"),
-    (Msg2, {"param_set_id": 7, "k": 8, "payload": PAYLOAD},
-     f"Msg2(param_set_id=7, k=8, payload={PAYLOAD_REPR})"),
+    (Msg2, {"param_set_id": 7, "k": 8, "message": b"m"}, "Msg2(param_set_id=7, k=8, message=b'm')"),
     (Msg3, {"nonce": NONCE, "message": b"m"}, f"Msg3(nonce={NONCE!r}, message=b'm')"),
     (AttackStrategy, {"kind": StrategyKind.FULL_MITM, "guess_rule": GuessRule.FIXED, "fixed_guess": 3},
      "AttackStrategy(kind=<StrategyKind.FULL_MITM: 'full-mitm'>, "
