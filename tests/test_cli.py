@@ -1,5 +1,8 @@
+import ast
 import builtins
 import contextlib
+import gc
+import importlib
 import io
 import math
 import os
@@ -63,6 +66,19 @@ def serving(server):
         for chan in accepted:
             chan.close()
         listener.close()
+
+
+def silent_server(listener):
+    """Accept one connection and send nothing."""
+    listener.accept(5.0)
+
+
+def garbage_server(listener):
+    """Answer the first frame with a frame of unknown type, then hang up."""
+    chan = listener.accept(5.0)
+    chan.recv_frame(5.0)  # discard msg1
+    chan.send_frame(bytes([0x07]) + (3).to_bytes(4, "big") + b"abc")
+    chan.close()
 
 
 class CliThread(threading.Thread):
@@ -447,25 +463,28 @@ class TestPeerExitCodes:
         assert len(lines) == 1 and lines[0].startswith("transport error:"), proc.stderr
 
     def test_silent_peer_times_out(self):
-        def silent_server(listener):
-            listener.accept(5.0)
-
         with serving(silent_server) as listener:
             code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
                          "--params", "test", "--timeout", "0.2"])
         assert code == EXIT_TIMEOUT
 
     def test_garbage_reply_is_tamper_exit(self):
-        def bad_server(listener):
-            chan = listener.accept(5.0)
-            chan.recv_frame(5.0)  # discard msg1
-            chan.send_frame(bytes([0x07]) + (3).to_bytes(4, "big") + b"abc")
-            chan.close()
-
-        with serving(bad_server) as listener:
+        with serving(garbage_server) as listener:
             code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
                          "--params", "test", "--timeout", "2"])
         assert code == EXIT_TAMPER
+
+    @pytest.mark.parametrize("server, timeout, code, prefix", [
+        (garbage_server, "2", EXIT_TAMPER, "protocol violation:"),
+        (silent_server, "0.2", EXIT_TIMEOUT, "timeout:"),
+    ], ids=["garbage-reply", "silent-peer"])
+    def test_one_error_line_in_fresh_interpreter(self, server, timeout, code, prefix):
+        with serving(server) as listener:
+            proc = run_cli(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                            "--params", "test", "--timeout", timeout], PYTHONWARNINGS="error")
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
     def test_oversized_share_is_tamper_exit(self, capsys, test_params):
         """A Msg2 whose share has 2,000 octets, past the digits int-to-str
@@ -707,3 +726,75 @@ class TestTypeAhead:
         code, out, err, peer = self.pair_on_terminal(test_params, b"", b"y\n")
         assert code == 0, out + err
         assert f"fingerprint: {key_fingerprint(peer.confirm(True))}" in out
+
+
+class TestEntry:
+    """`cli.entry`, which both launchers call: freeze what start-up made,
+    then run main() unchanged."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list:
+        """The calls of gc.freeze, which the process running the tests must
+        never really make."""
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        return calls
+
+    def test_script_and_main_block_call_it(self):
+        # pyproject.toml is read as text: Python 3.10 has no tomllib
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        module, name = re.search(r'^saska\s*=\s*"([\w.]+):(\w+)"$', section, re.M).groups()
+        script = getattr(importlib.import_module(module), name)
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        (statement,) = block.body
+        exit_call = statement.value
+        assert ast.unparse(exit_call.func) == "sys.exit"
+        (call,) = exit_call.args
+        assert isinstance(call, ast.Call) and not call.args and not call.keywords
+        assert script is getattr(cli, call.func.id) is cli.entry
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 4, 5])
+    def test_freezes_once_then_returns_the_code_of_main(self, monkeypatch, calls, code):
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        assert cli.entry() == code
+        assert calls == ["freeze", "main"]
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--listen", "0"], 2)],
+                             ids=["help", "usage-error"])
+    def test_argparse_exit_passes_through(self, monkeypatch, capsys, calls, argv, code):
+        monkeypatch.setattr(sys, "argv", ["saska", *argv])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.entry()
+        assert excinfo.value.code == code
+        assert calls == ["freeze"]
+        out, err = capsys.readouterr()
+        assert ("usage: saska" in out) == (code == 0)
+        assert ("error: the following arguments are required: --id" in err) == (code == 2)
+
+    def test_main_never_freezes(self, capsys, calls):
+        assert main(["sim", "--strategy", "honest", "--trials", "1", "--k", "4", "--params", "test"]) == 0
+        assert main(["--connect", f"127.0.0.1:{find_free_port()}", "--id", "bob",
+                     "--params", "test"]) == EXIT_TRANSPORT
+        assert calls == []
+
+    def test_only_start_up_objects_are_frozen(self):
+        """In a fresh interpreter, importing saska.cli freezes nothing, and a
+        socket that the run leaks in a reference cycle is still freed, with
+        its ResourceWarning, by the collection at exit."""
+        code = ("import gc, socket, sys\n"
+                "import saska.cli as cli\n"
+                "assert gc.get_freeze_count() == 0\n"
+                "def leak():\n"
+                "    assert gc.get_freeze_count() > 0\n"
+                "    box = [socket.socket()]\n"
+                "    box.append(box)\n"
+                "    return 3\n"
+                "cli.main = leak\n"
+                "sys.exit(cli.entry())\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=cli_env(PYTHONWARNINGS="error"),
+                              capture_output=True, text=True, timeout=30, stdin=subprocess.DEVNULL)
+        assert proc.returncode == 3, proc.stderr
+        assert "ResourceWarning: unclosed <socket.socket" in proc.stderr
