@@ -2,12 +2,13 @@
 
 The attacker owns the channel between two honest peers (Dolev-Yao: it can
 overhear, intercept, modify, drop, and inject frames) but cannot break the
-commitment hash.  The _Attacker base routes each honest frame; a strategy
-makes one decision per honest message, each a move carrying the attacker's
-own payload m_E = ID || g^e || N_E: commit_toward_b (Msg1 as alice),
-reply_toward_a (Msg2 as bob) or open_toward_b (Msg3).  The blind guess is
-fixed when first asked for.  Impersonate-initiator is full-mitm whose
-blind nonce is its guess of N_A.
+commitment hash.  The _Attacker base routes each honest frame by its tag
+octet and keeps each honest payload as the frame that carried it, parsed
+when first read; a strategy makes one decision per honest message, each a
+move carrying the attacker's own payload m_E = ID || g^e || N_E:
+commit_toward_b (Msg1 as alice), reply_toward_a (Msg2 as bob) or
+open_toward_b (Msg3).  The blind guess is fixed when first asked for.
+Impersonate-initiator is full-mitm whose blind nonce is its guess of N_A.
 
 What the strategies cannot dodge is the commit/reveal ordering: one honest
 k-bit nonce is still hidden at the moment the attacker's own nonce becomes
@@ -40,6 +41,8 @@ from .protocol import (
     Msg3,
     PairingPayload,
     Peer,
+    TAG_COMMIT,
+    TAG_PAYLOAD,
     _INITIATOR,
     _RESPONDER,
     _SAS_READY,
@@ -126,8 +129,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # --- attacker callbacks -----------------------------------------------------
 
 class _Attacker:
-    """Routes each honest frame to the strategy's decision on it, keeps the
-    payload each frame carried, fixes its guess when first asked, and forges
+    """Routes each honest frame to the strategy's decision on it, keeps A's
+    opening and B's Msg2 as the octets received and parses each the first
+    time its payload is read, fixes its guess when first asked, and forges
     frames through the three moves below, the only place an attacker builds
     one.  Every decision reads the state declared in __init__."""
 
@@ -138,24 +142,48 @@ class _Attacker:
         self.rng = rng
         self.exponent = gen_private_share(params, rng)
         self.share = pub_share(params, self.exponent)
-        self.payload_a: PairingPayload | None = None  # from A's opening
-        self.payload_b: PairingPayload | None = None  # from B's Msg2
+        self.frame_a: bytes | None = None  # A's opening
+        self.frame_b: bytes | None = None  # B's Msg2
+        self._payload_a: PairingPayload | None = None  # parsed from frame_a when first read
+        self._payload_b: PairingPayload | None = None  # parsed from frame_b when first read
         self.blind: int | None = None  # our nonce, fixed when A's commitment arrives
         self.opening: Msg3 | None = None
         self.guess: int | None = None
 
     def __call__(self, frame: bytes, direction: Direction) -> list[tuple[Direction, bytes]]:
         """Only the honest peers' own frames reach here, so Msg1 and Msg3
-        travel a->b and Msg2 b->a, and the message alone picks the decision."""
-        msg = decode_message(frame)
-        if isinstance(msg, Msg1):
+        travel a->b and Msg2 b->a, and the tag octet alone picks the
+        decision.  A kept frame is parsed only if something reads it."""
+        tag = frame[0]
+        if tag == TAG_COMMIT:
             return [self.on_commit()]
-        payload = decode_payload(msg.message, self.k)  # Msg2's or the opening's
-        if isinstance(msg, Msg2):
-            self.payload_b = payload
-            return [self.on_payload(payload.auth_nonce)]
-        self.payload_a = payload
-        return [self.on_opening(payload.auth_nonce)]
+        if tag == TAG_PAYLOAD:
+            self.frame_b = frame
+            return [self.on_payload()]
+        self.frame_a = frame
+        return [self.on_opening()]
+
+    @property
+    def payload_a(self) -> PairingPayload | None:
+        """A's payload, parsed from its opening on the first read after it arrives."""
+        if self._payload_a is None and self.frame_a is not None:
+            self._payload_a = decode_payload(decode_message(self.frame_a).message, self.k)
+        return self._payload_a
+
+    @payload_a.setter
+    def payload_a(self, payload: PairingPayload | None):
+        self._payload_a = payload
+
+    @property
+    def payload_b(self) -> PairingPayload | None:
+        """B's payload, parsed from its Msg2 on the first read after it arrives."""
+        if self._payload_b is None and self.frame_b is not None:
+            self._payload_b = decode_payload(decode_message(self.frame_b).message, self.k)
+        return self._payload_b
+
+    @payload_b.setter
+    def payload_b(self, payload: PairingPayload | None):
+        self._payload_b = payload
 
     def resolve_guess(self) -> int:
         """The guess of the still-hidden honest nonce, fixed under the rule
@@ -209,12 +237,12 @@ class ImpersonateResponderAttacker(_Attacker):
         self.blind = self.rng.getrandbits(self.k)
         return self.reply_toward_a(self.blind)
 
-    def on_opening(self, n_a: int):
+    def on_opening(self):
         # A decommitted to us; now impersonate A toward B
-        return self.commit_toward_b(n_a ^ self.blind ^ self.resolve_guess())
+        return self.commit_toward_b(self.payload_a.auth_nonce ^ self.blind ^ self.resolve_guess())
 
-    def on_payload(self, n_b: int):
-        # B's real payload; N_B arrives after our commitment is out
+    def on_payload(self):
+        # B's real payload, unread: N_B arrives after our commitment is out
         return self.open_toward_b()
 
 
@@ -228,10 +256,10 @@ class FullMitmAttacker(_Attacker):
         self.blind = self.rng.getrandbits(self.k)
         return self.commit_toward_b(self.blind)
 
-    def on_payload(self, n_b: int):
-        return self.reply_toward_a(n_b ^ self.blind ^ self.resolve_guess())
+    def on_payload(self):
+        return self.reply_toward_a(self.payload_b.auth_nonce ^ self.blind ^ self.resolve_guess())
 
-    def on_opening(self, n_a: int):
+    def on_opening(self):
         return self.open_toward_b()
 
 

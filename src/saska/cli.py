@@ -240,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= args.k <= MAX_K:
             raise ValueError(f"--k must be in [1, {MAX_K}], got {args.k}")
+        # random.Random seeds from the absolute value: --seed -N would repeat N
+        if sim and args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if not sim:
             _check_peer_args(args)
     except ValueError as exc:

@@ -112,6 +112,10 @@ HAND_MUTANTS = [
      "the attacker's key with B is computed from A's payload"),
     ("adversary.py", "for seen in (self.payload_a, self.payload_b):", "for seen in (self.payload_a,):",
      "the adaptive guess folds A's nonce but not B's"),
+    # impersonate-responder's decisions never read B's Msg2, so only its
+    # key check parses it
+    ("adversary.py", "seen = self.payload_b", "seen = self._payload_b",
+     "the attacker's key with B skips the parse of a frame no decision read"),
     # a check that does not raise: only a terminal holds what was typed ahead
     ("cli.py", "termios.tcflush(sys.stdin.fileno(), termios.TCIFLUSH)", "pass",
      "a line typed on the terminal before the prompt answers it"),

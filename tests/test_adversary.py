@@ -134,10 +134,16 @@ class TestMitmTrials:
         assert out.success and out.sas_match and out.aborts == ()
         assert out.sas_a.k == 64
 
-    def test_attacker_shares_keys_with_both_on_win(self, test_params):
-        nonce = winning_nonce(StrategyKind.FULL_MITM, test_params, 4, 7)
-        out = forced_trial(StrategyKind.FULL_MITM, test_params, 4, guess=7, nonce_value=nonce)
-        assert out.attacker_key_with_a and out.attacker_key_with_b
+    @pytest.mark.parametrize("name", ["test", "p40"])
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_attacker_holds_both_keys_on_win(self, kind, name):
+        """Every strategy substitutes its own share toward both victims, so
+        a win hands it both keys.  Impersonate-responder's decisions never
+        read B's Msg2: key_with_b alone parses it."""
+        params = PARAM_SETS[name]
+        nonce = winning_nonce(kind, params, 4, 7)
+        out = forced_trial(kind, params, 4, guess=7, nonce_value=nonce)
+        assert out.success and out.attacker_key_with_a and out.attacker_key_with_b
         assert not out.keys_equal  # the victims hold different keys: that is the attack
 
     def test_rebound_commitment_fails_open(self, test_params):

@@ -426,6 +426,24 @@ class TestSim:
         assert capsys.readouterr().err == message + "\n"
         assert calls == []
 
+    @pytest.mark.parametrize("seed", ["-7", "-1"])
+    def test_negative_seed_refused_before_any_trial(self, capsys, monkeypatch, seed):
+        # random.Random(-7) is random.Random(7): a negative seed would
+        # silently repeat the run of its absolute value
+        calls = no_trials(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sim", "--strategy", "full-mitm", "--k", "4", "--trials", "2000",
+                  "--params", "test", "--seed", seed])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2 and calls == []
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"saska sim: error: --seed must be non-negative, got {seed}"]
+
+    def test_seed_zero_runs(self, capsys):
+        code = main(["sim", "--strategy", "honest", "--trials", "10", "--params", "test",
+                     "--k", "4", "--seed", "0"])
+        assert code == 0 and capsys.readouterr().out.startswith("seed=0\n")
+
     def test_trials_of_3000_digits_is_one_short_line_and_no_trial(self, capsys, monkeypatch):
         calls = no_trials(monkeypatch)
         code = main(["sim", "--strategy", "honest", "--params", "test", "--k", "4",
