@@ -108,8 +108,7 @@ class AttackStrategy(namedtuple("AttackStrategy", "kind guess_rule fixed_guess",
 AttackOutcome = namedtuple(
     "AttackOutcome",
     "success sas_a sas_b sas_match keys_equal attacker_key_with_a attacker_key_with_b"
-    " transcript aborts",
-    defaults=((),))
+    " transcript aborts")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -170,20 +169,12 @@ class _Attacker:
             self._payload_a = decode_payload(decode_message(self.frame_a).message, self.k)
         return self._payload_a
 
-    @payload_a.setter
-    def payload_a(self, payload: PairingPayload | None):
-        self._payload_a = payload
-
     @property
     def payload_b(self) -> PairingPayload | None:
         """B's payload, parsed from its Msg2 on the first read after it arrives."""
         if self._payload_b is None and self.frame_b is not None:
             self._payload_b = decode_payload(decode_message(self.frame_b).message, self.k)
         return self._payload_b
-
-    @payload_b.setter
-    def payload_b(self, payload: PairingPayload | None):
-        self._payload_b = payload
 
     def resolve_guess(self) -> int:
         """The guess of the still-hidden honest nonce, fixed under the rule
@@ -375,7 +366,7 @@ def make_attacker(strategy: AttackStrategy, params: DhParams, k: int, rng: rando
     return _ATTACKERS[strategy.kind._value_](strategy, params, k, rng)
 
 
-def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed=None,
+def run_mitm_trial(strategy: AttackStrategy, params: DhParams, k: int, seed: int,
                    nonce: int | None = None) -> AttackOutcome:
     """One full protocol execution with the strategy's attacker interposed.
     `nonce`, if given, forces the honest nonce the attacker must guess:
@@ -422,7 +413,7 @@ def exhaustive_attack_success(
 
 
 def estimate_attack_success(
-    strategy: AttackStrategy, params: DhParams, k: int, trials: int, seed=None
+    strategy: AttackStrategy, params: DhParams, k: int, trials: int, seed: int
 ) -> SimReport:
     """Monte Carlo attack rate over independent honest randomness, with a
     99% two-sided binomial (Wilson) confidence interval, as the report

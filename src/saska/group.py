@@ -11,15 +11,11 @@ p.  Private exponents are capped at 256 bits once q exceeds 2^256, which
 means modp2048 (NIST SP 800-56A Rev. 3, section 5.6.1.1.4; RFC 3526,
 section 8).
 
-A peer checks each share it receives, and derive_key checks the same share
-again.  Once p exceeds 2^31, the repeated check is answered from a small
-bounded per-process store of Jacobi verdicts, keyed on the group and the
-value; it holds only public shares and their verdicts.
-in_subgroup records each verdict it computes, and pub_share records each
-g^x it makes from the table as a member when g passes the test.  That is
-exact: (y/p) and y^q mod p are multiplicative in y, so every power of such
-a g passes too, and the range check 1 < y < p, which runs first on every
-call, refuses the identity.
+Above 2^31, pub_share remembers the last few shares it made from the
+table when g passes the test, and in_subgroup accepts those without the
+Jacobi test: (y/p) and y^q mod p are multiplicative in y, so every power of
+such a g is a member, and the range check 1 < y < p, which runs first,
+refuses the identity.  Any other share runs the Jacobi test on every check.
 
 Every group with p above 2^31 computes g^x for x in [0, exponent_limit)
 from a fixed-base table (Brickell, Gordon, McCurley & Wilson, EUROCRYPT
@@ -43,27 +39,26 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from collections import OrderedDict, namedtuple
+from collections import deque, namedtuple
 
 from .errors import MalformedMessage, RngFailure, SubgroupCheckFailed
 
 _EXPONENT_BITS = 256  # the short exponent cap
 
-# Groups with p <= 2^31 skip the Jacobi test, the verdict store and the
-# fixed-base table, because below about 2^31 a single pow is cheaper
+# Groups with p <= 2^31 skip the Jacobi test, the store of shares made here
+# and the fixed-base table, because below about 2^31 a single pow is cheaper
 # (measured with CPython 3.11).  Subgroup test: pow(y, q, p) takes 0.2 us
 # against 0.8 us for the Jacobi loop at p = 23, and 9 us against 4 us at 32
-# bits; the whole uncached check takes 0.16 us at p = 23, and a verdict
-# cache miss 0.43 us.  g^x: pow(g, x, p) takes 0.07 us against 0.7 us for
-# pub_share from the filled table at p = 23, and 3.4 us against 1.2 us at 32
-# bits.
+# bits; the whole check takes 0.16 us at p = 23.  g^x: pow(g, x, p) takes
+# 0.07 us against 0.7 us for pub_share from the filled table at p = 23, and
+# 3.4 us against 1.2 us at 32 bits.
 _SMALL_P_MAX = 1 << 31
 
 
 @functools.lru_cache(maxsize=None)
 def _derived(params: DhParams) -> tuple[int, int, bool]:
-    """(exponent_limit, set_id, whether pub_share records its shares as
-    members: p > 2^31 and g passes the membership test) of a group triple."""
+    """(exponent_limit, set_id, whether pub_share remembers the shares it
+    makes: p > 2^31 and g passes the membership test) of a group triple."""
     p, q, g = params
     if p != 2 * q + 1:
         raise ValueError(f"p of {p.bit_length()} bits is not 2q + 1: only safe-prime groups are supported")
@@ -124,28 +119,14 @@ def in_subgroup(params: DhParams, value: int) -> bool:
         return False
     if params.p <= _SMALL_P_MAX:
         return pow(value, params.q, params.p) == 1
-    verdict = _verdicts.get((params, value))
-    if verdict is None:
-        verdict = jacobi(value, params.p) == 1
-        _record_verdict(params, value, verdict)
-    return verdict
+    return (params, value) in _made_here or jacobi(value, params.p) == 1
 
 
-# Verdicts above 2^31, (group, value) -> bool, oldest first.  A simulator
-# trial makes up to 3 shares (A's, B's and the attacker's), each recorded by
-# pub_share, and a peer checks the share it receives twice; a CLI peer
-# records its own share and the remote one.  So a few entries hold every
-# share of a trial until its last check.
-_VERDICT_CACHE_SIZE = 8
-_verdicts: OrderedDict[tuple[DhParams, int], bool] = OrderedDict()
-
-
-def _record_verdict(params: DhParams, value: int, verdict: bool) -> None:
-    """Store a verdict, dropping the oldest once the store is full.  Two
-    threads may each drop one; every verdict kept stays exact."""
-    if len(_verdicts) >= _VERDICT_CACHE_SIZE:
-        _verdicts.popitem(last=False)
-    _verdicts[params, value] = verdict
+# (group, share) pairs pub_share made from the table with a member g, oldest
+# first.  A simulator trial makes up to 3 shares (A's, B's and the
+# attacker's), and each peer checks the share it receives twice, so a few
+# entries hold every share of a trial until its last check.
+_made_here: deque[tuple[DhParams, int]] = deque(maxlen=8)
 
 
 def gen_private_share(params: DhParams, rng: random.Random) -> int:
@@ -203,7 +184,7 @@ def _table_entry(row: list[int | None], d: int, p: int) -> int:
 
 def pub_share(params: DhParams, x: int) -> int:
     """The public share g^x mod p for the exponent x; from the fixed-base
-    table above 2^31, recorded there as a subgroup member when g is one
+    table above 2^31, remembered as made here when g is a subgroup member
     (see the module docstring)."""
     p = params.p
     if p <= _SMALL_P_MAX or not 0 <= x < params.exponent_limit:
@@ -215,7 +196,7 @@ def pub_share(params: DhParams, x: int) -> int:
             value = value * (row[d] or _table_entry(row, d, p)) % p
         x >>= _ROW_BITS
     if _derived(params)[2]:
-        _record_verdict(params, value, True)
+        _made_here.append((params, value))
     return value
 
 

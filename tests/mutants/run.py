@@ -51,6 +51,18 @@ HAND_MUTANTS = [
      "a share made from a generator outside the subgroup is recorded as a member"),
     ("group.py", "* row[low] % p", "* row[1] % p",
      "a fixed-base table entry is filled from its row's base, not from its lowest set bit's entry"),
+    # pub_share(params, 0) is 1 and is remembered; only the range check,
+    # run first, keeps the identity out
+    ("group.py",
+     """    if not 1 < value < params.p:
+        return False
+""",
+     """    if (params, value) in _made_here:
+        return True
+    if not 1 < value < params.p:
+        return False
+""",
+     "a remembered share is accepted before the range check: the identity passes"),
     ("protocol.py",
      """        if not user_accepts:
             self.phase_log.append(Phase.ABORTED)

@@ -209,7 +209,9 @@ class TestMitmTrials:
         attacker = make_attacker(strategy, test_params, 8, random.Random(4))
         first = attacker.resolve_guess()
         state = attacker.rng.getstate()
-        attacker.payload_b = PairingPayload("bob", attacker.share, 0x3C)
+        payload = encode_payload(PairingPayload("bob", attacker.share, 0x3C), 8)
+        attacker.frame_b = encode_message(Msg2(test_params.set_id, 8, payload))
+        assert attacker.payload_b.auth_nonce == 0x3C
         assert attacker.resolve_guess() == first
         assert attacker.rng.getstate() == state
 
@@ -624,7 +626,7 @@ class ShareSwap(_Attacker):
         if isinstance(msg, Msg2):
             return [self.reply_toward_a(decode_payload(msg.message, self.k).auth_nonce)]
         if isinstance(msg, Msg3):
-            self.payload_a = decode_payload(msg.message, self.k)
+            self.frame_a = frame
         return [(direction, frame)]
 
 

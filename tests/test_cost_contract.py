@@ -1,8 +1,8 @@
 """The cost contract: how many times a simulator trial calls each primitive.
 
 A ±15% benchmark bound cannot see one more Jacobi run, one more generator
-seeding or one more decode in a trial of about 60 µs, and a verdict cache
-that stops hitting costs about that much.  Counts are exact where times
+seeding or one more decode in a trial of about 60 µs, and a share checked
+that pub_share did not remember costs about that much.  Counts are exact where times
 are noisy, so this pins them for each strategy on the `test`, `p40` and
 `modp2048` groups over a fixed list of seeds.  A change that saves or adds
 a call changes the table below in the same diff, with its reason.
@@ -19,8 +19,8 @@ builtin.  Each group's set id, one SHA-256 cached per group and process, is
 read before counting; that also computes g's own subgroup verdict, one
 Jacobi run cached beside it.  Table multiplies happen inline in
 `pub_share`, so nothing outside `src/` can count them.
-The subgroup-verdict store is cleared before each strategy, so a count does
-not depend on what ran before it.
+The store of shares pub_share remembers is cleared before each strategy,
+so a count does not depend on what ran before it.
 """
 
 import json
@@ -77,7 +77,7 @@ hmac.digest = counting("hmac", hmac.digest)
 table = {}
 for group, k in groups.items():
     for name in strategies:
-        saska.group._verdicts.clear()
+        saska.group._made_here.clear()
         tracer.reset()
         calls.update(dict.fromkeys(calls, 0))
         for seed in seeds:
@@ -101,13 +101,13 @@ COLUMNS = (*COUNTED, "jacobi", "pow", "seed", "getrandbits", "sha256", "hmac")
 # 1 generator seeded per honest trial and 2 per attack trial; above
 # 2^31 (p40, modp2048), no Jacobi run for an honest trial's 4 subgroup
 # checks or an attack trial's 2, which both check the attacker's one share,
-# because pub_share records every share it makes as a member.  Only trials
+# because every share checked is one pub_share made and remembers.  Only trials
 # whose strings match derive keys: all honest ones, and
 # one impersonate-responder trial on `test` at k = 8.  On `test` every g^x,
 # subgroup check and key is a pow; above 2^31 only the keys are (derive_key,
 # and the attacker's key_with_a/b once a victim holds a key), since g^x
-# comes from the fixed-base table and the subgroup check from the verdict
-# pub_share recorded.
+# comes from the fixed-base table and the subgroup check finds the share
+# among those pub_share remembers.
 # getrandbits: the 64 bits drawn in every trial to seed the attacker's
 # generator, each exponent (randrange draws
 # again on a value past its bound, so this varies by seed), each nonce and

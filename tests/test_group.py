@@ -364,9 +364,9 @@ class TestInSubgroup:
             jacobi(3, 10)
 
 class TestVerdictCache:
-    """Above 2^31 each (group, share) verdict is computed at most once per
-    process and then answered from a small bounded store, which pub_share
-    fills with the shares it makes from a generator in the subgroup."""
+    """Above 2^31 a share pub_share made from a generator in the subgroup is
+    remembered in a small bounded store and accepted without the Jacobi
+    test; any other share runs the test on every check."""
 
     @staticmethod
     def count_jacobi(monkeypatch, counts):
@@ -402,38 +402,44 @@ class TestVerdictCache:
         counts = {}
         self.count_jacobi(monkeypatch, counts)
         for seed in range(3):
-            group._verdicts.clear()
+            group._made_here.clear()
             counts.update(in_subgroup=0, jacobi=0)
             run_mitm_trial(AttackStrategy(kind), params, 20, seed)
             assert counts == {"in_subgroup": checks, "jacobi": jacobi_runs}, seed
 
-    def test_share_made_elsewhere_is_tested_once(self, monkeypatch):
+    def test_share_made_elsewhere_is_tested_on_every_check(self, monkeypatch):
         """A share computed with pow, as a remote peer's is, runs the Jacobi
-        loop on its first check only."""
+        loop on each of its checks and is never remembered."""
         params = PARAM_SETS["p40"]
         params.set_id  # g's own verdict, as above
         counts = {}
         self.count_jacobi(monkeypatch, counts)
-        group._verdicts.clear()
+        group._made_here.clear()
         counts.update(in_subgroup=0, jacobi=0)
         share = pow(params.g, 123456789, params.p)
         assert group.in_subgroup(params, share)
         assert derive_key(params, share, 5) == pow(share, 5, params.p)
-        assert counts == {"in_subgroup": 2, "jacobi": 1}
+        assert counts == {"in_subgroup": 2, "jacobi": 2}
+        assert not group._made_here
 
     def test_only_table_shares_from_a_member_generator_are_recorded(self):
         """Nothing is recorded on the pow path (p <= 2^31, or an exponent at
-        or above exponent_limit) or for a g outside the subgroup."""
+        or above exponent_limit) or for a g outside the subgroup.  g^0, the
+        identity, is remembered too, and only the range check, which runs
+        first, refuses it."""
         p40 = PARAM_SETS["p40"]
         outside = DhParams(p40.p, p40.q, p40.p - p40.g)
-        group._verdicts.clear()
+        group._made_here.clear()
         pub_share(PARAM_SETS["test"], 3)
         pub_share(SAFE31, 3)
         pub_share(p40, p40.exponent_limit + 1)
         pub_share(outside, 3)
-        assert not group._verdicts
+        assert not group._made_here
         share = pub_share(p40, 3)
-        assert dict(group._verdicts) == {(p40, share): True}
+        assert list(group._made_here) == [(p40, share)]
+        assert pub_share(p40, 0) == 1
+        assert (p40, 1) in group._made_here
+        assert not in_subgroup(p40, 1)
 
     @pytest.mark.parametrize("first, second", [("p40", "modp2048"), ("safe32", "p40")])
     def test_verdict_belongs_to_its_group(self, first, second):
@@ -442,14 +448,14 @@ class TestVerdictCache:
         values = [v for v in expected[first] if expected[first][v] != expected[second][v]]
         assert values
         for order in ((first, second), (second, first)):
-            group._verdicts.clear()
+            group._made_here.clear()
             for value in values:
                 for name in order:
                     assert in_subgroup(GROUPS[name], value) == expected[name][value]
 
     def test_rejected_share_rejected_again(self):
         params = PARAM_SETS["p40"]
-        group._verdicts.clear()
+        group._made_here.clear()
         non_residue = params.p - params.g
         priv = 5
         for _ in range(2):
@@ -457,13 +463,15 @@ class TestVerdictCache:
                 derive_key(params, non_residue, priv)
 
     def test_cache_stays_bounded(self):
+        """in_subgroup writes nothing, and the store keeps the last 8 shares
+        pub_share made."""
         params = PARAM_SETS["p40"]
-        group._verdicts.clear()
+        group._made_here.clear()
         for value in range(2, 402):
             assert in_subgroup(params, value) == reference_in_subgroup(params, value)
-        assert len(group._verdicts) == group._VERDICT_CACHE_SIZE
+        assert not group._made_here
         shares = [pub_share(params, x) for x in range(1, 21)]
-        assert list(group._verdicts) == [(params, y) for y in shares[-group._VERDICT_CACHE_SIZE:]]
+        assert list(group._made_here) == [(params, y) for y in shares[-8:]]
 
 
 # unvalidated triples whose g, the negation of a generator, is a non-residue
@@ -475,19 +483,19 @@ OUTSIDE = {"p40-outside": DhParams(PARAM_SETS["p40"].p, PARAM_SETS["p40"].q,
 
 class TestShareVerdict:
     """in_subgroup on a share pub_share made agrees with the pow reference,
-    whether the store was cleared before pub_share (it answers from the
-    recorded verdict), left warm, or cleared after it (in_subgroup tests the
-    share itself)."""
+    whether the store was cleared before pub_share (it finds the share
+    there), left warm, or cleared after it (in_subgroup tests the share
+    itself)."""
 
     @staticmethod
     def check(params, data):
         x = data.draw(st.integers(min_value=0, max_value=params.exponent_limit - 1))
         when = data.draw(st.sampled_from(["cleared", "warm", "cleared after"]))
         if when == "cleared":
-            group._verdicts.clear()
+            group._made_here.clear()
         share = pub_share(params, x)
         if when == "cleared after":
-            group._verdicts.clear()
+            group._made_here.clear()
         assert in_subgroup(params, share) == reference_in_subgroup(params, share)
 
     @pytest.mark.parametrize("name", sorted(set(GROUPS) - {"modp2048"} | set(OUTSIDE)))

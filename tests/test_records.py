@@ -129,7 +129,6 @@ def test_copy_and_pickle_round_trip(cls, fields, text):
 def test_defaults():
     strategy = AttackStrategy(StrategyKind.HONEST)
     assert strategy == AttackStrategy(StrategyKind.HONEST, GuessRule.UNIFORM, 0)
-    assert AttackOutcome(*[False] * 8).aborts == ()
 
 
 def test_dhparams_derived_fields_outside_value():
