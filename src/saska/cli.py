@@ -21,15 +21,7 @@ import os
 import sys
 import threading
 
-from .errors import (
-    ChannelClosed,
-    MalformedMessage,
-    OpenFailed,
-    PairingError,
-    SubgroupCheckFailed,
-    Timeout,
-    WrongPhase,
-)
+from .errors import PairingError, Timeout
 from .group import DEFAULT_PARAM_SET, PARAM_SETS
 from .protocol import (
     DEFAULT_K,
@@ -177,12 +169,12 @@ def run_peer(args) -> int:
     except Timeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (OpenFailed, MalformedMessage, SubgroupCheckFailed, WrongPhase) as exc:
-        print(f"protocol violation: {exc}", file=sys.stderr)
-        return EXIT_TAMPER
-    except (ChannelClosed, OSError) as exc:
+    except OSError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except PairingError as exc:
+        print(f"protocol violation: {exc}", file=sys.stderr)
+        return EXIT_TAMPER
     finally:
         if channel is not None:
             channel.close()

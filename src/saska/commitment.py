@@ -14,7 +14,7 @@ import hashlib
 import hmac
 import random
 
-from .errors import OpenFailed, RngFailure
+from .errors import OpenFailed
 
 # Fixed 8-octet ASCII domain separation tag; both peers use it implicitly,
 # preventing digests from being replayed across protocols.
@@ -30,10 +30,7 @@ def _digest(nonce: bytes, message: bytes) -> bytes:
 
 def commit(message: bytes, rng: random.Random) -> tuple[bytes, bytes]:
     """The digest and the nonce that opens it, for an octet string."""
-    try:
-        nonce = rng.getrandbits(NONCE_LEN * 8).to_bytes(NONCE_LEN, "big")
-    except Exception as exc:
-        raise RngFailure(str(exc)) from exc
+    nonce = rng.getrandbits(NONCE_LEN * 8).to_bytes(NONCE_LEN, "big")
     return _digest(nonce, message), nonce
 
 

@@ -2,16 +2,13 @@
 
 
 class PairingError(Exception):
-    """Base of the faults a pairing can meet (shares, messages, transport,
-    entropy); a bad argument raises ValueError instead."""
+    """Base of the faults a pairing can meet: a share, a message, their
+    order or a deadline.  A bad argument raises ValueError instead, and an
+    OS fault (a socket, the entropy source) stays an OSError."""
 
 
 class SubgroupCheckFailed(PairingError):
     """A received public share lies outside the order-q subgroup."""
-
-
-class RngFailure(PairingError):
-    """The injected random source failed to produce output."""
 
 
 class OpenFailed(PairingError):
@@ -24,10 +21,6 @@ class MalformedMessage(PairingError):
 
 class WrongPhase(PairingError):
     """A protocol operation was invoked out of order."""
-
-
-class ChannelClosed(PairingError):
-    """The remote endpoint closed the stream."""
 
 
 class Timeout(PairingError):

@@ -41,7 +41,7 @@ import hashlib
 import random
 from collections import deque, namedtuple
 
-from .errors import MalformedMessage, RngFailure, SubgroupCheckFailed
+from .errors import MalformedMessage, SubgroupCheckFailed
 
 _EXPONENT_BITS = 256  # the short exponent cap
 
@@ -135,10 +135,7 @@ def gen_private_share(params: DhParams, rng: random.Random) -> int:
     The limit is q, except on groups larger than the short exponent cap
     (see the module docstring).
     """
-    try:
-        return rng.randrange(1, params.exponent_limit)
-    except Exception as exc:
-        raise RngFailure(str(exc)) from exc
+    return rng.randrange(1, params.exponent_limit)
 
 
 # Bits of the exponent per fixed-base row.  On modp2048 (CPython 3.11.7,

@@ -24,7 +24,6 @@ from .commitment import DIGEST_LEN, NONCE_LEN, commit, open_commitment
 from .errors import (
     MalformedMessage,
     PairingError,
-    RngFailure,
     SubgroupCheckFailed,
     WrongPhase,
 )
@@ -73,14 +72,6 @@ class Sas(namedtuple("Sas", "value k")):
 
     def to_int(self) -> int:
         return self.value
-
-
-def gen_auth_nonce(k: int, rng: random.Random) -> int:
-    """A k-bit authentication nonce, an int below 2^k; the caller has checked k."""
-    try:
-        return rng.getrandbits(k)
-    except Exception as exc:
-        raise RngFailure(str(exc)) from exc
 
 
 def compute_sas(local: int, remote: int, k: int) -> Sas:
@@ -246,9 +237,10 @@ class Peer:
     checks from outside.
     Construction draws nothing: the initiator draws in start(), the
     responder when the commitment arrives, each from rng, the session's one
-    entropy source (the OS by default).  A seeded rng and a forced nonce,
-    which replaces the auth nonce's draw, exist for the attack simulator
-    and for tests.
+    entropy source (the OS by default).  A draw that raises propagates as
+    raised: no frame is returned and phase_log gains no entry.  A seeded
+    rng and a forced nonce, which replaces the auth nonce's draw, exist for
+    the attack simulator and for tests.
     """
 
     def __init__(
@@ -291,7 +283,7 @@ class Peer:
         payload is encoded once, as own_message, for Msg2 or the commitment."""
         self.private = gen_private_share(self.params, self.rng)
         if self.own_nonce is None:
-            self.own_nonce = gen_auth_nonce(self.k, self.rng)
+            self.own_nonce = self.rng.getrandbits(self.k)
         self.own_payload = PairingPayload(self.identity, pub_share(self.params, self.private), self.own_nonce)
         self.own_message = encode_payload(self.own_payload, self.k)
 

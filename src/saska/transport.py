@@ -10,7 +10,7 @@ from __future__ import annotations
 import socket
 import time
 
-from .errors import ChannelClosed, Timeout
+from .errors import Timeout
 from .protocol import HEADER_LEN, frame_body_length
 
 
@@ -21,10 +21,7 @@ class StreamChannel:
         self._sock = sock
 
     def send_frame(self, frame: bytes):
-        try:
-            self._sock.sendall(frame)
-        except OSError as exc:
-            raise ChannelClosed(str(exc)) from exc
+        self._sock.sendall(frame)
 
     def _read_exact(self, n: int, deadline: float, timeout: float) -> bytes:
         buf = bytearray()
@@ -37,10 +34,8 @@ class StreamChannel:
                 chunk = self._sock.recv(n - len(buf))
             except socket.timeout:
                 raise Timeout(f"no frame within {timeout} s") from None
-            except OSError as exc:
-                raise ChannelClosed(str(exc)) from exc
             if not chunk:
-                raise ChannelClosed("peer closed the stream")
+                raise ConnectionError("peer closed the stream")
             buf.extend(chunk)
         return bytes(buf)
 

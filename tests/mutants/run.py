@@ -131,6 +131,8 @@ HAND_MUTANTS = [
     # a check that does not raise: only a terminal holds what was typed ahead
     ("cli.py", "termios.tcflush(sys.stdin.fileno(), termios.TCIFLUSH)", "pass",
      "a line typed on the terminal before the prompt answers it"),
+    ("cli.py", "except OSError as exc:", "except ConnectionError as exc:",
+     "an OS fault other than a lost connection escapes run_peer as a traceback"),
 ]
 
 

@@ -81,6 +81,19 @@ def garbage_server(listener):
     chan.close()
 
 
+def connect_when_listening(port: int):
+    """A channel to the CLI peer that a thread is starting on port.  A
+    refused connect returns at once, so pause between attempts until the
+    thread has bound its port."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        try:
+            return connect_stream("127.0.0.1", port, timeout=0.1)
+        except OSError:
+            time.sleep(0.02)
+    raise AssertionError(f"CLI peer never listened on port {port}")
+
+
 class CliThread(threading.Thread):
     def __init__(self, argv):
         super().__init__()
@@ -530,16 +543,7 @@ class TestPeerExitCodes:
         peer = CliThread(["--listen", str(port), "--id", "alice",
                           "--params", "test", "--timeout", "5"])
         peer.start()
-        # a refused connect returns at once, so pause between attempts
-        # until the CLI thread has bound its port
-        chan = None
-        deadline = time.monotonic() + 5.0
-        while chan is None and time.monotonic() < deadline:
-            try:
-                chan = connect_stream("127.0.0.1", port, timeout=0.1)
-            except OSError:
-                time.sleep(0.02)
-        assert chan is not None, f"CLI peer never listened on port {port}"
+        chan = connect_when_listening(port)
         mallory = Peer(Role.INITIATOR, test_params, "mallory", 20, random.Random(1))
         for frame in mallory.start():
             chan.send_frame(frame)
@@ -673,6 +677,61 @@ class TestPeerExitCodes:
         # the private share takes at least one draw, then the k-bit nonce
         # and the commitment's 256-bit opening nonce
         assert len(draws) >= 3 and draws[-2:] == [20, 256]
+
+    @pytest.mark.parametrize("role, draw", [
+        ("initiator", "exponent"), ("initiator", 20), ("initiator", 256), ("responder", "exponent"),
+    ], ids=["initiator-exponent", "initiator-auth-nonce", "initiator-commitment-nonce", "responder-exponent"])
+    def test_entropy_fault_is_one_transport_error_line(self, monkeypatch, capsys, test_params, role, draw):
+        """The OS generator fails on one draw, picked by the bits it asks
+        for: the exponent's come from randrange(1, exponent_limit)."""
+        bits = (test_params.exponent_limit - 1).bit_length() if draw == "exponent" else draw
+        real = secrets.SystemRandom.getrandbits
+
+        def getrandbits(self, k):
+            if k == bits:
+                raise OSError("entropy pool exhausted")
+            return real(self, k)
+
+        monkeypatch.setattr(secrets.SystemRandom, "getrandbits", getrandbits)
+        if role == "initiator":
+            with serving(silent_server) as listener:
+                code = main(["--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                             "--params", "test", "--timeout", "5"])
+        else:
+            port = find_free_port()
+            peer = CliThread(["--listen", str(port), "--id", "alice", "--params", "test", "--timeout", "5"])
+            peer.start()
+            chan = connect_when_listening(port)
+            try:
+                for frame in Peer(Role.INITIATOR, test_params, "bob", 20, random.Random(1)).start():
+                    chan.send_frame(frame)
+                peer.join()
+            finally:
+                chan.close()
+            code = peer.exit_code
+        out, err = capsys.readouterr()
+        assert code == EXIT_TRANSPORT
+        assert err.splitlines() == ["transport error: entropy pool exhausted"]
+        assert "fingerprint:" not in out
+
+    def test_entropy_fault_in_fresh_interpreter(self):
+        script = (
+            "import random, sys\n"
+            "from saska import cli\n"
+            "def getrandbits(self, k):\n"
+            "    raise OSError('entropy pool exhausted')\n"
+            "random.SystemRandom.getrandbits = getrandbits\n"
+            "sys.exit(cli.entry())\n"
+        )
+        with serving(silent_server) as listener:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "--connect", f"127.0.0.1:{listener.port}", "--id", "bob",
+                 "--params", "test", "--timeout", "5"],
+                env=cli_env(PYTHONWARNINGS="error"), capture_output=True, text=True, timeout=30,
+                stdin=subprocess.DEVNULL)
+        assert proc.returncode == EXIT_TRANSPORT
+        assert proc.stderr.splitlines() == ["transport error: entropy pool exhausted"], proc.stderr
+        assert "fingerprint:" not in proc.stdout
 
     def test_identity_flag_required(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,8 +11,7 @@ from saska.commitment import (
     commit,
     open_commitment,
 )
-from saska.errors import OpenFailed, RngFailure
-from saska.protocol import gen_auth_nonce
+from saska.errors import OpenFailed
 
 
 def flip_bit(data: bytes, bit: int) -> bytes:
@@ -47,15 +46,13 @@ def test_fresh_nonces_give_distinct_commitments():
     assert c1 != c2
 
 
-def test_rng_failure_wrapped():
+def test_rng_failure_propagates():
     class Broken:
         def getrandbits(self, n):
-            raise OSError("no entropy")
+            raise OSError("entropy pool exhausted")
 
-    with pytest.raises(RngFailure):
+    with pytest.raises(OSError, match="entropy pool exhausted"):
         commit(b"m", Broken())
-    with pytest.raises(RngFailure):
-        gen_auth_nonce(8, Broken())
 
 
 class TestTamperRejection:

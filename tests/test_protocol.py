@@ -32,7 +32,6 @@ from saska.protocol import (
     encode_message,
     encode_payload,
     format_sas,
-    gen_auth_nonce,
     frame_body_length,
     key_fingerprint,
 )
@@ -127,10 +126,11 @@ class TestIdentity:
 
 
 class TestNonceGeneration:
-    def test_k20_is_an_int_below_2_to_20(self):
-        nonce = gen_auth_nonce(20, random.Random(1))
-        assert type(nonce) is int
-        assert 0 <= nonce < 2**20
+    def test_k20_is_an_int_below_2_to_20(self, test_params):
+        peer = Peer(Role.INITIATOR, test_params, "alice", 20, random.Random(1))
+        peer.start()
+        assert type(peer.own_nonce) is int
+        assert 0 <= peer.own_nonce < 2**20
 
 
 class TestComputeSas:
@@ -811,6 +811,29 @@ class TestPeer:
                 Peer(Role.RESPONDER, test_params, "bob", 8, rng, nonce=nonce)
         assert rng.getstate() == before
         assert Peer(Role.RESPONDER, test_params, "bob", 8, nonce=2**8 - 1).own_nonce == 255
+
+    @pytest.mark.parametrize("role", list(Role))
+    def test_failed_draw_propagates_as_raised(self, test_params, role):
+        """An OS fault in the draw is not a pairing fault: the peer returns
+        no frame, logs no phase and lets the very exception through."""
+        fault = OSError("entropy pool exhausted")
+
+        class Broken(random.Random):
+            def getrandbits(self, k):
+                raise fault
+
+        peer = Peer(role, test_params, "alice", 20, Broken())
+        if role is Role.INITIATOR:
+            act = peer.start
+        else:
+            _, frame1 = started_initiator(test_params)
+            act = functools.partial(peer.receive, frame1)
+        frames = None
+        with pytest.raises(OSError) as info:
+            frames = act()
+        assert info.value is fault
+        assert frames is None
+        assert peer.phase_log == [Phase.CREATED]
 
     def test_receive_before_start_is_wrong_phase(self, test_params):
         _, _, _, frame2, _ = honest_exchange(test_params)
